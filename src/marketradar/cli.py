@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -99,24 +98,60 @@ class RunConfig:
             raise ConfigError("portfolio.leverage must be 2 or 3")
 
 
-_SYNTH_PARSERS = {
-    "n_assets": int,
-    "n_markets": int,
-    "days_per_quarter": int,
-    "n_quarters": int,
-    "start_year": int,
-    "exposed_fraction": float,
-    "lags": int,
-    "decay": str,
-    "decay_rho": float,
-    "markets_per_asset": int,
-    "loading_scale": _as_pair,
-    "noise_sd": float,
-    "market_sd": float,
-    "mkt_beta": _as_pair,
-    "interaction": float,
-    "cap_sd": float,
-    "seed": int,
+def _as_list(value: str) -> tuple[str, ...]:
+    return tuple(a.strip() for a in value.split(",") if a.strip())
+
+
+def _as_quarters(value: str) -> tuple:
+    return tuple(parse_quarter(q) for q in _as_list(value))
+
+
+# Plain config keys: key -> (target, field, parser).  The target is "run"
+# for a RunConfig field, "radar" for RadarConfig and "synth" for
+# ScenarioSpec.  The prefix families data.*, hp.*, space.* and
+# synth.regime_breaks are parsed in config_from_mapping.
+_KEYS = {
+    "seed": ("run", "seed", int),
+    "out": ("run", "out", Path),
+    "radar.algos": ("radar", "algorithms", _as_list),
+    "radar.lags": ("radar", "lags", int),
+    "radar.window_quarters": ("radar", "window_quarters", int),
+    "radar.min_train_rows": ("radar", "min_train_rows", int),
+    "radar.importance": ("radar", "importance", _as_bool),
+    "radar.threads": ("radar", "threads", int),
+    "radar.background_cap": ("radar", "background_cap", int),
+    "radar.nn_importance_permutations": ("radar", "nn_importance_permutations", int),
+    "portfolio.fraction": ("run", "fraction", float),
+    "portfolio.deciles": ("run", "deciles", _as_bool),
+    "portfolio.weighting": ("run", "weighting", str),
+    "portfolio.cost_bps": ("run", "cost_bps", float),
+    "portfolio.leverage": ("run", "leverage", int),
+    "portfolio.index_factor": ("run", "index_factor", str),
+    "tune.algo": ("run", "tune_algo", str),
+    "tune.n_tasks": ("run", "tune_n_tasks", int),
+    "tune.budget": ("run", "tune_budget", int),
+    "tune.quarters": ("run", "tune_quarters", _as_quarters),
+    **{
+        f"synth.{name}": ("synth", name, parser)
+        for name, parser in (
+            ("n_assets", int),
+            ("n_markets", int),
+            ("days_per_quarter", int),
+            ("n_quarters", int),
+            ("start_year", int),
+            ("exposed_fraction", float),
+            ("lags", int),
+            ("decay", str),
+            ("decay_rho", float),
+            ("markets_per_asset", int),
+            ("loading_scale", _as_pair),
+            ("noise_sd", float),
+            ("market_sd", float),
+            ("mkt_beta", _as_pair),
+            ("interaction", float),
+            ("cap_sd", float),
+        )
+    },
 }
 
 
@@ -137,70 +172,22 @@ def _parse_space_entry(value: str) -> SearchDim:
 def config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
     cfg = RunConfig()
     hp_values: dict[str, dict[str, str]] = {}
-    synth_values: dict[str, object] = {}
-    radar_values: dict[str, object] = {}
+    values: dict[str, dict[str, object]] = {"run": {}, "radar": {}, "synth": {}}
     regime_breaks: dict = {}
     for key, value in mapping.items():
         try:
-            if key == "seed":
-                cfg.seed = int(value)
-            elif key == "out":
-                cfg.out = Path(value)
+            if key in _KEYS:
+                target, name, parse = _KEYS[key]
+                values[target][name] = parse(value)
             elif key.startswith("data."):
                 cfg.data[key[5:]] = Path(value)
-            elif key == "radar.algos":
-                radar_values["algorithms"] = tuple(
-                    a.strip() for a in value.split(",") if a.strip()
-                )
-            elif key == "radar.lags":
-                radar_values["lags"] = int(value)
-            elif key == "radar.window_quarters":
-                radar_values["window_quarters"] = int(value)
-            elif key == "radar.min_train_rows":
-                radar_values["min_train_rows"] = int(value)
-            elif key == "radar.importance":
-                radar_values["importance"] = _as_bool(value)
-            elif key == "radar.threads":
-                radar_values["threads"] = int(value)
-            elif key == "radar.background_cap":
-                radar_values["background_cap"] = int(value)
-            elif key == "radar.nn_importance_permutations":
-                radar_values["nn_importance_permutations"] = int(value)
             elif key.startswith("hp."):
                 _, algo, name = key.split(".", 2)
                 hp_values.setdefault(algo, {})[name] = value
-            elif key == "portfolio.fraction":
-                cfg.fraction = float(value)
-            elif key == "portfolio.deciles":
-                cfg.deciles = _as_bool(value)
-            elif key == "portfolio.weighting":
-                cfg.weighting = value
-            elif key == "portfolio.cost_bps":
-                cfg.cost_bps = float(value)
-            elif key == "portfolio.leverage":
-                cfg.leverage = int(value)
-            elif key == "portfolio.index_factor":
-                cfg.index_factor = value
             elif key == "synth.regime_breaks":
                 for part in value.split(","):
                     quarter, _, mult = part.strip().partition(":")
                     regime_breaks[parse_quarter(quarter)] = float(mult)
-            elif key.startswith("synth."):
-                name = key[6:]
-                parser = _SYNTH_PARSERS.get(name)
-                if parser is None:
-                    raise ConfigError(f"unknown synth key {name!r}")
-                synth_values[name] = parser(value)
-            elif key == "tune.algo":
-                cfg.tune_algo = value
-            elif key == "tune.n_tasks":
-                cfg.tune_n_tasks = int(value)
-            elif key == "tune.budget":
-                cfg.tune_budget = int(value)
-            elif key == "tune.quarters":
-                cfg.tune_quarters = tuple(
-                    parse_quarter(q.strip()) for q in value.split(",") if q.strip()
-                )
             elif key.startswith("space."):
                 cfg.space[key[6:]] = _parse_space_entry(value)
             else:
@@ -209,23 +196,19 @@ def config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad value for {key}: {exc}") from exc
-
-    hyper = {}
-    for algo, values in hp_values.items():
-        try:
-            hyper[algo] = hp.params_from_mapping(algo, values)
-        except hp.HyperparameterError as exc:
-            raise ConfigError(str(exc)) from exc
-    if hyper:
-        radar_values["hyperparameters"] = hyper
-
-    if regime_breaks:
-        synth_values["regime_breaks"] = regime_breaks
+    for name, parsed in values["run"].items():
+        setattr(cfg, name, parsed)
     try:
-        if synth_values:
-            cfg.synth_spec = ScenarioSpec(**synth_values)  # type: ignore[arg-type]
-        if radar_values:
-            cfg.radar = replace(cfg.radar, **radar_values)  # type: ignore[arg-type]
+        hyper = {algo: hp.params_from_mapping(algo, raw) for algo, raw in hp_values.items()}
+    except hp.HyperparameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    if hyper:
+        values["radar"]["hyperparameters"] = hyper
+    if regime_breaks:
+        values["synth"]["regime_breaks"] = regime_breaks
+    try:
+        cfg.synth_spec = ScenarioSpec(**values["synth"])  # type: ignore[arg-type]
+        cfg.radar = replace(cfg.radar, **values["radar"])  # type: ignore[arg-type]
     except (ScenarioError, RadarError) as exc:
         raise ConfigError(str(exc)) from exc
     cfg.validate()
@@ -246,17 +229,12 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.out = Path(args.out)
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.synth_spec = replace(cfg.synth_spec, seed=args.seed)
+    cfg.synth_spec = replace(cfg.synth_spec, seed=cfg.seed)
     cfg.radar = replace(cfg.radar, seed=cfg.seed)
     if args.algos:
-        algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
-        cfg.radar = replace(cfg.radar, algorithms=algos)
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("RADAR_THREADS")
-        threads = int(env) if env else None
-    if threads is not None:
-        cfg.radar = replace(cfg.radar, threads=threads)
+        cfg.radar = replace(cfg.radar, algorithms=_as_list(args.algos))
+    if args.threads is not None:
+        cfg.radar = replace(cfg.radar, threads=args.threads)
     cfg.validate()
     return cfg
 

@@ -141,13 +141,40 @@ def ols(
     bread = np.linalg.inv(gram)
     beta = bread @ (D.T @ y)
     resid = y - D @ beta
+    se_vec, tstats, pvals = _inference(D, resid, beta, bread, n - p, se, clusters)
 
+    if add_intercept:
+        sst = float(np.sum((y - y.mean()) ** 2))
+        df0 = 1
+    else:
+        sst = float(np.sum(y * y))
+        df0 = 0
+    r2, adj = _r2(float(resid @ resid), sst, n, df0, n - p)
+    return RegressionResult(
+        names=names,
+        coef=beta,
+        se=se_vec,
+        t=tstats,
+        pvalues=pvals,
+        r2=r2,
+        adj_r2=adj,
+        n=n,
+        se_type=se,
+    )
+
+
+def _inference(D, resid, beta, bread, dof, se, clusters):
+    """Standard errors, t-statistics and two-sided p-values of ``beta``
+    fitted on design ``D``.  ``dof`` is n minus every estimated parameter,
+    absorbed fixed effects included; it sets the classic variance, the
+    HC1 factor n/dof and the CR1 factor G/(G-1) * (n-1)/dof."""
+    n, p = D.shape
     if se == "classic":
-        sigma2 = float(resid @ resid) / (n - p)
+        sigma2 = float(resid @ resid) / dof
         cov = sigma2 * bread
     elif se == "hc1":
         scored = D * resid[:, None]
-        cov = bread @ (scored.T @ scored) @ bread * (n / (n - p))
+        cov = bread @ (scored.T @ scored) @ bread * (n / dof)
     elif se == "cluster":
         if clusters is None or len(clusters) != n:
             raise RegressionError("cluster keys must align with rows")
@@ -161,7 +188,7 @@ def ols(
         for idx in groups.values():
             s = D[idx].T @ resid[idx]
             meat += np.outer(s, s)
-        factor = (G / (G - 1)) * ((n - 1) / (n - p))
+        factor = (G / (G - 1)) * ((n - 1) / dof)
         cov = bread @ meat @ bread * factor
     else:
         raise RegressionError(f"unknown se type {se!r}")
@@ -169,29 +196,21 @@ def ols(
     se_vec = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstats = np.where(se_vec > 0, beta / np.where(se_vec > 0, se_vec, 1.0), np.inf * np.sign(beta))
-    dof = max(n - p, 1)
-    pvals = 2.0 * sps.t.sf(np.abs(tstats), dof)
+    pvals = 2.0 * sps.t.sf(np.abs(tstats), max(dof, 1))
+    return se_vec, tstats, pvals
 
-    if add_intercept:
-        sst = float(np.sum((y - y.mean()) ** 2))
-        df0 = 1
-    else:
-        sst = float(np.sum(y * y))
-        df0 = 0
-    ssr = float(resid @ resid)
+
+def _r2(ssr: float, sst: float, n: int, df0: int, dof: int) -> tuple[float, float]:
+    """R2 and adjusted R2; ``df0`` is 1 when the model has an intercept."""
     r2 = 1.0 - ssr / sst if sst > 0 else 1.0
-    adj = 1.0 - (1.0 - r2) * (n - df0) / (n - p) if n > p else r2
-    return RegressionResult(
-        names=names,
-        coef=beta,
-        se=se_vec,
-        t=tstats,
-        pvalues=pvals,
-        r2=r2,
-        adj_r2=adj,
-        n=n,
-        se_type=se,
-    )
+    return r2, 1.0 - (1.0 - r2) * (n - df0) / dof
+
+
+def rf_vector(rf: Mapping[dt.date, float] | float, dates: Sequence[dt.date]) -> np.ndarray:
+    """The risk-free rate on each date: a scalar repeated, or looked up."""
+    if isinstance(rf, (int, float)):
+        return np.full(len(dates), float(rf))
+    return np.array([rf[d] for d in dates])
 
 
 def factor_alpha(
@@ -210,11 +229,7 @@ def factor_alpha(
         missing.extend(f"rf@{d.isoformat()}" for d in dates if d not in rf)
     if missing:
         raise RegressionError(f"misaligned dates: missing {', '.join(sorted(missing)[:5])}")
-    rf_vec = (
-        np.full(len(dates), float(rf))
-        if isinstance(rf, (int, float))
-        else np.array([rf[d] for d in dates])
-    )
+    rf_vec = rf_vector(rf, dates)
     names = list(factors)
     X = np.column_stack([[factors[name][d] for d in dates] for name in names]) if names else np.empty((len(dates), 0))
     y = np.asarray(portfolio_returns, dtype=np.float64) - rf_vec
@@ -270,9 +285,7 @@ def fe_regression(
         if n <= p_eff:
             raise RegressionError(f"need n > p, got n={n}, p={p_eff}")
         if X.shape[1] == 0:
-            ssr = float(yd @ yd)
-            r2 = 1.0 - ssr / sst if sst > 0 else 1.0
-            adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p_eff)
+            r2, adj = _r2(float(yd @ yd), sst, n, 1, n - p_eff)
             return RegressionResult(
                 names=(),
                 coef=np.zeros(0),
@@ -294,35 +307,8 @@ def fe_regression(
         bread = np.linalg.inv(gram)
         beta = bread @ (Xd.T @ yd)
         resid = yd - Xd @ beta
-        p = Xd.shape[1]
-        if se == "classic":
-            cov = float(resid @ resid) / (n - p_eff) * bread
-        elif se == "hc1":
-            scored = Xd * resid[:, None]
-            cov = bread @ (scored.T @ scored) @ bread * (n / (n - p_eff))
-        elif se == "cluster":
-            if clusters is None or len(clusters) != n:
-                raise RegressionError("cluster keys must align with rows")
-            groups: dict[Hashable, list[int]] = {}
-            for i, key in enumerate(clusters):
-                groups.setdefault(key, []).append(i)
-            Gc = len(groups)
-            if Gc < 2:
-                raise RegressionError("need at least 2 clusters")
-            meat = np.zeros((p, p))
-            for idx in groups.values():
-                s = Xd[idx].T @ resid[idx]
-                meat += np.outer(s, s)
-            cov = bread @ meat @ bread * (Gc / (Gc - 1)) * ((n - 1) / (n - p_eff))
-        else:
-            raise RegressionError(f"unknown se type {se!r}")
-        se_vec = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tstats = np.where(se_vec > 0, beta / np.where(se_vec > 0, se_vec, 1.0), np.inf * np.sign(beta))
-        pvals = 2.0 * sps.t.sf(np.abs(tstats), max(n - p_eff, 1))
-        ssr = float(resid @ resid)
-        r2 = 1.0 - ssr / sst if sst > 0 else 1.0
-        adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p_eff)
+        se_vec, tstats, pvals = _inference(Xd, resid, beta, bread, n - p_eff, se, clusters)
+        r2, adj = _r2(float(resid @ resid), sst, n, 1, n - p_eff)
         return RegressionResult(
             names=tuple(names),
             coef=beta,
@@ -388,19 +374,6 @@ def dissemination_window(intercept: float, slope: float, form: str = "linear") -
             return w
         w += 1
     raise RegressionError("window exceeds iteration limit")
-
-
-def lasso_sparsity(models: Sequence) -> float:
-    """Mean fraction of nonzero coefficients across linear models."""
-    if not models:
-        raise RegressionError("no models")
-    fractions = []
-    for model in models:
-        coef = np.asarray(model.coef)
-        if coef.size == 0:
-            raise RegressionError("model has no coefficients")
-        fractions.append(float(np.count_nonzero(coef)) / coef.size)
-    return float(np.mean(fractions))
 
 
 def sparsity_fraction(coef: np.ndarray) -> float:

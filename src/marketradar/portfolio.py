@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .econometrics import rf_vector
 from .panel import ReturnPanel
 from .trading_calendar import Quarter, quarter_of
 
@@ -65,9 +66,6 @@ class PortfolioSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def mean_return(self) -> float:
-        return float(np.mean(self.returns)) if len(self.dates) else math.nan
-
 
 @dataclass(frozen=True)
 class Selection:
@@ -100,7 +98,8 @@ def rank_deciles(forecasts: Mapping[str, float]) -> list[tuple[str, ...]]:
     return [tuple(ordered[bounds[i] : bounds[i + 1]]) for i in range(10)]
 
 
-def _prior_cap(caps: ReturnPanel, asset: str, date: dt.date) -> float:
+def prior_cap(caps: ReturnPanel, asset: str, date: dt.date) -> float:
+    """The asset's latest market cap strictly before ``date``."""
     series = caps.series(asset) if asset in caps.entity_ids else None
     if series is not None:
         i = int(np.searchsorted(series.ordinals, date.toordinal(), side="left"))
@@ -139,7 +138,7 @@ def build_series(
         if weighting == "equal":
             w = {a: 1.0 / len(members) for a in members}
         else:
-            raw = {a: _prior_cap(caps, a, d) for a in members}  # type: ignore[arg-type]
+            raw = {a: prior_cap(caps, a, d) for a in members}  # type: ignore[arg-type]
             total = sum(raw.values())
             if total <= 0:
                 raise PortfolioError(f"nonpositive total cap on {d.isoformat()}")
@@ -252,12 +251,7 @@ def performance_stats(
     """Annualized Sharpe, worst compounded quarterly return, mean excess."""
     if len(series) < 2:
         raise PortfolioError("need at least 2 observations")
-    rf_vec = (
-        np.full(len(series), float(rf))
-        if isinstance(rf, (int, float))
-        else np.array([rf[d] for d in series.dates])
-    )
-    excess = np.asarray(series.returns) - rf_vec
+    excess = np.asarray(series.returns) - rf_vector(rf, series.dates)
     sd = float(excess.std(ddof=1))
     if sd == 0.0:
         raise PortfolioError("zero volatility")
@@ -324,13 +318,9 @@ def market_timing(
     tos: list[float] = []
     prev_exposure: float | None = None
     for d in dates:
-        values = [series[d] for series in index_forecasts.values()]
-        if all(v > 0 for v in values):
-            exposure = float(upside_leverage)
-        elif all(v < 0 for v in values):
-            exposure = -1.0
-        else:
-            exposure = 1.0
+        exposure = timing_exposure(
+            [series[d] for series in index_forecasts.values()], upside_leverage
+        )
         rets.append(exposure * index_returns[d])
         tos.append(0.0 if prev_exposure is None or exposure == prev_exposure else 1.0)
         prev_exposure = exposure

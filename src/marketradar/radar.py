@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import learners
+from .econometrics import sparsity_fraction
 from .learners import params as hp
 from .panel import (
     ReturnPanel,
@@ -259,7 +260,7 @@ def train_predict_stock_quarter(
         result.forecasts = [(d, float(v)) for (_, d), v in zip(pred_block.rows, yhat)]
 
     if isinstance(model, learners.LinearModel):
-        result.nonzero_fraction = float(np.count_nonzero(model.coef)) / max(model.n_features, 1)
+        result.nonzero_fraction = sparsity_fraction(model.coef)
 
     if config.importance:
         if algo in ("lasso", "enet"):

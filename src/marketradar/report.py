@@ -96,10 +96,7 @@ def portfolio_table(
         for leg, series in (("top", b.top), ("bottom", b.bottom), ("t-b", b.spread)):
             rf_leg = rf if leg != "t-b" else 0.0
             stats = pf.performance_stats(series, rf_leg)
-            if isinstance(rf_leg, (int, float)):
-                excess = np.asarray(series.returns) - float(rf_leg)
-            else:
-                excess = np.asarray(series.returns) - np.array([rf_leg[d] for d in series.dates])
+            excess = np.asarray(series.returns) - em.rf_vector(rf_leg, series.dates)
             mean_bps, tstat = _mean_tstat(excess)
             mean_bps *= 1e4
             if factors:
@@ -169,12 +166,7 @@ def _decile_cell(series, rf, factors) -> str:
     if factors:
         reg = em.factor_alpha(series.dates, series.returns, rf, factors)
         return cell(reg.coef[0] * 1e4, reg.t[0], reg.pvalues[0], digits=2)
-    rf_vec = (
-        np.full(len(series.dates), float(rf))
-        if isinstance(rf, (int, float))
-        else np.array([rf[d] for d in series.dates])
-    )
-    mean, t = _mean_tstat(np.asarray(series.returns) - rf_vec)
+    mean, t = _mean_tstat(np.asarray(series.returns) - em.rf_vector(rf, series.dates))
     return f"{mean * 1e4:.2f} ({t:.2f})" if not math.isinf(t) else f"{mean * 1e4:.2f}"
 
 
@@ -267,7 +259,7 @@ def timing_table(
             ok = True
             for asset in by_asset:
                 try:
-                    cap_now[asset] = pf._prior_cap(caps, asset, date)
+                    cap_now[asset] = pf.prior_cap(caps, asset, date)
                 except pf.PortfolioError:
                     ok = False
                     break

@@ -272,7 +272,7 @@ def write_scenario(scenario: Scenario, out_dir: Path | str) -> dict[str, Path]:
         writer.writerow(["asset", "source", "lag_week", "loading"])
         for a in sorted(scenario.truth.loadings):
             for sig, loading in sorted(scenario.truth.loadings[a].items()):
-                writer.writerow([a, sig.source, sig.lag_week, repr(loading)])
+                writer.writerow([a, sig.source, sig.lag_week, repr(float(loading))])
     return paths
 
 

@@ -12,7 +12,6 @@ synth.n_quarters = 6
 synth.exposed_fraction = 0.5
 synth.markets_per_asset = 1
 synth.noise_sd = 0.002
-synth.seed = 13
 """
 
 RADAR_CFG = """
@@ -76,6 +75,14 @@ class TestSynthCommand:
         main(["synth", "--config", cfg, "--out", str(out2)])
         assert (out1 / "returns.csv").read_bytes() == (out2 / "returns.csv").read_bytes()
 
+    def test_config_seed_reaches_synth(self, tmp_path):
+        cfg = write_cfg(tmp_path, SYNTH_CFG.replace("seed = 13", "seed = 5"))
+        bare = write_cfg(tmp_path, SYNTH_CFG.replace("seed = 13\n", ""), name="bare.txt")
+        by_key, by_flag = tmp_path / "key", tmp_path / "flag"
+        assert main(["synth", "--config", cfg, "--out", str(by_key)]) == 0
+        assert main(["synth", "--config", bare, "--out", str(by_flag), "--seed", "5"]) == 0
+        assert (by_key / "returns.csv").read_bytes() == (by_flag / "returns.csv").read_bytes()
+
     def test_invalid_spec_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "synth.exposed_fraction = 2.0\n")
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
@@ -113,14 +120,6 @@ class TestRadarCommand:
         body = (out / "forecasts.csv").read_text()
         assert ",lasso," in body
         assert ",gb," not in body
-
-    def test_threads_env_fallback(self, tmp_path, synth_dir, monkeypatch):
-        cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(["radar", "--config", cfg, "--out", str(out1)]) == 0
-        monkeypatch.setenv("RADAR_THREADS", "4")
-        assert main(["radar", "--config", cfg, "--out", str(out2)]) == 0
-        assert (out1 / "forecasts.csv").read_bytes() == (out2 / "forecasts.csv").read_bytes()
 
     def test_explicit_calendar_restricts_quarters(self, tmp_path, synth_dir):
         # calendar covering only the first five quarters: one fewer task wave

@@ -10,7 +10,6 @@ from marketradar.econometrics import (
     factor_alpha,
     fe_regression,
     importance_lag_regression,
-    lasso_sparsity,
     ols,
     positive_r2_keys,
     r2_oos,
@@ -235,17 +234,21 @@ class TestFixedEffects:
         total = float(np.sum((y - y.mean()) ** 2))
         assert res.r2 == pytest.approx(between / total, abs=1e-12)
 
-    def test_within_equals_dummy_expansion(self):
+    @pytest.mark.parametrize("se", ["classic", "hc1", "cluster"])
+    def test_within_equals_dummy_expansion(self, se):
+        # Frisch-Waugh-Lovell: the within fit and the dummy expansion share
+        # the coefficient, the residuals and the x-row of the sandwich.
         rng = np.random.default_rng(7)
         groups = ["a", "a", "a", "b", "b", "b", "c", "c", "c", "d", "d", "d"]
         effects = {"a": 0.5, "b": -1.0, "c": 2.0, "d": 0.0}
+        clusters = ["u", "v"] * 6 if se == "cluster" else None  # cuts across groups
         x = rng.normal(size=12)
         y = 1.5 * x + np.array([effects[g] for g in groups]) + rng.normal(size=12) * 0.1
-        within = fe_regression(y, x[:, None], [groups], names=["x"])
+        within = fe_regression(y, x[:, None], [groups], names=["x"], se=se, clusters=clusters)
         dummies = np.column_stack(
             [x] + [[1.0 if g == lvl else 0.0 for g in groups] for lvl in ("b", "c", "d")]
         )
-        dummy = ols(y, dummies, names=["x", "b", "c", "d"])
+        dummy = ols(y, dummies, names=["x", "b", "c", "d"], se=se, clusters=clusters)
         assert within.coef[0] == pytest.approx(dummy.coef[1], abs=1e-10)
         assert within.se[0] == pytest.approx(dummy.se[1], abs=1e-10)
         assert within.r2 == pytest.approx(dummy.r2, abs=1e-12)
@@ -310,13 +313,8 @@ class TestDisseminationWindow:
 
 class TestSparsityAndMonthly:
     def test_sparsity_examples(self):
-        class M:
-            def __init__(self, coef):
-                self.coef = np.array(coef)
-
-        assert lasso_sparsity([M([0.0, 0.0])]) == 0.0
-        assert lasso_sparsity([M([0.0, 0.5, 0.0, -0.1])]) == 0.5
-        assert lasso_sparsity([M([0.5, 0.0]), M([0.0, 0.0])]) == 0.25
+        assert sparsity_fraction(np.array([0.0, 0.0])) == 0.0
+        assert sparsity_fraction(np.array([0.0, 0.5, 0.0, -0.1])) == 0.5
         assert sparsity_fraction(np.array([0.0, 1.0])) == 0.5
 
     def test_monthly_compounding(self):

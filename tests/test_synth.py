@@ -1,10 +1,11 @@
+import csv
 import datetime as dt
 
 import numpy as np
 import pytest
 
 from marketradar.learners import LassoParams, fit_ols
-from marketradar.panel import build_signal_block, read_panel_csv
+from marketradar.panel import SignalId, build_signal_block, read_panel_csv
 from marketradar.radar import RadarConfig, run_radar
 from marketradar.report import compute_r2_records
 from marketradar.synth import (
@@ -191,3 +192,14 @@ class TestScenarioFiles:
         write_scenario(generate(spec), b_dir)
         for name in ("returns.csv", "markets.csv", "factors.csv", "caps.csv", "truth.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+    def test_truth_loadings_parse_as_floats(self, tmp_path):
+        spec = ScenarioSpec(n_assets=3, n_markets=2, days_per_quarter=6, n_quarters=2,
+                            exposed_fraction=1.0, markets_per_asset=1, seed=4)
+        sc = generate(spec)
+        with open(write_scenario(sc, tmp_path)["truth"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * spec.lags
+        for row in rows:
+            sig = SignalId(row["source"], int(row["lag_week"]))
+            assert float(row["loading"]) == sc.truth.loadings[row["asset"]][sig]
