@@ -19,6 +19,7 @@ from typing import Mapping
 from . import econometrics as em
 from . import portfolio as pf
 from . import report as rp
+from .learners import ModelError
 from .learners import params as hp
 from .panel import PanelError, read_calendar_csv, read_panel_csv
 from .radar import (
@@ -419,7 +420,15 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, PanelError, RadarError, ScenarioError, em.RegressionError) as exc:
+    except (
+        ConfigError,
+        PanelError,
+        RadarError,
+        ScenarioError,
+        em.RegressionError,
+        pf.PortfolioError,
+        ModelError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

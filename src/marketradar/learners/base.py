@@ -61,6 +61,7 @@ class TrainedModel:
     hyper: object | None = None
 
     def _inputs(self, X: np.ndarray) -> np.ndarray:
+        """Shape-checked, standardized rows: the input of ``_predict``."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ModelError(
@@ -76,7 +77,7 @@ class LinearModel(TrainedModel):
     rank_deficient: bool = False
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        return self.intercept + self._inputs(X) @ self.coef
+        return self.intercept + X @ self.coef
 
 
 @dataclass(eq=False)
@@ -86,7 +87,6 @@ class TreeEnsembleModel(TrainedModel):
     base: float = 0.0
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        X = self._inputs(X)
         out = np.full(X.shape[0], self.base)
         for w, tree in zip(self.tree_weights, self.trees):
             out += w * tree.predict(X)
@@ -100,11 +100,12 @@ class NeuralNetModel(TrainedModel):
     activation: str = "relu"
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        a = self._inputs(X)
+        a = X
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ W + b
+            a = a @ W
+            a += b
             if i < len(self.weights) - 1:
-                a = np.maximum(a, 0.0)
+                np.maximum(a, 0.0, out=a)
         return a[:, 0]
 
 
@@ -112,7 +113,7 @@ def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Apply the model's stored standardization (if any), then its fit."""
     if np.asarray(X).ndim == 1:
         raise ModelError("predict expects a 2-D feature matrix")
-    return model._predict(np.asarray(X, dtype=np.float64))
+    return model._predict(model._inputs(X))
 
 
 # ---------------------------------------------------------------------------

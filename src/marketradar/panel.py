@@ -287,12 +287,24 @@ def build_signal_block(
     )
 
 
+# Relative spread below which a column counts as constant: the computed mean
+# of an all-equal column can be an ulp off, which leaves a sample sd of
+# rounding noise (~1e-16 of the values) instead of 0.
+CONSTANT_SD_RTOL = 1e-12
+
+
 def standardize(block: SignalBlock) -> tuple[SignalBlock, StandardizationStats]:
-    """Scale each column to sample mean 0, sd 1; constant columns become 0."""
+    """Scale each column to sample mean 0, sd 1; constant columns become 0.
+
+    A column is constant when its sample sd is at most ``CONSTANT_SD_RTOL``
+    times its largest absolute value; its sd is stored as 0, so it also
+    maps to 0 at prediction time.
+    """
     if block.n_rows < 2:
         raise PanelError("standardize needs at least 2 rows")
     mean = block.values.mean(axis=0)
     sd = block.values.std(axis=0, ddof=1)
+    sd[sd <= CONSTANT_SD_RTOL * np.abs(block.values).max(axis=0)] = 0.0
     stats = StandardizationStats(mean=mean, sd=sd)
     scaled = SignalBlock(
         rows=block.rows,

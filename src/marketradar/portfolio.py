@@ -173,9 +173,9 @@ def turnover(
     drifted_sum = sum(w * (1.0 + r_today.get(a, 0.0)) for a, w in w_prev.items())
     if drifted_sum <= 0:
         raise PortfolioError("drifted prior weights sum to zero")
-    assets = set(w_prev) | set(w_today)
     total = 0.0
-    for a in assets:
+    # sorted, so the float sum does not follow the per-process string hash order
+    for a in sorted(set(w_prev) | set(w_today)):
         drifted = w_prev.get(a, 0.0) * (1.0 + r_today.get(a, 0.0)) / drifted_sum
         total += abs(w_today.get(a, 0.0) - drifted)
     return 0.5 * total

@@ -12,6 +12,19 @@ the leaf's indicator game is determined by the counts a (features only x
 satisfies) and b (features only z satisfies).  Its exact Shapley weights
 have the closed forms (a-1)! b! / (a+b)! for members of the x-side and
 -a! (b-1)! / (a+b)! for the z-side, which are precomputed in small tables.
+
+The permutation estimator evaluates in batches.  For each sampled order it
+stacks the p spliced copies of the background (x spliced in on the first
+k+1 features of the order, for k = 0..p-1) into one (p*m, p) matrix and
+calls the model once, so a row costs one forward pass per permutation
+rather than p.  Importance scales the explained rows and the background
+once through the model's standardization and then calls the fitted map on
+scaled inputs directly.  Neither step changes a bit of the result: the
+model maps each row independently of its neighbours, each coalition mean
+is the same reduction over the same m values, and standardization acts
+elementwise per column, so scaling then splicing equals splicing then
+scaling.  Permutations are not all stacked at once, which would hold
+n_permutations times as many spliced rows in memory.
 """
 from __future__ import annotations
 
@@ -217,17 +230,16 @@ def sampled_shapley(
     p = len(x)
     rng = np.random.default_rng(seed)
 
+    m = Z.shape[0]
     base = float(np.mean(f(Z)))
     draws = np.empty((n_permutations, p))
     for t in range(n_permutations):
         order = rng.permutation(p)
-        spliced = Z.copy()
-        prev = base
-        for j in order:
-            spliced[:, j] = x[j]
-            cur = float(np.mean(f(spliced)))
-            draws[t, j] = cur - prev
-            prev = cur
+        # row k marks order[: k + 1]: feature j joins at step argsort(order)[j]
+        members = np.tri(p, dtype=bool)[:, np.argsort(order)]
+        spliced = np.where(members[:, None, :], x, Z).reshape(p * m, p)
+        v = f(spliced).reshape(p, m).mean(axis=1)
+        draws[t, order] = np.diff(v, prepend=base)
     phi = draws.mean(axis=0)
     if n_permutations > 1:
         stderr = draws.std(axis=0, ddof=1) / math.sqrt(n_permutations)
@@ -288,15 +300,16 @@ def mean_abs_importance(
             raise ModelError("tree_shap importance requires a tree model")
         phi, _ = tree_shap_batch(model, block.values, background)
     elif method == "sampled_shapley":
-        f: Predictor = lambda M: predict(model, M)
-        rows = []
-        for i in range(block.n_rows):
-            rows.append(
-                sampled_shapley(
-                    f, block.values[i], background, n_permutations, seed + i
-                ).phi
-            )
-        phi = np.array(rows)
+        # standardization is elementwise, so scaling once before splicing
+        # gives the same bits as predict() scaling every spliced matrix
+        X = model._inputs(block.values)
+        Z = model._inputs(background)
+        phi = np.array(
+            [
+                sampled_shapley(model._predict, X[i], Z, n_permutations, seed + i).phi
+                for i in range(block.n_rows)
+            ]
+        )
     else:
         raise ValueError(f"unknown importance method {method!r}")
     mean_abs = np.abs(phi).mean(axis=0)

@@ -178,6 +178,23 @@ class TestReportCommand:
         assert main(["report", "--config", cfg2, "--out", str(out)]) == 0
         assert (out / "tables.txt").read_bytes() == first
 
+    def test_small_panel_portfolio_error_exits_one(self, tmp_path, capsys):
+        # the default fraction 0.05 needs >= 20 forecasts a day; with 10
+        # assets every selection is empty and the legs share no dates
+        synth_cfg = write_cfg(
+            tmp_path, SYNTH_CFG.replace("n_assets = 6", "n_assets = 10"), name="synth.txt"
+        )
+        data = tmp_path / "data"
+        assert main(["synth", "--config", synth_cfg, "--out", str(data)]) == 0
+        out = tmp_path / "run"
+        text = "seed = 13\nradar.algos = lasso\nradar.min_train_rows = 40\n"
+        text += f"hp.lasso.alpha = 1e-5\ndata.forecasts = {out}/forecasts.csv\n"
+        cfg = write_cfg(tmp_path, text, data_dir=data)
+        assert main(["radar", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 1
+        assert "error: series have no dates in common" in capsys.readouterr().err
+
     def test_missing_forecasts_exits_two(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "empty")]) == 2

@@ -3,6 +3,7 @@ import pytest
 
 from marketradar.learners import (
     NetParams,
+    NeuralNetModel,
     TrainingDiverged,
     fit_nn,
     init_layers,
@@ -10,6 +11,7 @@ from marketradar.learners import (
     model_to_json,
     predict,
 )
+from marketradar.panel import StandardizationStats
 
 
 def finite_difference_grads(weights, biases, X, y, l1, h=1e-6):
@@ -112,3 +114,26 @@ class TestTraining:
         a = fit_nn(X, y, params, seed=10)
         b = fit_nn(X, y, params, seed=10)
         assert model_to_json(a) == model_to_json(b)
+
+
+class TestForward:
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(11)
+        weights, biases = init_layers([4, 8, 8, 1], rng)
+        biases = [rng.normal(size=b.shape) * 0.1 for b in biases]
+        stats = StandardizationStats(
+            mean=np.array([0.5, -1.0, 0.0, 2.0]), sd=np.array([2.0, 0.5, 0.0, 3.0])
+        )
+        return NeuralNetModel(
+            algo="nn", n_features=4, stats=stats, weights=weights, biases=biases
+        )
+
+    @pytest.mark.parametrize("n_rows", [1, 5000])
+    def test_in_place_forward_matches_plain_chain(self, model, n_rows):
+        X = np.random.default_rng(n_rows).normal(size=(n_rows, 4))
+        a = model.stats.transform(X)
+        for W, b in zip(model.weights[:-1], model.biases[:-1]):
+            a = np.maximum(a @ W + b, 0.0)
+        expected = (a @ model.weights[-1] + model.biases[-1])[:, 0]
+        np.testing.assert_array_equal(predict(model, X), expected)

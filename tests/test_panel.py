@@ -2,10 +2,11 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from marketradar.panel import (
+    CONSTANT_SD_RTOL,
     EntitySeries,
     PanelError,
     ReturnPanel,
@@ -169,13 +170,18 @@ class TestStandardize:
             max_size=24,
         )
     )
+    # all-equal columns whose computed mean is an ulp off, and a one-ulp spread
+    @example([0.8, 0.8, 0.8])
+    @example([0.1, 0.1, 0.1])
+    @example([5.0, 5.0, 4.999999999999999])
+    @example([5.7e-34] * 7)
     def test_output_moments(self, column):
         values = np.array(column)[:, None]
         sd = np.std(values, ddof=1)
         # spreads so small that their squares are subnormal lose precision
         assume(sd == 0 or sd > 1e-100)
         out, _ = standardize(self._block(values))
-        if sd == 0:
+        if sd <= CONSTANT_SD_RTOL * np.max(np.abs(values)):
             np.testing.assert_array_equal(out.values, 0.0)
         else:
             assert out.values[:, 0].mean() == pytest.approx(0.0, abs=1e-9)

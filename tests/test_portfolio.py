@@ -1,10 +1,15 @@
 import datetime as dt
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import marketradar
 from marketradar.panel import ReturnPanel
 from marketradar.portfolio import (
     DailyWeights,
@@ -140,6 +145,25 @@ class TestTurnover:
         w_prev = {"A": 0.5, "B": 0.5}
         w_today = {"C": 0.5, "D": 0.5}
         assert turnover(w_prev, {"A": 0.0, "B": 0.0}, w_today) == pytest.approx(1.0)
+
+    def test_independent_of_hash_seed(self):
+        # tiny gaps vanish when added after the two 0.5 gaps but not before,
+        # so the result shows the order in which the assets are summed
+        script = (
+            "from marketradar.portfolio import turnover\n"
+            "w_today = {'X': 0.5, 'Y': 0.5, **{f't{i}': 1e-16 for i in range(8)}}\n"
+            "print(repr(turnover({'X': 1.0}, {}, w_today)))\n"
+        )
+        src = str(Path(marketradar.__file__).resolve().parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
 
     def test_drift_hand_case(self):
         w = {"A": 0.5, "B": 0.5}

@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +7,16 @@ import pytest
 from marketradar.learners import (
     BoostParams,
     ForestParams,
+    NetParams,
     TreeEnsembleModel,
     TreeNode,
     fit_gradient_boosting,
     fit_random_forest,
     fit_lasso,
+    fit_nn,
     predict,
 )
-from marketradar.panel import SignalBlock, SignalId
+from marketradar.panel import SignalBlock, SignalId, standardize
 from marketradar.shapley import (
     Attribution,
     ImportanceRecord,
@@ -26,6 +29,48 @@ from marketradar.shapley import (
 )
 
 D = dt.date
+
+
+def reference_sampled_shapley(f, x, background, n_permutations, seed):
+    """The permutation estimator with one f call per coalition."""
+    x = np.asarray(x, dtype=np.float64)
+    Z = np.asarray(background, dtype=np.float64)
+    p = len(x)
+    rng = np.random.default_rng(seed)
+    base = float(np.mean(f(Z)))
+    draws = np.empty((n_permutations, p))
+    for t in range(n_permutations):
+        order = rng.permutation(p)
+        spliced = Z.copy()
+        prev = base
+        for j in order:
+            spliced[:, j] = x[j]
+            cur = float(np.mean(f(spliced)))
+            draws[t, j] = cur - prev
+            prev = cur
+    if n_permutations > 1:
+        stderr = draws.std(axis=0, ddof=1) / math.sqrt(n_permutations)
+    else:
+        stderr = np.zeros(p)
+    return Attribution(phi=draws.mean(axis=0), base_value=base, stderr=stderr)
+
+
+def assert_same_attribution(got, want):
+    np.testing.assert_array_equal(got.phi, want.phi)
+    np.testing.assert_array_equal(got.stderr, want.stderr)
+    assert got.base_value == want.base_value
+
+
+def fitted_scaled_nn(seed, n=64, p=5):
+    """An nn fitted on standardized columns of very different scales."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, p)) * np.linspace(0.01, 3.0, p) + np.arange(p)
+    y = raw[:, 0] - 0.5 * raw[:, 1] * raw[:, 2] + rng.normal(size=n) * 0.1
+    block, stats = standardize(toy_block(raw, target=y))
+    params = NetParams(epochs=5, batch_size=16, n_layers=2, n_neurons=8,
+                       learning_rate=0.01, l1=1e-5)
+    model = fit_nn(block.values, y, params, seed=seed, stats=stats)
+    return model, raw, y
 
 
 def leaf(value, n=1):
@@ -209,6 +254,35 @@ class TestSampledShapley:
         b = sampled_shapley(f, x, Z, n_permutations=50, seed=3)
         np.testing.assert_array_equal(a.phi, b.phi)
 
+    def test_batched_matches_reference_on_linear(self):
+        rng = np.random.default_rng(17)
+        beta = np.array([0.7, -1.2, 0.3, 0.0, 2.5])
+        f = lambda M: M @ beta
+        Z = rng.normal(size=(30, 5))
+        x = rng.normal(size=5)
+        assert_same_attribution(
+            sampled_shapley(f, x, Z, n_permutations=40, seed=18),
+            reference_sampled_shapley(f, x, Z, n_permutations=40, seed=18),
+        )
+
+    def test_batched_matches_reference_on_fitted_nn(self):
+        model, raw, _ = fitted_scaled_nn(19)
+        f = lambda M: predict(model, M)
+        for i in (0, 7):
+            assert_same_attribution(
+                sampled_shapley(f, raw[i], raw, n_permutations=16, seed=i),
+                reference_sampled_shapley(f, raw[i], raw, n_permutations=16, seed=i),
+            )
+
+    def test_single_permutation_matches_reference(self):
+        model, raw, _ = fitted_scaled_nn(20)
+        f = lambda M: predict(model, M)
+        got = sampled_shapley(f, raw[3], raw[:20], n_permutations=1, seed=4)
+        assert_same_attribution(
+            got, reference_sampled_shapley(f, raw[3], raw[:20], n_permutations=1, seed=4)
+        )
+        np.testing.assert_array_equal(got.stderr, 0.0)
+
 
 def toy_block(values, target=None):
     values = np.asarray(values, dtype=np.float64)
@@ -288,6 +362,19 @@ class TestImportance:
         )
         assert len(records) == 3
         assert all(r.value >= 0 for r in records)
+
+    def test_sampled_importance_matches_reference_on_scaled_nn(self):
+        model, raw, y = fitted_scaled_nn(21, n=24)
+        block = toy_block(raw, target=y)
+        records = mean_abs_importance(
+            model, block, "AAA", (2020, 1), method="sampled_shapley",
+            n_permutations=8, seed=5,
+        )
+        f = lambda M: predict(model, M)
+        phi = np.array(
+            [reference_sampled_shapley(f, raw[i], raw, 8, 5 + i).phi for i in range(len(raw))]
+        )
+        assert [r.value for r in records] == [float(v) for v in np.abs(phi).mean(axis=0)]
 
     def test_importance_records_validate(self):
         with pytest.raises(ValueError):
