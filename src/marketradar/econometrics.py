@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 from .trading_calendar import Quarter
 
@@ -196,7 +196,8 @@ def _inference(D, resid, beta, bread, dof, se, clusters):
     se_vec = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstats = np.where(se_vec > 0, beta / np.where(se_vec > 0, se_vec, 1.0), np.inf * np.sign(beta))
-    pvals = 2.0 * sps.t.sf(np.abs(tstats), max(dof, 1))
+    # 2 * scipy.stats.t.sf(|t|, dof) bit for bit, without importing scipy.stats
+    pvals = 2.0 * stdtr(max(dof, 1), -np.abs(tstats))
     return se_vec, tstats, pvals
 
 

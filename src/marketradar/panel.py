@@ -1,9 +1,13 @@
-"""Return panels, lagged weekly signal construction, and standardization.
+"""Dense return panels, lagged weekly signal construction, and standardization.
+
+A panel is one dense (dates x entities) array, NaN where an entity has no
+observation; callers read whole blocks of rows (``rows``, ``rows_before``).
 
 Signal timing convention: the lag-k signal for prediction date d compounds a
 source's returns over the calendar-day window [d-7k, d-7(k-1)-1].  Windows
 for distinct k are disjoint and together cover the 7L calendar days before
 d, so no signal ever touches the prediction date itself (no look-ahead).
+``lagged_signals`` computes a block's windows with array operations.
 Sources with no trading day inside a window contribute a 0.0 signal; the
 block records how often that happened instead of dropping rows, which keeps
 row alignment across many sources with different holiday calendars.
@@ -57,10 +61,17 @@ class EntitySeries:
         return len(self.ordinals)
 
 
+def _ordinals(dates: Sequence[dt.date]) -> np.ndarray:
+    return np.array([d.toordinal() for d in dates], dtype=np.int64)
+
+
 class ReturnPanel:
     """date x entity table of simple decimal returns (or generic values).
 
-    At most one observation per (date, entity).  With ``check_returns`` the
+    ``ordinals`` is the sorted union of observation dates and ``values`` the
+    dense (dates x entities) array, NaN where an entity has no observation;
+    ``columns`` maps each entity id, in sorted order, to its column.  At
+    most one observation per (date, entity).  With ``check_returns`` the
     values are validated as simple returns (each > -1); caps and other
     generic panels disable the check.
     """
@@ -70,9 +81,8 @@ class ReturnPanel:
         series: Mapping[str, EntitySeries],
         check_returns: bool = True,
     ) -> None:
-        self._series = dict(sorted(series.items()))
-        self.check_returns = check_returns
-        for name, s in self._series.items():
+        series = dict(sorted(series.items()))
+        for name, s in series.items():
             if len(s.ordinals) != len(s.values):
                 raise PanelError(f"length mismatch for entity {name}")
             if np.any(np.diff(s.ordinals) <= 0):
@@ -81,7 +91,13 @@ class ReturnPanel:
                 raise PanelError(f"non-finite value for entity {name}")
             if check_returns and np.any(s.values <= -1.0):
                 raise PanelError(f"return <= -100% for entity {name}")
-        self._dates: tuple[dt.date, ...] | None = None
+        self.columns = {name: j for j, name in enumerate(series)}
+        self.ordinals = np.unique(
+            np.concatenate([np.empty(0, np.int64), *(s.ordinals for s in series.values())])
+        )
+        self.values = np.full((len(self.ordinals), len(series)), np.nan)
+        for j, s in enumerate(series.values()):
+            self.values[np.searchsorted(self.ordinals, s.ordinals), j] = s.values
 
     @classmethod
     def from_records(
@@ -104,35 +120,50 @@ class ReturnPanel:
 
     @property
     def entity_ids(self) -> list[str]:
-        return list(self._series)
+        return list(self.columns)
 
     def series(self, entity: str) -> EntitySeries:
         try:
-            return self._series[entity]
+            column = self.values[:, self.columns[entity]]
         except KeyError:
             raise PanelError(f"unknown entity {entity!r}") from None
+        observed = ~np.isnan(column)
+        return EntitySeries(self.ordinals[observed], column[observed])
 
     def dates(self) -> tuple[dt.date, ...]:
-        if self._dates is None:
-            all_ords = np.unique(
-                np.concatenate([s.ordinals for s in self._series.values()])
-                if self._series
-                else np.array([], dtype=np.int64)
-            )
-            self._dates = tuple(dt.date.fromordinal(int(o)) for o in all_ords)
-        return self._dates
-
-    def value(self, date: dt.date, entity: str) -> float | None:
-        s = self._series.get(entity)
-        if s is None:
-            return None
-        i = int(np.searchsorted(s.ordinals, date.toordinal()))
-        if i < len(s.ordinals) and s.ordinals[i] == date.toordinal():
-            return float(s.values[i])
-        return None
+        return tuple(dt.date.fromordinal(int(o)) for o in self.ordinals)
 
     def calendar(self) -> TradingCalendar:
         return TradingCalendar.from_dates(self.dates())
+
+    def rows(self, dates: Sequence[dt.date], entities: Sequence[str] | None = None) -> np.ndarray:
+        """(dates x entities) values on those dates (default: every entity), NaN
+        where unobserved, on dates the panel lacks and for unknown entities."""
+        ords = _ordinals(dates)
+        index = np.where(np.isin(ords, self.ordinals), np.searchsorted(self.ordinals, ords), -1)
+        return self._take(self.values, index, entities)
+
+    def rows_before(
+        self, dates: Sequence[dt.date], entities: Sequence[str] | None = None
+    ) -> np.ndarray:
+        """Like ``rows``, but each entity's latest value strictly before
+        each date (the prior close); NaN where there is none."""
+        row = np.arange(len(self.ordinals))[:, None]
+        latest = np.maximum.accumulate(np.where(np.isnan(self.values), -1, row), axis=0)
+        filled = np.where(
+            latest >= 0, np.take_along_axis(self.values, np.maximum(latest, 0), axis=0), np.nan
+        )
+        prior = np.searchsorted(self.ordinals, _ordinals(dates)) - 1
+        return self._take(filled, prior, entities)
+
+    def _take(self, table: np.ndarray, row_index: np.ndarray, entities) -> np.ndarray:
+        """table[row, column of entity]; NaN for row index -1 or an unknown entity."""
+        names = self.columns if entities is None else entities
+        cols = np.array([self.columns.get(e, -1) for e in names], dtype=np.intp)
+        out = np.full((len(row_index), len(cols)), np.nan)
+        r, c = row_index >= 0, cols >= 0
+        out[np.ix_(r, c)] = table[np.ix_(row_index[r], cols[c])]
+        return out
 
 
 @dataclass(frozen=True)
@@ -175,18 +206,10 @@ class SignalBlock:
         return len(self.rows)
 
 
-def _window_compound(series: EntitySeries, lo_ord: int, hi_ord: int) -> tuple[float, int]:
-    """Compound a series over calendar ordinals [lo, hi]; (value, n_days)."""
-    i0 = int(np.searchsorted(series.ordinals, lo_ord, side="left"))
-    i1 = int(np.searchsorted(series.ordinals, hi_ord, side="right"))
-    if i1 <= i0:
-        return 0.0, 0
-    return float(np.prod(1.0 + series.values[i0:i1]) - 1.0), i1 - i0
-
-
-def lag_window(d: dt.date, k: int) -> tuple[int, int]:
-    """Calendar-ordinal bounds [d-7k, d-7(k-1)-1] of the lag-k weekly window."""
-    o = d.toordinal()
+def lag_window(d: dt.date | np.ndarray, k: int) -> tuple:
+    """Calendar-ordinal bounds [d-7k, d-7(k-1)-1] of the lag-k weekly window;
+    ``d`` is a date or an array of date ordinals."""
+    o = d.toordinal() if isinstance(d, dt.date) else d
     return o - 7 * k, o - 7 * (k - 1) - 1
 
 
@@ -198,48 +221,50 @@ def lagged_weekly_signal(series: EntitySeries, d: dt.date, k: int) -> float:
     if k < 1:
         raise PanelError("lag_week must be >= 1")
     lo, hi = lag_window(d, k)
-    value, _ = _window_compound(series, lo, hi)
-    return value
+    i0 = int(np.searchsorted(series.ordinals, lo, side="left"))
+    i1 = int(np.searchsorted(series.ordinals, hi, side="right"))
+    return float(np.prod(1.0 + series.values[i0:i1]) - 1.0)
 
 
-class SignalCache:
-    """Memoized per-date signal vectors for one (source panel, lag count).
+def signal_columns(sources: ReturnPanel, lags: int) -> list[SignalId]:
+    """One column per (source, lag), source-major: the order of ``lagged_signals``."""
+    return [SignalId(s, k) for s in sources.entity_ids for k in range(1, lags + 1)]
 
-    Signals depend only on the date, so every asset and every training task
-    can share one cache.  Entries are pure functions of the date; concurrent
-    lookups may recompute an entry but always store the same value.
+
+# A lag window spans 7 calendar days, so it holds at most 7 panel dates.
+_WINDOW_DAYS = 7
+
+
+def lagged_signals(
+    sources: ReturnPanel, dates: Sequence[dt.date], lags: int
+) -> tuple[np.ndarray, int]:
+    """(dates x ``signal_columns``) lagged weekly signals and the number of
+    (date, source, lag) windows in which the source had no trading day.
+
+    Each window's panel dates are gathered into a 7-slot stack padded with
+    growth 1.0 (also where a source has no observation) and multiplied in
+    date order: every cell equals ``lagged_weekly_signal`` bit for bit.
     """
-
-    def __init__(self, sources: ReturnPanel, lags: int) -> None:
-        if lags < 1:
-            raise PanelError("lag count must be >= 1")
-        source_ids = sources.entity_ids
-        if not source_ids:
-            raise PanelError("no signals: empty source set")
-        self.lags = lags
-        self.columns = [SignalId(s, k) for s in source_ids for k in range(1, lags + 1)]
-        self._series = [sources.series(s) for s in source_ids]
-        self._vectors: dict[dt.date, tuple[np.ndarray, int]] = {}
-
-    def vector(self, d: dt.date) -> tuple[np.ndarray, int]:
-        """(signal vector, empty-window count) for prediction date d."""
-        hit = self._vectors.get(d)
-        if hit is not None:
-            return hit
-        vec = np.empty(len(self.columns))
-        empties = 0
-        j = 0
-        for series in self._series:
-            for k in range(1, self.lags + 1):
-                lo, hi = lag_window(d, k)
-                value, n_days = _window_compound(series, lo, hi)
-                if n_days == 0:
-                    empties += 1
-                vec[j] = value
-                j += 1
-        entry = (vec, empties)
-        self._vectors[d] = entry
-        return entry
+    if lags < 1:
+        raise PanelError("lag count must be >= 1")
+    n_sources = len(sources.entity_ids)
+    if not n_sources:
+        raise PanelError("no signals: empty source set")
+    ords = _ordinals(dates)
+    out = np.empty((len(ords), n_sources, lags))
+    empties = 0
+    for k in range(1, lags + 1):
+        lo, hi = lag_window(ords, k)
+        i0 = np.searchsorted(sources.ordinals, lo, side="left")
+        i1 = np.searchsorted(sources.ordinals, hi, side="right")
+        index = i0[:, None] + np.arange(_WINDOW_DAYS)
+        inside = index < i1[:, None]
+        growth = np.full((len(ords), _WINDOW_DAYS, n_sources), np.nan)
+        growth[inside] = 1.0 + sources.values[index[inside]]
+        observed = ~np.isnan(growth)
+        out[:, :, k - 1] = np.where(observed, growth, 1.0).prod(axis=1) - 1.0
+        empties += int(np.count_nonzero(~observed.any(axis=1)))
+    return out.reshape(len(ords), n_sources * lags), empties
 
 
 def build_signal_block(
@@ -248,41 +273,24 @@ def build_signal_block(
     dates: Sequence[dt.date],
     lags: int,
     asset_ids: Sequence[str] | None = None,
-    cache: SignalCache | None = None,
 ) -> SignalBlock:
-    """One row per (asset, date) with a return; one column per (source, lag)."""
-    if cache is None:
-        cache = SignalCache(sources, lags)
-    elif cache.lags != lags:
-        raise PanelError("signal cache lag count mismatch")
+    """One row per (asset, date) with a return, asset-major; one column per
+    (source, lag).  Unobserved (asset, date) pairs are dropped, and empty
+    windows are counted over the distinct dates that keep a row."""
     if asset_ids is None:
         asset_ids = assets.entity_ids
-
     date_list = sorted(set(dates))
-    empties = 0
-    sig_by_date: dict[dt.date, np.ndarray] = {}
-    for d in date_list:
-        vec, n_empty = cache.vector(d)
-        sig_by_date[d] = vec
-        empties += n_empty
-
-    rows: list[tuple[str, dt.date]] = []
-    targets: list[float] = []
-    mats: list[np.ndarray] = []
-    for asset in asset_ids:
-        for d in date_list:
-            r = assets.value(d, asset)
-            if r is None:
-                continue
-            rows.append((asset, d))
-            targets.append(r)
-            mats.append(sig_by_date[d])
-    values = np.array(mats) if mats else np.empty((0, len(cache.columns)))
+    returns = assets.rows(date_list, asset_ids)
+    kept = ~np.isnan(returns).all(axis=1)
+    row_dates = [d for d, keep in zip(date_list, kept) if keep]
+    signals, empties = lagged_signals(sources, row_dates, lags)
+    returns = returns[kept].T
+    asset_idx, date_idx = np.nonzero(~np.isnan(returns))
     return SignalBlock(
-        rows=rows,
-        columns=list(cache.columns),
-        values=values,
-        target=np.array(targets),
+        rows=[(asset_ids[a], row_dates[d]) for a, d in zip(asset_idx.tolist(), date_idx.tolist())],
+        columns=signal_columns(sources, lags),
+        values=signals[date_idx],
+        target=returns[asset_idx, date_idx],
         empty_windows=empties,
     )
 
@@ -325,7 +333,6 @@ def assemble_training_window(
     lags: int = 4,
     window_quarters: int = 4,
     min_rows: int = 60,
-    cache: SignalCache | None = None,
 ) -> SignalBlock:
     """Training block over the asset's trading days in the trailing quarters.
 
@@ -333,12 +340,14 @@ def assemble_training_window(
     observations in the window, so the caller can skip and record the task.
     """
     window = quarter_range(last_quarter, window_quarters)
-    dates = [d for d in calendar.days_in_quarters(window) if assets.value(d, asset) is not None]
-    if len(dates) < min_rows:
+    block = build_signal_block(
+        sources, assets, calendar.days_in_quarters(window), lags, asset_ids=[asset]
+    )
+    if block.n_rows < min_rows:
         raise WindowTooSmall(
-            f"{asset} {window[0]}..{window[-1]}: {len(dates)} rows < minimum {min_rows}"
+            f"{asset} {window[0]}..{window[-1]}: {block.n_rows} rows < minimum {min_rows}"
         )
-    return build_signal_block(sources, assets, dates, lags, asset_ids=[asset], cache=cache)
+    return block
 
 
 # ---------------------------------------------------------------------------

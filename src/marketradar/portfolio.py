@@ -71,7 +71,6 @@ class PortfolioSeries:
 class Selection:
     top: tuple[str, ...]
     bottom: tuple[str, ...]
-    note: str | None = None
 
 
 def rank_select(forecasts: Mapping[str, float], fraction: float = DEFAULT_TOP_FRACTION) -> Selection:
@@ -81,7 +80,7 @@ def rank_select(forecasts: Mapping[str, float], fraction: float = DEFAULT_TOP_FR
     n = len(forecasts)
     need = math.ceil(1.0 / fraction)
     if n < need:
-        return Selection((), (), note=f"only {n} forecasts; need >= {need} for fraction {fraction}")
+        return Selection((), ())
     k = math.ceil(fraction * n)
     by_high = sorted(forecasts, key=lambda a: (-forecasts[a], a))
     by_low = sorted(forecasts, key=lambda a: (forecasts[a], a))
@@ -96,16 +95,6 @@ def rank_deciles(forecasts: Mapping[str, float]) -> list[tuple[str, ...]]:
     ordered = sorted(forecasts, key=lambda a: (forecasts[a], a))
     bounds = [round(i * n / 10) for i in range(11)]
     return [tuple(ordered[bounds[i] : bounds[i + 1]]) for i in range(10)]
-
-
-def prior_cap(caps: ReturnPanel, asset: str, date: dt.date) -> float:
-    """The asset's latest market cap strictly before ``date``."""
-    series = caps.series(asset) if asset in caps.entity_ids else None
-    if series is not None:
-        i = int(np.searchsorted(series.ordinals, date.toordinal(), side="left"))
-        if i > 0:
-            return float(series.values[i - 1])
-    raise PortfolioError(f"missing market cap for {asset} before {date.isoformat()}")
 
 
 def build_series(
@@ -128,38 +117,43 @@ def build_series(
         raise PortfolioError("value weighting requires a caps panel")
 
     dates = sorted(d for d, members in members_by_date.items() if members)
-    out_dates: list[dt.date] = []
+    universe = sorted({a for d in dates for a in members_by_date[d]})
+    day_returns = returns.rows(dates, universe)
+    if weighting == "value":
+        prior_caps = caps.rows_before(dates, universe)  # type: ignore[union-attr]
     rets: list[float] = []
     tos: list[float] = []
     weight_rows: list[DailyWeights] = []
     prev_weights: dict[str, float] | None = None
-    for d in dates:
+    for i, d in enumerate(dates):
         members = sorted(members_by_date[d])
+        # Python floats, so every sum below adds as a plain float loop
+        day = dict(zip(universe, day_returns[i].tolist()))
         if weighting == "equal":
             w = {a: 1.0 / len(members) for a in members}
         else:
-            raw = {a: prior_cap(caps, a, d) for a in members}  # type: ignore[arg-type]
+            cap_now = dict(zip(universe, prior_caps[i].tolist()))
+            raw = {a: cap_now[a] for a in members}
+            for a in members:
+                if math.isnan(raw[a]):
+                    raise PortfolioError(f"missing market cap for {a} before {d.isoformat()}")
             total = sum(raw.values())
             if total <= 0:
                 raise PortfolioError(f"nonpositive total cap on {d.isoformat()}")
             w = {a: c / total for a, c in raw.items()}
-        day_rets = {}
         for a in members:
-            r = returns.value(d, a)
-            if r is None:
+            if math.isnan(day[a]):
                 raise PortfolioError(f"missing return for {a} on {d.isoformat()}")
-            day_rets[a] = r
-        out_dates.append(d)
-        rets.append(sum(w[a] * day_rets[a] for a in members))
+        rets.append(sum(w[a] * day[a] for a in members))
         if prev_weights is None:
             tos.append(0.0)
         else:
-            drift_rets = {a: returns.value(d, a) or 0.0 for a in prev_weights}
+            drift_rets = {a: 0.0 if math.isnan(day[a]) else day[a] for a in prev_weights}
             tos.append(turnover(prev_weights, drift_rets, w))
         weight_rows.append(DailyWeights(date=d, weights=w, side="long"))
         prev_weights = w
     series = PortfolioSeries(
-        dates=out_dates, returns=np.array(rets), turnover=np.array(tos), name=name
+        dates=dates, returns=np.array(rets), turnover=np.array(tos), name=name
     )
     return series, weight_rows
 

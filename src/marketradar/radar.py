@@ -29,7 +29,6 @@ from .learners import params as hp
 from .panel import (
     ReturnPanel,
     SignalBlock,
-    SignalCache,
     SignalId,
     WindowTooSmall,
     assemble_training_window,
@@ -219,7 +218,6 @@ def train_predict_stock_quarter(
     train_quarter: Quarter,
     algo: str,
     config: RadarConfig,
-    cache: SignalCache | None = None,
 ) -> TaskResult:
     """Fit on the trailing window ending at ``train_quarter`` and forecast
     every trading day of the asset in the next quarter."""
@@ -235,7 +233,6 @@ def train_predict_stock_quarter(
             lags=config.lags,
             window_quarters=config.window_quarters,
             min_rows=config.min_train_rows,
-            cache=cache,
         )
     except WindowTooSmall as exc:
         result.skip_reason = str(exc)
@@ -247,17 +244,11 @@ def train_predict_stock_quarter(
     result.model = model
     result.window_dates = (block.rows[0][1], block.rows[-1][1])
 
-    target_dates = [
-        d
-        for d in calendar.days_in_quarter(forecast_quarter)
-        if assets.value(d, asset) is not None
-    ]
-    if target_dates:
-        pred_block = build_signal_block(
-            sources, assets, target_dates, config.lags, asset_ids=[asset], cache=cache
-        )
-        yhat = learners.predict(model, pred_block.values)
-        result.forecasts = [(d, float(v)) for (_, d), v in zip(pred_block.rows, yhat)]
+    pred_block = build_signal_block(
+        sources, assets, calendar.days_in_quarter(forecast_quarter), config.lags, asset_ids=[asset]
+    )
+    yhat = learners.predict(model, pred_block.values)
+    result.forecasts = [(d, float(v)) for (_, d), v in zip(pred_block.rows, yhat)]
 
     if isinstance(model, learners.LinearModel):
         result.nonzero_fraction = sparsity_fraction(model.coef)
@@ -325,13 +316,10 @@ def run_radar(
         raise RadarError("no runnable tasks: not enough quarters for the window")
 
     start = time.perf_counter()
-    cache = SignalCache(sources, config.lags)
 
     def run_one(task: tuple[str, Quarter, str]) -> TaskResult:
         asset, quarter, algo = task
-        return train_predict_stock_quarter(
-            assets, sources, cal, asset, quarter, algo, config, cache=cache
-        )
+        return train_predict_stock_quarter(assets, sources, cal, asset, quarter, algo, config)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -488,7 +476,6 @@ def tune_hyperparameters(
     )
     dims = sorted(space)
     winners: dict[str, list[float]] = {d: [] for d in dims}
-    cache = SignalCache(sources, base.lags)
 
     for task_no, ci in enumerate(chosen_idx):
         asset, q = candidates[int(ci)]
@@ -504,12 +491,10 @@ def tune_hyperparameters(
             task_cfg = replace(
                 base, algorithms=(algo,), hyperparameters={algo: params}, importance=False
             )
-            result = train_predict_stock_quarter(
-                assets, sources, cal, asset, q, algo, task_cfg, cache=cache
-            )
+            result = train_predict_stock_quarter(assets, sources, cal, asset, q, algo, task_cfg)
             if result.skipped or not result.forecasts:
                 continue
-            realized = np.array([assets.value(d, asset) for d, _ in result.forecasts])
+            realized = assets.rows([d for d, _ in result.forecasts], [asset])[:, 0]
             predicted = np.array([v for _, v in result.forecasts])
             err = float(np.sum((realized - predicted) ** 2))
             if err < best_err:

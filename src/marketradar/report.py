@@ -10,7 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -170,14 +170,29 @@ def _decile_cell(series, rf, factors) -> str:
     return f"{mean * 1e4:.2f} ({t:.2f})" if not math.isinf(t) else f"{mean * 1e4:.2f}"
 
 
+def _forecast_cells(
+    forecasts: ForecastTable,
+    read: Callable[[Sequence[dt.date], Sequence[str]], np.ndarray],
+) -> Callable[[dt.date, str], float]:
+    """(date, asset) -> Python float cell of a panel's ``rows`` or
+    ``rows_before``, read once over every date and asset of the forecasts."""
+    dates = sorted({row.date for row in forecasts.rows})
+    assets = sorted({row.asset for row in forecasts.rows})
+    date_at = {d: i for i, d in enumerate(dates)}
+    asset_at = {a: j for j, a in enumerate(assets)}
+    table = read(dates, assets).tolist()
+    return lambda d, a: table[date_at[d]][asset_at[a]]
+
+
 def compute_r2_records(
     forecasts: ForecastTable, returns: ReturnPanel
 ) -> list[em.R2Record]:
     """One out-of-sample R2 per (asset, quarter, algo) over its forecast days."""
+    realized_at = _forecast_cells(forecasts, returns.rows)
     grouped: dict[tuple[str, tuple[int, int], str], list[tuple[float, float]]] = {}
     for row in forecasts.rows:
-        realized = returns.value(row.date, row.asset)
-        if realized is None:
+        realized = realized_at(row.date, row.asset)
+        if math.isnan(realized):
             continue
         key = (row.asset, quarter_of(row.date), row.algo)
         grouped.setdefault(key, []).append((realized, row.yhat))
@@ -251,19 +266,14 @@ def timing_table(
     rf: Mapping[dt.date, float] | float,
     leverage: int,
 ) -> str:
+    prior_cap_at = _forecast_cells(forecasts, caps.rows_before)
     bottom_up: dict[str, dict[dt.date, float]] = {}
     for algo in forecasts.algos():
         series: dict[dt.date, float] = {}
         for date, by_asset in forecasts.by_date(algo).items():
-            cap_now = {}
-            ok = True
-            for asset in by_asset:
-                try:
-                    cap_now[asset] = pf.prior_cap(caps, asset, date)
-                except pf.PortfolioError:
-                    ok = False
-                    break
-            if ok and by_asset:
+            cap_now = {asset: prior_cap_at(date, asset) for asset in by_asset}
+            # a date with any member lacking a prior cap gets no index forecast
+            if by_asset and not any(math.isnan(c) for c in cap_now.values()):
                 series[date] = pf.bottom_up_index_forecast(by_asset, cap_now)
         bottom_up[algo] = series
     strategy = pf.market_timing(bottom_up, index_returns, upside_leverage=leverage)

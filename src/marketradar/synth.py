@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .panel import ReturnPanel, SignalCache, SignalId
+from .panel import ReturnPanel, SignalId, lagged_signals, signal_columns
 from .trading_calendar import Quarter, TradingCalendar, quarter_of, shift_quarter
 
 
@@ -163,10 +163,9 @@ def generate(spec: ScenarioSpec) -> Scenario:
     exposed = {a: a in set(exposed_ids) for a in asset_ids}
 
     profile = decay_profile(spec.decay, spec.lags, spec.decay_rho, spec.custom_profile)
-    cache = SignalCache(markets, spec.lags)
-    columns = cache.columns
+    columns = signal_columns(markets, spec.lags)
     col_index = {sig: j for j, sig in enumerate(columns)}
-    signal_matrix = np.array([cache.vector(d)[0] for d in asset_dates])
+    signal_matrix, _ = lagged_signals(markets, asset_dates, spec.lags)
 
     loadings: dict[str, dict[SignalId, float]] = {}
     betas: dict[str, float] = {}

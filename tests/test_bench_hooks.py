@@ -41,3 +41,43 @@ def test_tracer_installs_and_runs_synth(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = {span[2] for span in json.loads(spans.read_text())["spans"]}
     assert {"synth.generate", "synth.write"} <= names
+
+
+RADAR_CFG = TINY_CFG + """
+synth.n_quarters = 3
+radar.algos = lasso
+radar.window_quarters = 2
+radar.min_train_rows = 4
+"""
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [v for v in [env.get("PYTHONPATH")] if v]
+    )
+    return env
+
+
+def test_tracer_records_radar_task_spans(tmp_path):
+    # the benchmark's per-layer metrics read these spans; a signature change
+    # of a wrapped radar or panel function must fail here
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RADAR_CFG)
+    common = ["--config", str(cfg), "--out", str(tmp_path), "--seed", "1", "--threads", "1"]
+    synth = subprocess.run(
+        [sys.executable, "-m", "marketradar.cli", "synth", *common],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert synth.returncode == 0, synth.stderr
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), "radar", *common],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads(spans.read_text())["spans"]
+    names = {span[2] for span in recorded}
+    assert {"panel.window", "panel.pred_block", "radar.task"} <= names
+    tasks = [span for span in recorded if span[2] == "radar.task"]
+    assert tasks and all(span[5]["algo"] == "lasso" for span in tasks)

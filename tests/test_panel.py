@@ -16,6 +16,7 @@ from marketradar.panel import (
     assemble_training_window,
     build_signal_block,
     lag_window,
+    lagged_signals,
     lagged_weekly_signal,
     read_panel_csv,
     standardize,
@@ -136,6 +137,150 @@ class TestBuildSignalBlock:
         assert block.n_rows == 1
         assert block.empty_windows == 2
         np.testing.assert_array_equal(block.values, np.zeros((1, 2)))
+
+
+# Multi-source panels with gaps and differing holidays: each source trades
+# on its own subset of a 50-day span, and some sources never trade at all.
+PANEL_START = D(2020, 3, 2)
+
+
+@st.composite
+def source_panels(draw):
+    n_sources = draw(st.integers(min_value=1, max_value=4))
+    series = {}
+    for s in range(n_sources):
+        offsets = draw(st.lists(st.integers(0, 49), unique=True, max_size=30))
+        rets = draw(
+            st.lists(
+                st.floats(min_value=-0.5, max_value=0.5, allow_nan=False),
+                min_size=len(offsets),
+                max_size=len(offsets),
+            )
+        )
+        order = np.argsort(offsets)
+        series[f"M{s}"] = EntitySeries(
+            ordinals=np.array(offsets, dtype=np.int64)[order] + PANEL_START.toordinal(),
+            values=np.array(rets, dtype=np.float64)[order],
+        )
+    return ReturnPanel(series)
+
+
+prediction_dates = st.lists(
+    st.integers(-10, 90).map(lambda i: PANEL_START + dt.timedelta(days=i)),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestLaggedSignals:
+    @given(panel=source_panels(), dates=prediction_dates, lags=st.integers(1, 5))
+    def test_matches_scalar_reference(self, panel, dates, lags):
+        values, empties = lagged_signals(panel, dates, lags)
+        assert values.shape == (len(dates), len(panel.entity_ids) * lags)
+        expected_empties = 0
+        for i, d in enumerate(dates):
+            j = 0
+            for source in panel.entity_ids:
+                series = panel.series(source)
+                for k in range(1, lags + 1):
+                    want = lagged_weekly_signal(series, d, k)
+                    assert np.array_equal(values[i, j], want)
+                    lo, hi = lag_window(d, k)
+                    expected_empties += not np.any((series.ordinals >= lo) & (series.ordinals <= hi))
+                    j += 1
+        assert empties == expected_empties
+
+    @given(
+        panel=source_panels(),
+        day=st.integers(0, 60),
+        bump=st.floats(min_value=-0.9, max_value=2.0, allow_nan=False),
+        lags=st.integers(1, 5),
+    )
+    def test_no_look_ahead(self, panel, day, bump, lags):
+        # perturbing source returns on or after d must leave row d unchanged
+        d = PANEL_START + dt.timedelta(days=day)
+        later = {}
+        for source in panel.entity_ids:
+            s = panel.series(source)
+            vals = np.where(s.ordinals >= d.toordinal(), bump, s.values)
+            later[source] = EntitySeries(s.ordinals, vals)
+        before, empties_before = lagged_signals(panel, [d], lags)
+        after, empties_after = lagged_signals(ReturnPanel(later), [d], lags)
+        np.testing.assert_array_equal(before, after)
+        assert empties_before == empties_after
+
+    def test_lag_must_be_positive(self):
+        panel = panel_from([(D(2020, 1, 2), "M00", 0.01)])
+        with pytest.raises(PanelError):
+            lagged_signals(panel, [D(2020, 1, 9)], 0)
+
+
+class TestDenseAccessors:
+    def _panel(self):
+        return ReturnPanel(
+            {
+                "A": EntitySeries(
+                    np.array([D(2020, 1, 2).toordinal(), D(2020, 1, 6).toordinal()]),
+                    np.array([0.01, 0.03]),
+                ),
+                "B": EntitySeries(np.array([D(2020, 1, 3).toordinal()]), np.array([0.02])),
+                "EMPTY": EntitySeries(np.array([], dtype=np.int64), np.array([])),
+            }
+        )
+
+    def test_dense_layout(self):
+        panel = self._panel()
+        assert panel.entity_ids == ["A", "B", "EMPTY"]
+        assert panel.dates() == (D(2020, 1, 2), D(2020, 1, 3), D(2020, 1, 6))
+        np.testing.assert_array_equal(
+            panel.values,
+            [[0.01, np.nan, np.nan], [np.nan, 0.02, np.nan], [0.03, np.nan, np.nan]],
+        )
+        assert len(panel.series("EMPTY")) == 0
+        np.testing.assert_array_equal(panel.series("A").values, [0.01, 0.03])
+        with pytest.raises(PanelError, match="unknown entity"):
+            panel.series("C")
+
+    def test_rows(self):
+        panel = self._panel()
+        days = [D(2019, 12, 31), D(2020, 1, 3), D(2020, 1, 4), D(2020, 1, 6), D(2020, 2, 1)]
+        np.testing.assert_array_equal(
+            panel.rows(days),
+            [
+                [np.nan] * 3,
+                [np.nan, 0.02, np.nan],
+                [np.nan] * 3,
+                [0.03, np.nan, np.nan],
+                [np.nan] * 3,
+            ],
+        )
+        np.testing.assert_array_equal(
+            panel.rows(days[1:2], ["B", "C", "EMPTY", "A"]), [[0.02, np.nan, np.nan, np.nan]]
+        )
+
+    def test_rows_before_is_prior_close(self):
+        panel = self._panel()
+        days = [D(2020, 1, 2), D(2020, 1, 3), D(2020, 1, 5), D(2020, 1, 6), D(2020, 1, 7)]
+        np.testing.assert_array_equal(
+            panel.rows_before(days, ["A", "B", "EMPTY", "C"]),
+            [
+                [np.nan] * 4,
+                [0.01, np.nan, np.nan, np.nan],
+                [0.01, 0.02, np.nan, np.nan],
+                [0.01, 0.02, np.nan, np.nan],
+                [0.03, 0.02, np.nan, np.nan],
+            ],
+        )
+
+    def test_empty_panel(self):
+        # the panel test_no_sources_errors builds
+        empty = ReturnPanel({}, check_returns=True)
+        days = [D(2020, 1, 20), D(2020, 1, 21)]
+        assert empty.rows(days).shape == (2, 0)
+        assert empty.rows_before(days).shape == (2, 0)
+        np.testing.assert_array_equal(empty.rows(days, ["A"]), [[np.nan], [np.nan]])
+        np.testing.assert_array_equal(empty.rows_before(days, ["A"]), [[np.nan], [np.nan]])
+        assert empty.rows([]).shape == (0, 0)
 
 
 class TestStandardize:

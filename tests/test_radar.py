@@ -122,7 +122,7 @@ class TestTrainPredict:
         result = train_predict_stock_quarter(
             sc.assets, sc.markets, cal, "A000", (2016, 4), "lasso", cfg
         )
-        realized = {d: sc.assets.value(d, "A000") for d, _ in result.forecasts}
+        realized = {d: sc.assets.rows([d], ["A000"])[0, 0] for d, _ in result.forecasts}
         for d, yhat in result.forecasts:
             assert yhat == pytest.approx(realized[d], abs=1e-3)
 
