@@ -5,7 +5,8 @@ same keys drive every subcommand and a handful of flags override them.  All
 randomness descends from the single ``seed`` key, so reruns with identical
 inputs write identical bytes.
 
-Exit codes: 0 success, 1 validation failure, 2 missing input.
+Exit codes: 0 success, 1 any library error (printed as ``error: ...``),
+2 missing input.
 """
 from __future__ import annotations
 
@@ -19,9 +20,9 @@ from typing import Mapping
 from . import econometrics as em
 from . import portfolio as pf
 from . import report as rp
-from .learners import ModelError
+from .errors import MarketRadarError
 from .learners import params as hp
-from .panel import PanelError, read_calendar_csv, read_panel_csv
+from .panel import read_calendar_csv, read_panel_csv
 from .radar import (
     ForecastTable,
     RadarConfig,
@@ -36,7 +37,7 @@ from .synth import ScenarioError, ScenarioSpec, generate, read_factors_csv, writ
 from .trading_calendar import parse_quarter
 
 
-class ConfigError(ValueError):
+class ConfigError(MarketRadarError, ValueError):
     pass
 
 
@@ -120,7 +121,6 @@ _KEYS = {
     "radar.min_train_rows": ("radar", "min_train_rows", int),
     "radar.importance": ("radar", "importance", _as_bool),
     "radar.threads": ("radar", "threads", int),
-    "radar.background_cap": ("radar", "background_cap", int),
     "radar.nn_importance_permutations": ("radar", "nn_importance_permutations", int),
     "portfolio.fraction": ("run", "fraction", float),
     "portfolio.deciles": ("run", "deciles", _as_bool),
@@ -420,15 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ConfigError,
-        PanelError,
-        RadarError,
-        ScenarioError,
-        em.RegressionError,
-        pf.PortfolioError,
-        ModelError,
-    ) as exc:
+    except MarketRadarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,10 +15,11 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 from scipy.special import stdtr
 
+from .errors import MarketRadarError
 from .trading_calendar import Quarter
 
 
-class RegressionError(ValueError):
+class RegressionError(MarketRadarError, ValueError):
     pass
 
 

@@ -15,11 +15,12 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import MarketRadarError
 from ..panel import StandardizationStats
 from . import params as hp
 
 
-class ModelError(ValueError):
+class ModelError(MarketRadarError, ValueError):
     pass
 
 

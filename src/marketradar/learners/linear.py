@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import MarketRadarError
 from ..panel import StandardizationStats
 from .base import LinearModel, ModelError
 from .params import ElasticNetParams, LassoParams
@@ -21,7 +22,7 @@ CD_TOL = 1e-7
 CD_MAX_SWEEPS = 100_000
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(MarketRadarError, RuntimeError):
     pass
 
 

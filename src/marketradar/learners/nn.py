@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ..errors import MarketRadarError
 from ..panel import StandardizationStats
 from .base import ModelError, NeuralNetModel
 from .params import NetParams
@@ -20,7 +21,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(MarketRadarError, RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"non-finite loss at training step {step}")
         self.step = step
@@ -95,9 +96,11 @@ def fit_nn(
         for start in range(0, n, params.batch_size):
             batch = order[start : start + params.batch_size]
             step += 1
-            loss, grad_w, grad_b = loss_and_grads(
-                weights, biases, X[batch], y[batch], params.l1
-            )
+            # an overflow here surfaces as the non-finite loss checked below
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grad_w, grad_b = loss_and_grads(
+                    weights, biases, X[batch], y[batch], params.l1
+                )
             if not math.isfinite(loss):
                 raise TrainingDiverged(step)
             corr1 = 1.0 - ADAM_BETA1**step

@@ -10,8 +10,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..errors import MarketRadarError
 
-class HyperparameterError(ValueError):
+
+class HyperparameterError(MarketRadarError, ValueError):
     pass
 
 

@@ -1,10 +1,16 @@
 """CART regression trees, random forests, and gradient boosting.
 
 Split search is an exact scan over midpoints of sorted unique feature
-values, with ties broken by lowest feature index then lowest threshold, so
-a fit is a pure function of (X, y, params, seed).  Row subsampling draws
-from row indices of the given order, which makes the whole ensemble
-deterministic and reproducible from the seed alone.
+values.  Each node builds one score table with a row per candidate feature
+and a column per cut position: all candidate columns are sorted (stably)
+at once, the targets are cumulated in each sorted order, and every cut
+between distinct values that leaves ``min_samples_leaf`` rows on both
+sides is scored; every other cell is -inf.  One argmax over this
+feature-major table picks the split, and its first-maximum rule is the tie
+rule: lowest feature index, then lowest threshold.  So a fit is a pure
+function of (X, y, params, seed).  Row subsampling draws from row indices
+of the given order, which makes the whole ensemble deterministic and
+reproducible from the seed alone.
 """
 from __future__ import annotations
 
@@ -22,60 +28,51 @@ def _best_split(
     features: np.ndarray,
     min_samples_leaf: int,
 ) -> tuple[int, float] | None:
-    """Exact variance-reduction split over candidate features, or None."""
+    """Exact variance-reduction split over candidate features, or None.
+
+    The caller guarantees n >= 2 * min_samples_leaf rows.
+    """
     n = len(y)
-    if n < 2 * min_samples_leaf:
+    xs = X[:, features].T
+    order = np.argsort(xs, axis=1, kind="stable")
+    xs = np.take_along_axis(xs, order, axis=1)
+    csum = np.cumsum(y[order], axis=1)
+    # Column i - 1 is cut i: the first i sorted rows go left.  Maximizing
+    # sum_L^2/n_L + sum_R^2/n_R is equivalent to minimizing within-node
+    # SSE, without having to carry the squared-y terms.
+    cut = np.arange(1, n)
+    left_sum = csum[:, :-1]
+    right_sum = csum[:, -1:] - left_sum
+    score = left_sum**2 / cut + right_sum**2 / (n - cut)
+    # only boundaries between distinct values are real thresholds
+    real = (xs[:, 1:] > xs[:, :-1]) & (cut >= min_samples_leaf) & (cut <= n - min_samples_leaf)
+    score[~real] = -np.inf
+    f, i = np.unravel_index(np.argmax(score), score.shape)
+    if score[f, i] == -np.inf:
         return None
-    best_score = -np.inf
-    best: tuple[int, float] | None = None
-    for f in features:
-        xs = X[:, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        ys_sorted = y[order]
-        # Split positions i mean "first i sorted rows go left"; only
-        # boundaries between distinct values are real thresholds.
-        cut = np.nonzero(xs_sorted[1:] > xs_sorted[:-1])[0] + 1
-        cut = cut[(cut >= min_samples_leaf) & (cut <= n - min_samples_leaf)]
-        if len(cut) == 0:
-            continue
-        csum = np.cumsum(ys_sorted)
-        total = csum[-1]
-        left_sum = csum[cut - 1]
-        right_sum = total - left_sum
-        # Maximizing sum_L^2/n_L + sum_R^2/n_R is equivalent to minimizing
-        # within-node SSE, without having to carry the squared-y terms.
-        score = left_sum**2 / cut + right_sum**2 / (n - cut)
-        k = int(np.argmax(score))
-        if score[k] > best_score:
-            best_score = float(score[k])
-            i = cut[k]
-            best = (int(f), float((xs_sorted[i - 1] + xs_sorted[i]) / 2.0))
-    return best
+    return int(features[f]), float((xs[f, i] + xs[f, i + 1]) / 2.0)
 
 
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
     rng: np.random.Generator,
-    max_depth: int,
-    min_samples_leaf: int,
-    max_features: float,
+    params: ForestParams | BoostParams,
     depth: int = 0,
 ) -> TreeNode:
     node_value = float(y.mean())
     n, p = X.shape
-    if depth >= max_depth or n < 2 * min_samples_leaf or np.all(y == y[0]):
+    if depth >= params.max_depth or n < 2 * params.min_samples_leaf or np.all(y == y[0]):
         return TreeNode(-1, 0.0, None, None, node_value, n)
-    k = max(1, math.ceil(max_features * p))
+    k = max(1, math.ceil(params.max_features * p))
     features = np.sort(rng.choice(p, size=k, replace=False)) if k < p else np.arange(p)
-    split = _best_split(X, y, features, min_samples_leaf)
+    split = _best_split(X, y, features, params.min_samples_leaf)
     if split is None:
         return TreeNode(-1, 0.0, None, None, node_value, n)
     f, threshold = split
     go_left = X[:, f] <= threshold
-    left = _grow_tree(X[go_left], y[go_left], rng, max_depth, min_samples_leaf, max_features, depth + 1)
-    right = _grow_tree(X[~go_left], y[~go_left], rng, max_depth, min_samples_leaf, max_features, depth + 1)
+    left = _grow_tree(X[go_left], y[go_left], rng, params, depth + 1)
+    right = _grow_tree(X[~go_left], y[~go_left], rng, params, depth + 1)
     return TreeNode(f, threshold, left, right, node_value, n)
 
 
@@ -95,16 +92,7 @@ def fit_random_forest(
     trees = []
     for _ in range(params.n_estimators):
         idx = rng.integers(0, n, size=n_draw)
-        trees.append(
-            _grow_tree(
-                X[idx],
-                y[idx],
-                rng,
-                params.max_depth,
-                params.min_samples_leaf,
-                params.max_features,
-            )
-        )
+        trees.append(_grow_tree(X[idx], y[idx], rng, params))
     weights = np.full(len(trees), 1.0 / len(trees))
     return TreeEnsembleModel(
         algo="rf",
@@ -139,14 +127,7 @@ def fit_gradient_boosting(
         else:
             idx = np.arange(n)
         resid = y[idx] - current[idx]
-        tree = _grow_tree(
-            X[idx],
-            resid,
-            rng,
-            params.max_depth,
-            params.min_samples_leaf,
-            params.max_features,
-        )
+        tree = _grow_tree(X[idx], resid, rng, params)
         trees.append(tree)
         current += params.learning_rate * tree.predict(X)
     weights = np.full(len(trees), params.learning_rate)

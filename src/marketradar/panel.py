@@ -22,10 +22,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import MarketRadarError
 from .trading_calendar import Quarter, TradingCalendar, quarter_range
 
 
-class PanelError(ValueError):
+class PanelError(MarketRadarError, ValueError):
     """Malformed panel data or an operation precondition violation."""
 
 

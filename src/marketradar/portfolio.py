@@ -18,11 +18,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .econometrics import rf_vector
+from .errors import MarketRadarError
 from .panel import ReturnPanel
 from .trading_calendar import Quarter, quarter_of
 
 
-class PortfolioError(ValueError):
+class PortfolioError(MarketRadarError, ValueError):
     pass
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import learners
 from .econometrics import sparsity_fraction
+from .errors import MarketRadarError
 from .learners import params as hp
 from .panel import (
     ReturnPanel,
@@ -48,7 +49,7 @@ from .trading_calendar import (
 STANDARDIZED_ALGOS = {"ols", "lasso", "enet", "nn"}
 
 
-class RadarError(ValueError):
+class RadarError(MarketRadarError, ValueError):
     pass
 
 
@@ -61,7 +62,6 @@ class RadarConfig:
     seed: int = 0
     min_train_rows: int = 60
     importance: bool = True
-    background_cap: int = 500
     nn_importance_permutations: int = 8
     threads: int = 1
 
@@ -265,7 +265,6 @@ def train_predict_stock_quarter(
                 asset,
                 forecast_quarter,
                 method="tree_shap",
-                background_cap=config.background_cap,
                 seed=seed,
             )
         elif algo == "nn":
@@ -275,7 +274,6 @@ def train_predict_stock_quarter(
                 asset,
                 forecast_quarter,
                 method="sampled_shapley",
-                background_cap=config.background_cap,
                 n_permutations=config.nn_importance_permutations,
                 seed=seed,
             )

@@ -45,6 +45,10 @@ MAX_BRUTE_FORCE_FEATURES = 12
 # 1e4 (basis points); stored records stay in raw target units.
 IMPORTANCE_REPORT_SCALE = 1e4
 
+# Importance uses at most this many training rows (a seeded subsample) as
+# the attribution background.
+BACKGROUND_CAP = 500
+
 
 @dataclass(frozen=True)
 class Attribution:
@@ -126,17 +130,12 @@ def _leaf_paths(
             highs = np.array([bounds[f][1] for f in feats])
             leaves.append((node.value, feats, lows, highs))
             return
-        lo, hi = bounds.get(node.feature, (-np.inf, np.inf))
-        if node.threshold > lo:  # left region (lo, min(hi, t)] nonempty
-            bounds[node.feature] = (lo, min(hi, node.threshold))
-            walk(node.left, bounds)
-        if node.threshold < hi:  # right region (max(lo, t), hi] nonempty
-            bounds[node.feature] = (max(lo, node.threshold), hi)
-            walk(node.right, bounds)
-        if lo == -np.inf and hi == np.inf:
-            bounds.pop(node.feature, None)
-        else:
-            bounds[node.feature] = (lo, hi)
+        f, t = node.feature, node.threshold
+        lo, hi = bounds.get(f, (-np.inf, np.inf))
+        if t > lo:  # left region (lo, min(hi, t)] nonempty
+            walk(node.left, {**bounds, f: (lo, min(hi, t))})
+        if t < hi:  # right region (max(lo, t), hi] nonempty
+            walk(node.right, {**bounds, f: (max(lo, t), hi)})
 
     walk(root, {})
     return leaves
@@ -269,11 +268,11 @@ def lasso_importance(
     ]
 
 
-def _background_sample(values: np.ndarray, cap: int, seed: int) -> np.ndarray:
-    if len(values) <= cap:
+def _background_sample(values: np.ndarray, seed: int) -> np.ndarray:
+    if len(values) <= BACKGROUND_CAP:
         return values
     rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(values), size=cap, replace=False))
+    idx = np.sort(rng.choice(len(values), size=BACKGROUND_CAP, replace=False))
     return values[idx]
 
 
@@ -283,18 +282,17 @@ def mean_abs_importance(
     asset: str,
     quarter: Quarter,
     method: str = "tree_shap",
-    background_cap: int = 500,
     n_permutations: int = 16,
     seed: int = 0,
 ) -> list[ImportanceRecord]:
     """Mean |attribution| per signal over all training rows of a block.
 
     The background is the training block itself, subsampled (seeded) past
-    ``background_cap`` rows.
+    ``BACKGROUND_CAP`` rows.
     """
     if block.n_rows == 0:
         raise ValueError("empty training block")
-    background = _background_sample(block.values, background_cap, seed)
+    background = _background_sample(block.values, seed)
     if method == "tree_shap":
         if not isinstance(model, TreeEnsembleModel):
             raise ModelError("tree_shap importance requires a tree model")

@@ -17,11 +17,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import MarketRadarError
 from .panel import ReturnPanel, SignalId, lagged_signals, signal_columns
 from .trading_calendar import Quarter, TradingCalendar, quarter_of, shift_quarter
 
 
-class ScenarioError(ValueError):
+class ScenarioError(MarketRadarError, ValueError):
     pass
 
 

@@ -81,3 +81,34 @@ def test_tracer_records_radar_task_spans(tmp_path):
     assert {"panel.window", "panel.pred_block", "radar.task"} <= names
     tasks = [span for span in recorded if span[2] == "radar.task"]
     assert tasks and all(span[5]["algo"] == "lasso" for span in tasks)
+
+
+def test_tracer_reads_gb_trees(tmp_path):
+    # the tree-attribution metrics walk TreeNode.is_leaf/left/right and tag
+    # learners.fit spans by algo; leaf size 1 lets the tiny window split
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        RADAR_CFG.replace("radar.algos = lasso", "radar.algos = gb")
+        + "radar.importance = true\nhp.gb.min_samples_leaf = 1\nhp.gb.n_estimators = 5\n"
+    )
+    common = ["--config", str(cfg), "--out", str(tmp_path), "--seed", "1", "--threads", "1"]
+    synth = subprocess.run(
+        [sys.executable, "-m", "marketradar.cli", "synth", *common],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert synth.returncode == 0, synth.stderr
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), "radar", *common],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads(spans.read_text())["spans"]
+    fits = [span for span in recorded if span[2] == "learners.fit"]
+    ops = [span[5]["ops"] for span in recorded if span[2] == "shapley.tree"]
+    rows = [span[5]["rows"] for span in recorded if span[2] == "panel.window"]
+    assert fits and all(span[5]["algo"] == "gb" for span in fits)
+    assert ops and all(o > 0 for o in ops)
+    # each task attributes its window rows against themselves, so five
+    # stumps would give 5 * rows**2 ops; more means some tree split
+    assert sum(ops) > 5 * sum(r * r for r in rows)

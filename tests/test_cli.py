@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from marketradar.cli import ConfigError, config_from_mapping, main, parse_config_text
@@ -136,6 +141,29 @@ class TestRadarCommand:
         body = (out / "forecasts.csv").read_text()
         assert "2017-01" in body
         assert "2017-04" not in body
+
+    def test_library_error_exits_one_without_traceback(self, tmp_path):
+        # nn training diverges within two steps; the CLI must say so in one
+        # line instead of dying with a TrainingDiverged traceback
+        synth_cfg = write_cfg(
+            tmp_path, SYNTH_CFG.replace("n_assets = 6", "n_assets = 2"), name="synth.txt"
+        )
+        data = tmp_path / "data"
+        assert main(["synth", "--config", synth_cfg, "--out", str(data)]) == 0
+        text = "seed = 13\nradar.algos = nn\nradar.min_train_rows = 40\n"
+        text += "hp.nn.learning_rate = 1e300\n"
+        cfg = write_cfg(tmp_path, text, data_dir=data)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src] + [v for v in [env.get("PYTHONPATH")] if v])
+        proc = subprocess.run(
+            [sys.executable, "-m", "marketradar.cli", "radar", "--config", cfg,
+             "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: non-finite loss")
+        assert "Traceback" not in proc.stderr
 
 
 class TestReportCommand:

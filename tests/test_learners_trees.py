@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marketradar.learners import (
     BoostParams,
@@ -10,6 +12,7 @@ from marketradar.learners import (
     predict,
     staged_training_mse,
 )
+from marketradar.learners import tree
 
 
 def exhaustive_best_split(x, y, min_leaf=1):
@@ -150,3 +153,98 @@ class TestGradientBoosting:
         b = fit_gradient_boosting(X[perm], y[perm], params, seed=3)
         # permuting rows changes which indices the subsample hits
         assert model_to_json(a) != model_to_json(b)
+
+
+def reference_best_split(X, y, features, min_samples_leaf):
+    """The per-feature scan that the one-table split search replaced."""
+    n = len(y)
+    if n < 2 * min_samples_leaf:
+        return None
+    best_score = -np.inf
+    best = None
+    for f in features:
+        xs = X[:, f]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        ys_sorted = y[order]
+        # Split positions i mean "first i sorted rows go left"; only
+        # boundaries between distinct values are real thresholds.
+        cut = np.nonzero(xs_sorted[1:] > xs_sorted[:-1])[0] + 1
+        cut = cut[(cut >= min_samples_leaf) & (cut <= n - min_samples_leaf)]
+        if len(cut) == 0:
+            continue
+        csum = np.cumsum(ys_sorted)
+        total = csum[-1]
+        left_sum = csum[cut - 1]
+        right_sum = total - left_sum
+        # Maximizing sum_L^2/n_L + sum_R^2/n_R is equivalent to minimizing
+        # within-node SSE, without having to carry the squared-y terms.
+        score = left_sum**2 / cut + right_sum**2 / (n - cut)
+        k = int(np.argmax(score))
+        if score[k] > best_score:
+            best_score = float(score[k])
+            i = cut[k]
+            best = (int(f), float((xs_sorted[i - 1] + xs_sorted[i]) / 2.0))
+    return best
+
+
+finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def split_nodes(draw):
+    """Nodes as _grow_tree passes them: n >= 2 * min_samples_leaf rows,
+    with integer-valued columns (duplicate values), exact copies of earlier
+    columns (ties across features), constant columns and a feature subset."""
+    min_leaf = draw(st.integers(1, 7))
+    n = draw(st.integers(2 * min_leaf, 2 * min_leaf + 24))
+    p = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(["integer", "copy", "constant", "float"]))
+        if kind == "integer":
+            col = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        elif kind == "copy" and columns:
+            col = columns[draw(st.integers(0, len(columns) - 1))]
+        elif kind == "constant":
+            col = [draw(finite)] * n
+        else:
+            col = draw(st.lists(finite, min_size=n, max_size=n))
+        columns.append(col)
+    X = np.array(columns, dtype=np.float64).T
+    y = np.array(
+        draw(st.lists(st.integers(-3, 3).map(float) | finite, min_size=n, max_size=n))
+    )
+    features = np.array(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1))))
+    return X, y, features, min_leaf
+
+
+class TestBestSplit:
+    @given(node=split_nodes())
+    def test_matches_per_feature_reference(self, node):
+        assert tree._best_split(*node) == reference_best_split(*node)
+
+    def test_tie_across_features_goes_to_lowest_feature(self):
+        # columns 1 and 3 are equal and split y perfectly; column 2 is
+        # constant, column 0 is noise
+        x = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+        X = np.column_stack([[3.0, 1.0, 2.0, 1.0, 3.0, 2.0], x, np.ones(6), x])
+        y = np.array([0.0, 0.0, 0.0, 0.0, 5.0, 5.0])
+        assert tree._best_split(X, y, np.arange(4), 1) == (1, 1.5)
+        assert tree._best_split(X, y, np.array([2, 3]), 1) == (3, 1.5)
+        assert tree._best_split(X, y, np.array([2]), 1) is None
+
+    @pytest.mark.parametrize("n", [64, 252])
+    def test_fits_identical_to_reference_scan(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        X = np.column_stack([rng.normal(size=(n, 4)), rng.integers(0, 3, size=(n, 2))])
+        y = X[:, 0] - X[:, 4] + rng.normal(size=n)
+        forest = ForestParams(n_estimators=6, min_samples_leaf=2)
+        boost = BoostParams(n_estimators=12, min_samples_leaf=2, subsample=0.8)
+        fits = [
+            lambda: fit_random_forest(X, y, forest, seed=5),
+            lambda: fit_gradient_boosting(X, y, boost, seed=5),
+        ]
+        table = [model_to_json(fit()) for fit in fits]
+        monkeypatch.setattr(tree, "_best_split", reference_best_split)
+        assert [model_to_json(fit()) for fit in fits] == table
