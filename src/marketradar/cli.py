@@ -5,8 +5,9 @@ same keys drive every subcommand and a handful of flags override them.  All
 randomness descends from the single ``seed`` key, so reruns with identical
 inputs write identical bytes.
 
-Exit codes: 0 success, 1 any library error (printed as ``error: ...``),
-2 missing input.
+Exit codes: 0 success, 1 any library error (printed as ``error: ...``;
+a failed task is not one, so ``radar`` exits 1 only when no task
+completed), 2 missing input.
 """
 from __future__ import annotations
 

@@ -22,9 +22,14 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(MarketRadarError, RuntimeError):
+    # ``step`` stays the only argument, so the error survives pickling, as
+    # anything crossing a process boundary must.
     def __init__(self, step: int):
-        super().__init__(f"non-finite loss at training step {step}")
+        super().__init__(step)
         self.step = step
+
+    def __str__(self) -> str:
+        return f"non-finite loss at training step {self.step}"
 
 
 def init_layers(

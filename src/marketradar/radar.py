@@ -3,11 +3,15 @@ trailing window, forecast the following quarter, and merge results in
 deterministic key order regardless of parallelism.
 
 Each task derives its own seed from a stable hash of (base seed, asset,
-training quarter, algorithm), so partial re-runs and any thread count
-reproduce identical output.  Stock-quarters whose window is too small are
-recorded as skips, never silently dropped: downstream summary denominators
-need them.  Tasks are labeled by the quarter they forecast, which keys
-forecasts, fit records, and importances consistently.
+training quarter, algorithm), so partial re-runs and any worker count
+reproduce identical output.  With more than one worker, tasks run in chunks
+on forked worker processes (POSIX only), which inherit the panels instead
+of receiving them pickled.  Stock-quarters whose window is too small are
+recorded as skips, and tasks whose fit, prediction or attribution raises a
+library error as failures, never silently dropped: downstream summary
+denominators need them, and one degenerate task does not end the run.
+Tasks are labeled by the quarter they forecast, which keys forecasts, fit
+records, and importances consistently.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import datetime as dt
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -47,6 +50,9 @@ from .trading_calendar import (
 )
 
 STANDARDIZED_ALGOS = {"ols", "lasso", "enet", "nn"}
+# Tasks a worker process takes at a time: few enough round trips to amortize
+# pickling results, small enough chunks to balance slow and fast algorithms.
+TASK_CHUNK = 4
 
 
 class RadarError(MarketRadarError, ValueError):
@@ -63,7 +69,7 @@ class RadarConfig:
     min_train_rows: int = 60
     importance: bool = True
     nn_importance_permutations: int = 8
-    threads: int = 1
+    threads: int = 1  # worker processes; 1 runs every task in this process
 
     def __post_init__(self) -> None:
         if self.window_quarters < 1 or self.lags < 1:
@@ -148,10 +154,15 @@ class TaskResult:
     window_dates: tuple[dt.date, dt.date] | None = None
     nonzero_fraction: float | None = None
     skip_reason: str | None = None
+    fail_reason: str | None = None
 
     @property
     def skipped(self) -> bool:
         return self.skip_reason is not None
+
+    @property
+    def failed(self) -> bool:
+        return self.fail_reason is not None
 
 
 @dataclass
@@ -159,6 +170,7 @@ class RunReport:
     n_tasks: int = 0
     n_completed: int = 0
     skips: list[tuple[str, str, str, str]] = field(default_factory=list)
+    failures: list[tuple[str, str, str, str]] = field(default_factory=list)
     seconds: float = 0.0
     threads: int = 1
     sparsity: dict[str, float] = field(default_factory=dict)
@@ -169,6 +181,7 @@ class RunReport:
             f"tasks.total = {self.n_tasks}",
             f"tasks.completed = {self.n_completed}",
             f"tasks.skipped = {len(self.skips)}",
+            f"tasks.failed = {len(self.failures)}",
             f"threads = {self.threads}",
             f"wall_seconds = {self.seconds:.2f}",
         ]
@@ -176,6 +189,8 @@ class RunReport:
             lines.append(f"sparsity.{algo} = {self.sparsity[algo]:.6f}")
         for asset, quarter, algo, reason in self.skips:
             lines.append(f"skip {asset} {quarter} {algo}: {reason}")
+        for asset, quarter, algo, reason in self.failures:
+            lines.append(f"fail {asset} {quarter} {algo}: {reason}")
         return "\n".join(lines) + "\n"
 
 
@@ -220,7 +235,12 @@ def train_predict_stock_quarter(
     config: RadarConfig,
 ) -> TaskResult:
     """Fit on the trailing window ending at ``train_quarter`` and forecast
-    every trading day of the asset in the next quarter."""
+    every trading day of the asset in the next quarter.
+
+    A window below ``min_train_rows`` comes back as a skip.  A library error
+    from the fit, the prediction block, the prediction or the attribution
+    comes back as a failure that carries only its reason.
+    """
     forecast_quarter = shift_quarter(train_quarter, 1)
     result = TaskResult(asset, train_quarter, forecast_quarter, algo)
     try:
@@ -240,43 +260,50 @@ def train_predict_stock_quarter(
 
     seed = task_seed(config.seed, asset, train_quarter, algo)
     params = config.params_for(algo)
-    model = _fit_model(algo, block, params, seed)
-    result.model = model
-    result.window_dates = (block.rows[0][1], block.rows[-1][1])
+    try:
+        model = _fit_model(algo, block, params, seed)
+        result.model = model
+        result.window_dates = (block.rows[0][1], block.rows[-1][1])
 
-    pred_block = build_signal_block(
-        sources, assets, calendar.days_in_quarter(forecast_quarter), config.lags, asset_ids=[asset]
-    )
-    yhat = learners.predict(model, pred_block.values)
-    result.forecasts = [(d, float(v)) for (_, d), v in zip(pred_block.rows, yhat)]
+        pred_block = build_signal_block(
+            sources,
+            assets,
+            calendar.days_in_quarter(forecast_quarter),
+            config.lags,
+            asset_ids=[asset],
+        )
+        yhat = learners.predict(model, pred_block.values)
+        result.forecasts = [(d, float(v)) for (_, d), v in zip(pred_block.rows, yhat)]
 
-    if isinstance(model, learners.LinearModel):
-        result.nonzero_fraction = sparsity_fraction(model.coef)
+        if isinstance(model, learners.LinearModel):
+            result.nonzero_fraction = sparsity_fraction(model.coef)
 
-    if config.importance:
-        if algo in ("lasso", "enet"):
-            result.importances = lasso_importance(
-                model, block.columns, asset, forecast_quarter
-            )
-        elif algo in ("rf", "gb"):
-            result.importances = mean_abs_importance(
-                model,
-                block,
-                asset,
-                forecast_quarter,
-                method="tree_shap",
-                seed=seed,
-            )
-        elif algo == "nn":
-            result.importances = mean_abs_importance(
-                model,
-                block,
-                asset,
-                forecast_quarter,
-                method="sampled_shapley",
-                n_permutations=config.nn_importance_permutations,
-                seed=seed,
-            )
+        if config.importance:
+            if algo in ("lasso", "enet"):
+                result.importances = lasso_importance(
+                    model, block.columns, asset, forecast_quarter
+                )
+            elif algo in ("rf", "gb"):
+                result.importances = mean_abs_importance(
+                    model,
+                    block,
+                    asset,
+                    forecast_quarter,
+                    method="tree_shap",
+                    seed=seed,
+                )
+            elif algo == "nn":
+                result.importances = mean_abs_importance(
+                    model,
+                    block,
+                    asset,
+                    forecast_quarter,
+                    method="sampled_shapley",
+                    n_permutations=config.nn_importance_permutations,
+                    seed=seed,
+                )
+    except MarketRadarError as exc:
+        return TaskResult(asset, train_quarter, forecast_quarter, algo, fail_reason=str(exc))
     return result
 
 
@@ -301,6 +328,29 @@ def enumerate_tasks(
     return tasks
 
 
+TaskInputs = tuple[ReturnPanel, ReturnPanel, TradingCalendar, RadarConfig]
+
+# Set only in worker processes, by the pool's initializer: a forked worker
+# inherits the inputs every task reads instead of unpickling them.
+_worker_inputs: TaskInputs | None = None
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _run_task(task: tuple[str, Quarter, str], inputs: TaskInputs | None = None) -> TaskResult:
+    """Run one task on ``inputs``, or in a worker on the inputs its
+    initializer set.  The fitted model is dropped: nothing after the merge
+    reads it, and a worker would pickle it back."""
+    assets, sources, calendar, config = inputs or _worker_inputs
+    asset, quarter, algo = task
+    result = train_predict_stock_quarter(assets, sources, calendar, asset, quarter, algo, config)
+    result.model = None
+    return result
+
+
 def run_radar(
     assets: ReturnPanel,
     sources: ReturnPanel,
@@ -314,16 +364,26 @@ def run_radar(
         raise RadarError("no runnable tasks: not enough quarters for the window")
 
     start = time.perf_counter()
+    inputs = (assets, sources, cal, config)
+    workers = min(config.threads, math.ceil(len(tasks) / TASK_CHUNK))
+    if workers > 1:
+        # Imported here: the serial path and the other CLI steps then do
+        # without multiprocessing (about 0.4 MB of peak RSS at start-up).
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    def run_one(task: tuple[str, Quarter, str]) -> TaskResult:
-        asset, quarter, algo = task
-        return train_predict_stock_quarter(assets, sources, cal, asset, quarter, algo, config)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run_one, tasks))
+        try:
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=inputs,
+            ) as pool:
+                results = list(pool.map(_run_task, tasks, chunksize=TASK_CHUNK))
+        except BrokenProcessPool as exc:
+            raise RadarError(f"worker process died: {exc}") from exc
     else:
-        results = [run_one(t) for t in tasks]
+        results = [_run_task(t, inputs) for t in tasks]
 
     results.sort(key=lambda r: (r.asset, r.train_quarter, r.algo))
     frows: list[ForecastRow] = []
@@ -331,10 +391,12 @@ def run_radar(
     report = RunReport(n_tasks=len(tasks), threads=config.threads)
     nnz_by_algo: dict[str, list[float]] = {}
     for r in results:
+        key = (r.asset, format_quarter(r.forecast_quarter), r.algo)
         if r.skipped:
-            report.skips.append(
-                (r.asset, format_quarter(r.forecast_quarter), r.algo, r.skip_reason or "")
-            )
+            report.skips.append((*key, r.skip_reason))
+            continue
+        if r.failed:
+            report.failures.append((*key, r.fail_reason))
             continue
         report.n_completed += 1
         frows.extend(ForecastRow(d, r.asset, r.algo, v) for d, v in r.forecasts)
@@ -342,6 +404,12 @@ def run_radar(
         if r.nonzero_fraction is not None:
             nnz_by_algo.setdefault(r.algo, []).append(r.nonzero_fraction)
     if report.n_completed == 0:
+        if report.failures:
+            asset, quarter, algo, reason = report.failures[0]
+            raise RadarError(
+                f"{reason} ({asset} {quarter} {algo}); no task completed: "
+                f"{len(report.failures)} failed, {len(report.skips)} skipped"
+            )
         raise RadarError("no runnable tasks: every stock-quarter was skipped")
     report.sparsity = {a: float(np.mean(v)) for a, v in nnz_by_algo.items()}
     report.seconds = time.perf_counter() - start

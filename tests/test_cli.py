@@ -166,6 +166,37 @@ class TestRadarCommand:
         assert "Traceback" not in proc.stderr
 
 
+    def test_underdetermined_ols_is_failed_task(self, tmp_path):
+        # 70 markets x 4 lags = 280 features against 252 training rows: every
+        # ols fit is underdetermined, and the lasso tasks must still run
+        synth_cfg = write_cfg(
+            tmp_path,
+            "seed = 3\nsynth.n_assets = 3\nsynth.n_markets = 70\nsynth.n_quarters = 5\n",
+            name="synth.txt",
+        )
+        data = tmp_path / "data"
+        assert main(["synth", "--config", synth_cfg, "--out", str(data)]) == 0
+        cfg = write_cfg(tmp_path, "seed = 3\nradar.algos = ols,lasso\n", data_dir=data)
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"run{threads}"
+            args = ["radar", "--config", cfg, "--out", str(out), "--threads", str(threads)]
+            assert main(args) == 0
+            forecasts = (out / "forecasts.csv").read_bytes()
+            assert b",lasso," in forecasts and b",ols," not in forecasts
+            report = [
+                line
+                for line in (out / "run_report.txt").read_text().splitlines()
+                if not line.startswith(("wall_seconds", "threads"))
+            ]
+            fails = [line for line in report if line.startswith("fail ")]
+            assert len(fails) == 3
+            assert all(" ols: underdetermined" in line for line in fails)
+            assert "tasks.completed = 3" in report and "tasks.failed = 3" in report
+            outputs.append((forecasts, (out / "importance.csv").read_bytes(), report))
+        assert outputs[0] == outputs[1]
+
+
 class TestReportCommand:
     def test_full_flow(self, tmp_path, synth_dir, capsys):
         cfg_path = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)

@@ -1,8 +1,11 @@
+import concurrent.futures.process
 import datetime as dt
+import os
 
 import pytest
 
-from marketradar.learners import LassoParams
+from marketradar import radar
+from marketradar.learners import LassoParams, NetParams
 from marketradar.panel import ReturnPanel
 from marketradar.radar import (
     ForecastRow,
@@ -230,6 +233,90 @@ class TestRunRadar:
         assert report.n_tasks == report.n_completed + len(report.skips)
         assert "skip LATE" in report.to_text()
         assert not any(r.asset == "LATE" for r in table.rows)
+
+
+def report_text_without_timing(report) -> str:
+    """Run report less the lines that may differ between equal runs."""
+    return "".join(
+        line
+        for line in report.to_text().splitlines(True)
+        if not line.startswith(("wall_seconds", "threads"))
+    )
+
+
+class TestWorkerPool:
+    def test_failed_tasks_identical_across_worker_counts(self, tmp_path, small_scenario):
+        # every nn fit diverges; the lasso tasks around them must still land
+        sc = small_scenario
+        outputs = []
+        for threads in (1, 2, 3):
+            cfg = small_config(
+                algorithms=("lasso", "nn"),
+                hyperparameters={
+                    "lasso": LassoParams(alpha=1e-5),
+                    "nn": NetParams(learning_rate=1e300),
+                },
+                threads=threads,
+            )
+            table, imps, report = run_radar(sc.assets, sc.markets, cfg)
+            fp = tmp_path / f"f{threads}.csv"
+            table.to_csv(fp)
+            ip = tmp_path / f"i{threads}.csv"
+            write_importance_csv(ip, imps)
+            outputs.append((fp.read_bytes(), ip.read_bytes(), report_text_without_timing(report)))
+            assert report.n_completed == 8
+            assert len(report.failures) == 8
+            assert all(f[2] == "nn" and f[3].startswith("non-finite loss") for f in report.failures)
+            assert report.n_tasks == report.n_completed + len(report.skips) + len(report.failures)
+            assert table.algos() == ["lasso"]
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "tasks.failed = 8\n" in outputs[0][2]
+        assert "fail A000 2017Q1 nn: non-finite loss" in outputs[0][2]
+
+    def test_every_task_failed_names_first_reason(self, small_scenario):
+        sc = small_scenario
+        cfg = small_config(
+            algorithms=("nn",), hyperparameters={"nn": NetParams(learning_rate=1e300)}
+        )
+        with pytest.raises(RadarError, match=r"^non-finite loss .*\(A000 2017Q1 nn\)"):
+            run_radar(sc.assets, sc.markets, cfg)
+
+    def test_pool_never_outnumbers_chunks(self, monkeypatch, small_scenario):
+        started = []
+
+        class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                started.append(max_workers)
+                # never fork a large pool, even if the worker bound breaks
+                super().__init__(min(max_workers, 2), *args, **kwargs)
+
+        # run_radar imports the pool class when it starts one
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+        sc = small_scenario
+        cfg = small_config(threads=64)
+        _, _, report = run_radar(sc.assets, sc.markets, cfg)
+        # 8 lasso tasks make two chunks
+        assert report.n_tasks == 8
+        assert started == [2]
+        # a single chunk runs in this process, with no pool at all
+        monkeypatch.setattr(radar, "TASK_CHUNK", 8)
+        run_radar(sc.assets, sc.markets, cfg)
+        assert started == [2]
+
+    def test_dead_worker_is_radar_error(self, monkeypatch, small_scenario):
+        real = radar.train_predict_stock_quarter
+        test_pid = os.getpid()
+
+        def dies_on_one_asset(assets, sources, calendar, asset, quarter, algo, config):
+            if asset == "A003" and os.getpid() != test_pid:
+                os._exit(3)
+            return real(assets, sources, calendar, asset, quarter, algo, config)
+
+        # forked workers inherit the patched module attribute
+        monkeypatch.setattr(radar, "train_predict_stock_quarter", dies_on_one_asset)
+        sc = small_scenario
+        with pytest.raises(RadarError, match="worker process died"):
+            run_radar(sc.assets, sc.markets, small_config(threads=2))
 
 
 class TestForecastTable:
