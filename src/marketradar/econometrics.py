@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import MarketRadarError
 from .trading_calendar import Quarter
@@ -169,6 +168,10 @@ def _inference(D, resid, beta, bread, dof, se, clusters):
     fitted on design ``D``.  ``dof`` is n minus every estimated parameter,
     absorbed fixed effects included; it sets the classic variance, the
     HC1 factor n/dof and the CR1 factor G/(G-1) * (n-1)/dof."""
+    # Imported here: only regressions need scipy, so the synth, radar and
+    # tune steps start without loading it.
+    from scipy.special import stdtr
+
     n, p = D.shape
     if se == "classic":
         sigma2 = float(resid @ resid) / dof
@@ -236,17 +239,7 @@ def factor_alpha(
     X = np.column_stack([[factors[name][d] for d in dates] for name in names]) if names else np.empty((len(dates), 0))
     y = np.asarray(portfolio_returns, dtype=np.float64) - rf_vec
     result = ols(y, X, names=names, se=se, add_intercept=True)
-    return RegressionResult(
-        names=("alpha",) + result.names[1:],
-        coef=result.coef,
-        se=result.se,
-        t=result.t,
-        pvalues=result.pvalues,
-        r2=result.r2,
-        adj_r2=result.adj_r2,
-        n=result.n,
-        se_type=result.se_type,
-    )
+    return replace(result, names=("alpha",) + result.names[1:])
 
 
 def fe_regression(
@@ -286,19 +279,6 @@ def fe_regression(
         p_eff = X.shape[1] + G
         if n <= p_eff:
             raise RegressionError(f"need n > p, got n={n}, p={p_eff}")
-        if X.shape[1] == 0:
-            r2, adj = _r2(float(yd @ yd), sst, n, 1, n - p_eff)
-            return RegressionResult(
-                names=(),
-                coef=np.zeros(0),
-                se=np.zeros(0),
-                t=np.zeros(0),
-                pvalues=np.zeros(0),
-                r2=r2,
-                adj_r2=adj,
-                n=n,
-                se_type=se,
-            )
         Xd = np.empty_like(X)
         for j in range(X.shape[1]):
             gx = np.bincount(gidx, weights=X[:, j], minlength=G) / counts

@@ -95,24 +95,37 @@ def _coordinate_descent(
     return float(intercept), beta
 
 
-def fit_lasso(
+def _fit_penalized(
     X: np.ndarray,
     y: np.ndarray,
-    alpha: float,
-    stats: StandardizationStats | None = None,
+    params: LassoParams | ElasticNetParams,
+    l1: float,
+    l2: float,
+    algo: str,
+    stats: StandardizationStats | None,
 ) -> LinearModel:
+    """Validate, solve by coordinate descent with penalties ``l1``/``l2``,
+    and wrap the fit; lasso is the elastic net with ``l2 = 0``."""
     X, y = _as_xy(X, y)
-    params = LassoParams(alpha=alpha)
     params.validate()
-    intercept, beta = _coordinate_descent(X, y, l1=alpha, l2=0.0)
+    intercept, beta = _coordinate_descent(X, y, l1=l1, l2=l2)
     return LinearModel(
-        algo="lasso",
+        algo=algo,
         n_features=X.shape[1],
         stats=stats,
         hyper=params,
         intercept=intercept,
         coef=beta,
     )
+
+
+def fit_lasso(
+    X: np.ndarray,
+    y: np.ndarray,
+    alpha: float,
+    stats: StandardizationStats | None = None,
+) -> LinearModel:
+    return _fit_penalized(X, y, LassoParams(alpha=alpha), alpha, 0.0, "lasso", stats)
 
 
 def fit_elastic_net(
@@ -122,19 +135,9 @@ def fit_elastic_net(
     l1_ratio: float,
     stats: StandardizationStats | None = None,
 ) -> LinearModel:
-    X, y = _as_xy(X, y)
     params = ElasticNetParams(alpha=alpha, l1_ratio=l1_ratio)
-    params.validate()
-    intercept, beta = _coordinate_descent(
-        X, y, l1=alpha * l1_ratio, l2=alpha * (1.0 - l1_ratio)
-    )
-    return LinearModel(
-        algo="enet",
-        n_features=X.shape[1],
-        stats=stats,
-        hyper=params,
-        intercept=intercept,
-        coef=beta,
+    return _fit_penalized(
+        X, y, params, alpha * l1_ratio, alpha * (1.0 - l1_ratio), "enet", stats
     )
 
 

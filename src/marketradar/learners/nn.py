@@ -90,10 +90,10 @@ def fit_nn(
     sizes = [p] + [params.n_neurons] * params.n_layers + [1]
     weights, biases = init_layers(sizes, rng)
 
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    # Adam moments, one pair per trained array: every weight, then every bias
+    trained = weights + biases
+    m = [np.zeros_like(a) for a in trained]
+    v = [np.zeros_like(a) for a in trained]
 
     step = 0
     for _ in range(params.epochs):
@@ -110,16 +110,12 @@ def fit_nn(
                 raise TrainingDiverged(step)
             corr1 = 1.0 - ADAM_BETA1**step
             corr2 = 1.0 - ADAM_BETA2**step
-            for i in range(len(weights)):
-                m_w[i] = ADAM_BETA1 * m_w[i] + (1 - ADAM_BETA1) * grad_w[i]
-                v_w[i] = ADAM_BETA2 * v_w[i] + (1 - ADAM_BETA2) * grad_w[i] ** 2
-                weights[i] -= params.learning_rate * (m_w[i] / corr1) / (
-                    np.sqrt(v_w[i] / corr2) + ADAM_EPS
-                )
-                m_b[i] = ADAM_BETA1 * m_b[i] + (1 - ADAM_BETA1) * grad_b[i]
-                v_b[i] = ADAM_BETA2 * v_b[i] + (1 - ADAM_BETA2) * grad_b[i] ** 2
-                biases[i] -= params.learning_rate * (m_b[i] / corr1) / (
-                    np.sqrt(v_b[i] / corr2) + ADAM_EPS
+            for i, g in enumerate(grad_w + grad_b):
+                m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+                v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g**2
+                # in place, so ``weights`` and ``biases`` see the update
+                trained[i] -= params.learning_rate * (m[i] / corr1) / (
+                    np.sqrt(v[i] / corr2) + ADAM_EPS
                 )
 
     return NeuralNetModel(

@@ -213,16 +213,14 @@ def combine(series_list: Sequence[PortfolioSeries], name: str = "comb") -> Portf
 
 def apply_costs(
     series: PortfolioSeries,
-    turnover_series: np.ndarray | None = None,
     cost_bps: float = DEFAULT_COST_BPS,
 ) -> PortfolioSeries:
     """Net returns: gross minus cost_bps * 1e-4 per unit of daily turnover."""
     if cost_bps < 0:
         raise PortfolioError("cost_bps must be >= 0")
-    to = turnover_series if turnover_series is not None else series.turnover
-    if to is None:
-        raise PortfolioError("no turnover series supplied")
-    to = np.asarray(to, dtype=np.float64)
+    if series.turnover is None:
+        raise PortfolioError(f"{series.name}: no turnover series")
+    to = np.asarray(series.turnover, dtype=np.float64)
     if len(to) != len(series):
         raise PortfolioError("turnover length mismatch")
     net = np.asarray(series.returns) - cost_bps * 1e-4 * to
@@ -235,7 +233,6 @@ def apply_costs(
 class PerformanceStats:
     sharpe: float
     max_quarter_loss: float
-    mean_excess: float
     mean_turnover: float | None = None
 
 
@@ -243,7 +240,7 @@ def performance_stats(
     series: PortfolioSeries,
     rf: Mapping[dt.date, float] | float = 0.0,
 ) -> PerformanceStats:
-    """Annualized Sharpe, worst compounded quarterly return, mean excess."""
+    """Annualized Sharpe, worst compounded quarterly return, mean turnover."""
     if len(series) < 2:
         raise PortfolioError("need at least 2 observations")
     excess = np.asarray(series.returns) - rf_vector(rf, series.dates)
@@ -263,7 +260,6 @@ def performance_stats(
     return PerformanceStats(
         sharpe=sharpe,
         max_quarter_loss=worst,
-        mean_excess=float(excess.mean()),
         mean_turnover=mean_to,
     )
 

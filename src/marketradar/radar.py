@@ -39,7 +39,12 @@ from .panel import (
     build_signal_block,
     standardize,
 )
-from .shapley import ImportanceRecord, lasso_importance, mean_abs_importance
+from .shapley import (
+    SAMPLED_PERMUTATIONS,
+    ImportanceRecord,
+    lasso_importance,
+    mean_abs_importance,
+)
 from .trading_calendar import (
     Quarter,
     TradingCalendar,
@@ -49,7 +54,6 @@ from .trading_calendar import (
     shift_quarter,
 )
 
-STANDARDIZED_ALGOS = {"ols", "lasso", "enet", "nn"}
 # Tasks a worker process takes at a time: few enough round trips to amortize
 # pickling results, small enough chunks to balance slow and fast algorithms.
 TASK_CHUNK = 4
@@ -68,12 +72,16 @@ class RadarConfig:
     seed: int = 0
     min_train_rows: int = 60
     importance: bool = True
-    nn_importance_permutations: int = 8
+    nn_importance_permutations: int = SAMPLED_PERMUTATIONS
     threads: int = 1  # worker processes; 1 runs every task in this process
 
     def __post_init__(self) -> None:
         if self.window_quarters < 1 or self.lags < 1:
             raise RadarError("window_quarters and lags must be >= 1")
+        if self.nn_importance_permutations < 1:
+            raise RadarError("nn_importance_permutations must be >= 1")
+        if self.threads < 1:
+            raise RadarError("threads must be >= 1")
         for algo in self.algorithms:
             if algo not in hp.PARAM_TYPES:
                 raise RadarError(f"unknown algorithm {algo!r}")
@@ -202,12 +210,14 @@ def task_seed(base_seed: int, asset: str, train_quarter: Quarter, algo: str) -> 
 
 
 def _fit_model(algo: str, block: SignalBlock, params, seed: int):
-    if algo in STANDARDIZED_ALGOS:
-        scaled, stats = standardize(block)
-        X, y = scaled.values, scaled.target
-    else:
-        stats = None
-        X, y = block.values, block.target
+    # Trees split on order statistics, so they fit on raw values; every
+    # other learner fits on standardized inputs and carries their stats.
+    if algo == "rf":
+        return learners.fit_random_forest(block.values, block.target, params, seed)
+    if algo == "gb":
+        return learners.fit_gradient_boosting(block.values, block.target, params, seed)
+    scaled, stats = standardize(block)
+    X, y = scaled.values, scaled.target
     if algo == "ols":
         return learners.fit_ols(X, y, stats=stats)
     if algo == "lasso":
@@ -216,13 +226,7 @@ def _fit_model(algo: str, block: SignalBlock, params, seed: int):
         return learners.fit_elastic_net(
             X, y, alpha=params.alpha, l1_ratio=params.l1_ratio, stats=stats
         )
-    if algo == "rf":
-        return learners.fit_random_forest(X, y, params, seed)
-    if algo == "gb":
-        return learners.fit_gradient_boosting(X, y, params, seed)
-    if algo == "nn":
-        return learners.fit_nn(X, y, params, seed, stats=stats)
-    raise RadarError(f"unknown algorithm {algo!r}")
+    return learners.fit_nn(X, y, params, seed, stats=stats)
 
 
 def train_predict_stock_quarter(
@@ -278,30 +282,14 @@ def train_predict_stock_quarter(
         if isinstance(model, learners.LinearModel):
             result.nonzero_fraction = sparsity_fraction(model.coef)
 
-        if config.importance:
-            if algo in ("lasso", "enet"):
-                result.importances = lasso_importance(
-                    model, block.columns, asset, forecast_quarter
-                )
-            elif algo in ("rf", "gb"):
-                result.importances = mean_abs_importance(
-                    model,
-                    block,
-                    asset,
-                    forecast_quarter,
-                    method="tree_shap",
-                    seed=seed,
-                )
-            elif algo == "nn":
-                result.importances = mean_abs_importance(
-                    model,
-                    block,
-                    asset,
-                    forecast_quarter,
-                    method="sampled_shapley",
-                    n_permutations=config.nn_importance_permutations,
-                    seed=seed,
-                )
+        # ols records no importance: |coefficient| importance is defined for
+        # sparse fits, and ols is not one
+        if config.importance and algo in ("lasso", "enet"):
+            result.importances = lasso_importance(model, block.columns, asset, forecast_quarter)
+        elif config.importance and algo != "ols":
+            result.importances = mean_abs_importance(
+                model, block, asset, forecast_quarter, config.nn_importance_permutations, seed
+            )
     except MarketRadarError as exc:
         return TaskResult(asset, train_quarter, forecast_quarter, algo, fail_reason=str(exc))
     return result

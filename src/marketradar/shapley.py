@@ -4,6 +4,9 @@ All methods share one value function: v(S) is the mean model output over a
 background sample with the explained point's values spliced in on the
 coalition S.  That makes the subset-enumeration brute force an oracle for
 both the exact tree algorithm and the Monte-Carlo permutation estimator.
+Per-signal importance takes its method from the fitted model: the tree
+algorithm for tree ensembles, the permutation estimator for networks, and
+|coefficient| for sparse linear fits, whose inputs are standardized.
 
 The tree method works leaf by leaf.  For an explained point x and one
 background row z, a leaf is reached by the spliced point iff every feature
@@ -35,7 +38,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .learners.base import LinearModel, ModelError, TreeEnsembleModel, TreeNode, predict
+from .learners.base import (
+    LinearModel,
+    ModelError,
+    NeuralNetModel,
+    TreeEnsembleModel,
+    TreeNode,
+    predict,
+)
 from .panel import SignalBlock, SignalId
 from .trading_calendar import Quarter
 
@@ -48,6 +58,10 @@ IMPORTANCE_REPORT_SCALE = 1e4
 # Importance uses at most this many training rows (a seeded subsample) as
 # the attribution background.
 BACKGROUND_CAP = 500
+
+# Permutations per explained row of the sampled estimator, unless the run
+# configures another count.
+SAMPLED_PERMUTATIONS = 8
 
 
 @dataclass(frozen=True)
@@ -281,23 +295,22 @@ def mean_abs_importance(
     block: SignalBlock,
     asset: str,
     quarter: Quarter,
-    method: str = "tree_shap",
-    n_permutations: int = 16,
+    n_permutations: int = SAMPLED_PERMUTATIONS,
     seed: int = 0,
 ) -> list[ImportanceRecord]:
     """Mean |attribution| per signal over all training rows of a block.
 
-    The background is the training block itself, subsampled (seeded) past
-    ``BACKGROUND_CAP`` rows.
+    The fitted model picks the method: exact interventional values for a
+    tree ensemble, the permutation estimator (``n_permutations`` orders per
+    row) for a network.  The background is the training block itself,
+    subsampled (seeded) past ``BACKGROUND_CAP`` rows.
     """
     if block.n_rows == 0:
         raise ValueError("empty training block")
     background = _background_sample(block.values, seed)
-    if method == "tree_shap":
-        if not isinstance(model, TreeEnsembleModel):
-            raise ModelError("tree_shap importance requires a tree model")
+    if isinstance(model, TreeEnsembleModel):
         phi, _ = tree_shap_batch(model, block.values, background)
-    elif method == "sampled_shapley":
+    elif isinstance(model, NeuralNetModel):
         # standardization is elementwise, so scaling once before splicing
         # gives the same bits as predict() scaling every spliced matrix
         X = model._inputs(block.values)
@@ -309,7 +322,7 @@ def mean_abs_importance(
             ]
         )
     else:
-        raise ValueError(f"unknown importance method {method!r}")
+        raise ModelError("Shapley importance requires a tree-ensemble or network model")
     mean_abs = np.abs(phi).mean(axis=0)
     return [
         ImportanceRecord(asset, quarter, model.algo, sig, float(v))

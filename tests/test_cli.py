@@ -42,6 +42,19 @@ def write_cfg(tmp_path, text, data_dir=None, name="cfg.txt"):
     return str(path)
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # only the report's regressions need scipy; synth, radar and tune do not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [v for v in [env.get("PYTHONPATH")] if v])
+    code = "import sys, marketradar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestConfigParsing:
     def test_dotted_keys_and_comments(self):
         mapping = parse_config_text("a.b = 1 # trailing\n# whole line\n\nc = x\n")
@@ -165,6 +178,23 @@ class TestRadarCommand:
         assert proc.stderr.startswith("error: non-finite loss")
         assert "Traceback" not in proc.stderr
 
+
+    def test_zero_importance_permutations_exits_one(self, tmp_path, synth_dir, capsys):
+        text = RADAR_CFG.replace("lasso,gb", "nn") + "radar.nn_importance_permutations = 0\n"
+        cfg = write_cfg(tmp_path, text, data_dir=synth_dir)
+        out = tmp_path / "run"
+        assert main(["radar", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: nn_importance_permutations must be >= 1\n"
+        assert not out.exists()
+
+    def test_nonpositive_threads_exits_one(self, tmp_path, synth_dir, capsys):
+        cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
+        for threads in ("0", "-5"):
+            out = tmp_path / f"run{threads}"
+            args = ["radar", "--config", cfg, "--out", str(out), "--threads", threads]
+            assert main(args) == 1
+            assert capsys.readouterr().err == "error: threads must be >= 1\n"
+            assert not out.exists()
 
     def test_underdetermined_ols_is_failed_task(self, tmp_path):
         # 70 markets x 4 lags = 280 features against 252 training rows: every

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marketradar.learners import (
     LinearModel,
@@ -126,6 +128,16 @@ class TestElasticNet:
         enet = fit_elastic_net(X, y, alpha=0.07, l1_ratio=1.0)
         lasso = fit_lasso(X, y, alpha=0.07)
         np.testing.assert_allclose(enet.coef, lasso.coef, atol=1e-9)
+
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 1.0))
+    def test_unit_l1_ratio_is_lasso_bit_for_bit(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, 4))
+        y = X @ rng.normal(size=4) + rng.normal(size=40)
+        enet = fit_elastic_net(X, y, alpha=alpha, l1_ratio=1.0)
+        lasso = fit_lasso(X, y, alpha=alpha)
+        assert np.array_equal(enet.coef, lasso.coef)
+        assert enet.intercept == lasso.intercept
 
     def test_pure_l2_ridge_closed_form(self):
         rng = np.random.default_rng(6)

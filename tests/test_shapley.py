@@ -7,6 +7,7 @@ import pytest
 from marketradar.learners import (
     BoostParams,
     ForestParams,
+    ModelError,
     NetParams,
     TreeEnsembleModel,
     TreeNode,
@@ -326,7 +327,7 @@ class TestImportance:
         root = split(0, 0.0, leaf(-1.0), leaf(1.0))
         model = single_tree_model(root, 2)
         block = toy_block([[1.0, 5.0], [-1.0, -5.0], [0.5, 2.0]])
-        records = mean_abs_importance(model, block, "AAA", (2020, 1), method="tree_shap")
+        records = mean_abs_importance(model, block, "AAA", (2020, 1))
         assert records[1].value == 0.0
         assert records[0].value > 0.0
 
@@ -334,7 +335,7 @@ class TestImportance:
         root = split(0, 0.0, leaf(-1.0), leaf(1.0))
         model = single_tree_model(root, 1)
         block = toy_block([[1.0]])
-        records = mean_abs_importance(model, block, "AAA", (2020, 1), method="tree_shap")
+        records = mean_abs_importance(model, block, "AAA", (2020, 1))
         attr = tree_shap(model, block.values[0], block.values)
         assert records[0].value == pytest.approx(abs(attr.phi[0]))
 
@@ -346,20 +347,16 @@ class TestImportance:
         block = toy_block([[1.0], [-1.0], [1.0]])
         base = (1.0 - 1.0 + 1.0) / 3.0
         expected = np.mean([abs(1.0 - base), abs(-1.0 - base), abs(1.0 - base)])
-        records = mean_abs_importance(model, block, "AAA", (2020, 1), method="tree_shap")
+        records = mean_abs_importance(model, block, "AAA", (2020, 1))
         assert records[0].value == pytest.approx(expected, abs=1e-12)
 
     def test_sampled_method_for_black_box(self):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(10, 3))
         y = X[:, 1]
-        model = fit_gradient_boosting(
-            X, y, BoostParams(n_estimators=3, max_depth=2, subsample=1.0), seed=0
-        )
+        model = fit_nn(X, y, NetParams(epochs=3, batch_size=5, n_neurons=4), seed=0)
         block = toy_block(X, target=y)
-        records = mean_abs_importance(
-            model, block, "AAA", (2020, 1), method="sampled_shapley", n_permutations=20
-        )
+        records = mean_abs_importance(model, block, "AAA", (2020, 1), n_permutations=20)
         assert len(records) == 3
         assert all(r.value >= 0 for r in records)
 
@@ -367,8 +364,7 @@ class TestImportance:
         model, raw, y = fitted_scaled_nn(21, n=24)
         block = toy_block(raw, target=y)
         records = mean_abs_importance(
-            model, block, "AAA", (2020, 1), method="sampled_shapley",
-            n_permutations=8, seed=5,
+            model, block, "AAA", (2020, 1), n_permutations=8, seed=5
         )
         f = lambda M: predict(model, M)
         phi = np.array(
@@ -394,5 +390,5 @@ class TestImportance:
         X = rng.normal(size=(30, 2))
         model = fit_lasso(X, rng.normal(size=30), alpha=0.1)
         block = toy_block(X)
-        with pytest.raises(Exception, match="tree"):
-            mean_abs_importance(model, block, "AAA", (2020, 1), method="tree_shap")
+        with pytest.raises(ModelError, match="tree-ensemble or network"):
+            mean_abs_importance(model, block, "AAA", (2020, 1))
