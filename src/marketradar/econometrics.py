@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Hashable, Mapping, Sequence
 
@@ -333,12 +334,13 @@ def dissemination_window(intercept: float, slope: float, form: str = "linear") -
     """Largest whole week w >= 1 with intercept + slope*g(w) still positive.
 
     g is the identity (``linear``) or the natural exponential (``exp``).
-    Returns 0 when the fitted value is already non-positive at w = 1.
+    Returns 0 when the fitted value is already non-positive at w = 1; else
+    the root of intercept + slope*g, settled to the week by that same test.
     """
     if slope >= 0:
         raise RegressionError("no decay: slope must be negative")
     if form == "linear":
-        g = lambda w: float(w)
+        g = float
     elif form == "exp":
         def g(w: int) -> float:
             try:
@@ -347,15 +349,23 @@ def dissemination_window(intercept: float, slope: float, form: str = "linear") -
                 return math.inf
     else:
         raise RegressionError(f"unknown form {form!r}")
-    if intercept + slope * g(1) <= 0:
+    positive = lambda w: intercept + slope * g(w) > 0
+    if not positive(1):
         return 0
-    w = 1
-    limit = 10_000_000
-    while w < limit:
-        if intercept + slope * g(w + 1) <= 0:
-            return w
+    if form == "linear":
+        root = -intercept / slope
+    else:
+        # a difference of logs, so a tiny slope cannot overflow the ratio;
+        # past the largest finite exp, g is infinite and no week is positive
+        root = min(math.log(intercept) - math.log(-slope), math.log(sys.float_info.max))
+    if not math.isfinite(root):
+        raise RegressionError(f"no finite window for intercept {intercept}, slope {slope}")
+    w = math.floor(root)
+    if positive(w + 1):
         w += 1
-    raise RegressionError("window exceeds iteration limit")
+    elif not positive(w):
+        w -= 1
+    return w
 
 
 def sparsity_fraction(coef: np.ndarray) -> float:

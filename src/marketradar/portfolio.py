@@ -13,7 +13,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class PortfolioSeries:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     top: tuple[str, ...]
     bottom: tuple[str, ...]
 
@@ -177,10 +176,11 @@ def turnover(
 
 
 def _align(series_list: Sequence[PortfolioSeries]) -> list[dt.date]:
+    """Dates common to every series (none when every series is empty)."""
     common = set(series_list[0].dates)
     for s in series_list[1:]:
         common &= set(s.dates)
-    if not common:
+    if not common and any(s.dates for s in series_list):
         raise PortfolioError("series have no dates in common")
     return sorted(common)
 

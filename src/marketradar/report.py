@@ -16,6 +16,7 @@ import numpy as np
 
 from . import econometrics as em
 from . import portfolio as pf
+from .errors import MarketRadarError
 from .panel import ReturnPanel
 from .radar import ForecastTable
 from .shapley import IMPORTANCE_REPORT_SCALE, ImportanceRecord
@@ -51,17 +52,26 @@ class AlgoPortfolios:
     spread: pf.PortfolioSeries
 
 
-def daily_selections(
-    forecasts: ForecastTable, algo: str, fraction: float
-) -> tuple[dict[dt.date, tuple[str, ...]], dict[dt.date, tuple[str, ...]]]:
-    tops: dict[dt.date, tuple[str, ...]] = {}
-    bottoms: dict[dt.date, tuple[str, ...]] = {}
+def _na(fn: Callable[..., object], *args, reason: bool = True) -> str:
+    """``fn(*args)`` as text, or ``n/a (reason)`` when a library error says
+    the statistic cannot be computed (plain ``n/a`` for table cells)."""
+    try:
+        return str(fn(*args))
+    except MarketRadarError as exc:
+        return f"n/a ({exc})" if reason else "n/a"
+
+
+def _books(forecasts, algo, split, names, returns, weighting, caps) -> list[pf.PortfolioSeries]:
+    """One series per name: ``split`` turns a date's forecasts into its
+    member groups, in ``names`` order, or None to leave the date out."""
+    members: list[dict] = [{} for _ in names]
     for date, by_asset in forecasts.by_date(algo).items():
-        sel = pf.rank_select(by_asset, fraction)
-        if sel.top:
-            tops[date] = sel.top
-            bottoms[date] = sel.bottom
-    return tops, bottoms
+        for book, group in zip(members, split(by_asset) or ()):
+            book[date] = group
+    return [
+        pf.build_series(book, returns, weighting, caps, name=name)[0]
+        for book, name in zip(members, names)
+    ]
 
 
 def build_algo_portfolios(
@@ -72,11 +82,33 @@ def build_algo_portfolios(
     weighting: str = "equal",
     caps: ReturnPanel | None = None,
 ) -> AlgoPortfolios:
-    tops, bottoms = daily_selections(forecasts, algo, fraction)
-    top_series, _ = pf.build_series(tops, returns, weighting, caps, name=f"{algo}-top")
-    bottom_series, _ = pf.build_series(bottoms, returns, weighting, caps, name=f"{algo}-bottom")
-    spread = pf.long_short(top_series, bottom_series, name=f"{algo}-tb")
-    return AlgoPortfolios(top=top_series, bottom=bottom_series, spread=spread)
+    top, bottom = _books(
+        forecasts, algo, lambda by_asset: pf.rank_select(by_asset, fraction),
+        (f"{algo}-top", f"{algo}-bottom"), returns, weighting, caps,
+    )
+    spread = pf.long_short(top, bottom, name=f"{algo}-tb")
+    return AlgoPortfolios(top=top, bottom=bottom, spread=spread)
+
+
+def _alpha_cell(series: pf.PortfolioSeries, rf, factors) -> str:
+    reg = em.factor_alpha(series.dates, series.returns, rf, factors)
+    return cell(reg.coef[0] * 1e4, reg.t[0], reg.pvalues[0], digits=2)
+
+
+def _leg_row(series: pf.PortfolioSeries, rf, factors, cost_bps: float) -> str:
+    stats = pf.performance_stats(series, rf)
+    mean, t = _mean_tstat(np.asarray(series.returns) - em.rf_vector(rf, series.dates))
+    mean_txt = f"{mean * 1e4:.2f} ({t:.2f})"
+    alpha_txt = _alpha_cell(series, rf, factors) if factors else "-"
+    to_txt = net_txt = "-"
+    if series.turnover is not None:
+        net = pf.apply_costs(series, cost_bps=cost_bps)
+        net_txt = f"{np.mean(net.returns) * 1e4:.2f}"
+        to_txt = f"{np.mean(series.turnover):.3f}"
+    return (
+        f"{mean_txt:>18} {alpha_txt:>20} {stats.sharpe:>7.2f} "
+        f"{stats.max_quarter_loss:>10.3f} {to_txt:>9} {net_txt:>9}"
+    )
 
 
 def portfolio_table(
@@ -85,36 +117,16 @@ def portfolio_table(
     factors: Mapping[str, Mapping[dt.date, float]] | None,
     cost_bps: float,
 ) -> str:
-    lines = ["== portfolio performance (daily, bps) =="]
-    header = (
+    lines = [
+        "== portfolio performance (daily, bps) ==",
         f"{'algo':8} {'leg':7} {'mean':>18} {'alpha':>20} {'sharpe':>7} "
-        f"{'max1Qloss':>10} {'turnover':>9} {'net_mean':>9}"
-    )
-    lines.append(header)
+        f"{'max1Qloss':>10} {'turnover':>9} {'net_mean':>9}",
+    ]
     for algo in sorted(books):
         b = books[algo]
         for leg, series in (("top", b.top), ("bottom", b.bottom), ("t-b", b.spread)):
             rf_leg = rf if leg != "t-b" else 0.0
-            stats = pf.performance_stats(series, rf_leg)
-            excess = np.asarray(series.returns) - em.rf_vector(rf_leg, series.dates)
-            mean_bps, tstat = _mean_tstat(excess)
-            mean_bps *= 1e4
-            if factors:
-                reg = em.factor_alpha(series.dates, series.returns, rf_leg, factors)
-                alpha_txt = cell(reg.coef[0] * 1e4, reg.t[0], reg.pvalues[0], digits=2)
-            else:
-                alpha_txt = "-"
-            if series.turnover is not None:
-                net = pf.apply_costs(series, cost_bps=cost_bps)
-                net_txt = f"{np.mean(net.returns) * 1e4:.2f}"
-                to_txt = f"{np.mean(series.turnover):.3f}"
-            else:
-                net_txt, to_txt = "-", "-"
-            mean_txt = f"{mean_bps:.2f} ({tstat:.2f})"
-            lines.append(
-                f"{algo:8} {leg:7} {mean_txt:>18} {alpha_txt:>20} "
-                f"{stats.sharpe:>7.2f} {stats.max_quarter_loss:>10.3f} {to_txt:>9} {net_txt:>9}"
-            )
+            lines.append(f"{algo:8} {leg:7} " + _na(_leg_row, series, rf_leg, factors, cost_bps))
     return "\n".join(lines) + "\n"
 
 
@@ -128,35 +140,21 @@ def decile_table(
 ) -> str:
     """Per-decile alpha (mean excess when factors are absent), high to low."""
     algos = forecasts.algos()
-    rows = [f"{'decile':10}" + "".join(f" {a:>18}" for a in algos)]
-    cells: dict[tuple[int, str], str] = {}
-    spreads: dict[str, str] = {}
+    columns = []
     for algo in algos:
-        members: list[dict[dt.date, tuple[str, ...]]] = [dict() for _ in range(10)]
-        for date, by_asset in forecasts.by_date(algo).items():
-            try:
-                deciles = pf.rank_deciles(by_asset)
-            except pf.PortfolioError:
-                continue
-            for i, names in enumerate(deciles):
-                if names:
-                    members[i][date] = names
-        series_by_decile = []
-        for i in range(10):
-            series, _ = pf.build_series(members[i], returns, weighting, caps, name=f"{algo}-d{i+1}")
-            series_by_decile.append(series)
-        for i, series in enumerate(series_by_decile):
-            cells[(i, algo)] = _decile_cell(series, rf, factors)
-        try:
-            spread = pf.long_short(series_by_decile[9], series_by_decile[0], name=f"{algo}-hl")
-            spreads[algo] = _decile_cell(spread, 0.0, factors)
-        except pf.PortfolioError:
-            spreads[algo] = "n/a"
-    label = {9: "High (10)", 0: "Low (1)"}
-    for i in range(9, -1, -1):
-        name = label.get(i, str(i + 1))
-        rows.append(f"{name:10}" + "".join(f" {cells[(i, a)]:>18}" for a in algos))
-    rows.append(f"{'High - Low':10}" + "".join(f" {spreads[a]:>18}" for a in algos))
+        deciles = _books(
+            forecasts, algo, lambda f: pf.rank_deciles(f) if len(f) >= 10 else None,
+            [f"{algo}-d{i+1}" for i in range(10)], returns, weighting, caps,
+        )
+        high_low = lambda: _decile_cell(
+            pf.long_short(deciles[9], deciles[0], name=f"{algo}-hl"), 0.0, factors
+        )
+        cells = [_na(_decile_cell, s, rf, factors, reason=False) for s in reversed(deciles)]
+        columns.append(cells + [_na(high_low, reason=False)])
+    labels = ["High (10)", *(str(i) for i in range(9, 1, -1)), "Low (1)", "High - Low"]
+    rows = [f"{'decile':10}" + "".join(f" {a:>18}" for a in algos)]
+    for i, label in enumerate(labels):
+        rows.append(f"{label:10}" + "".join(f" {column[i]:>18}" for column in columns))
     return "== decile portfolios (alpha, bps) ==\n" + "\n".join(rows) + "\n"
 
 
@@ -164,8 +162,7 @@ def _decile_cell(series, rf, factors) -> str:
     if len(series) < 3:
         return "n/a"
     if factors:
-        reg = em.factor_alpha(series.dates, series.returns, rf, factors)
-        return cell(reg.coef[0] * 1e4, reg.t[0], reg.pvalues[0], digits=2)
+        return _alpha_cell(series, rf, factors)
     mean, t = _mean_tstat(np.asarray(series.returns) - em.rf_vector(rf, series.dates))
     return f"{mean * 1e4:.2f} ({t:.2f})" if not math.isinf(t) else f"{mean * 1e4:.2f}"
 
@@ -232,31 +229,18 @@ def importance_table(
         subset = [r for r in records if r.algo == algo]
         row = [f"{algo:8}"]
         for form in ("linear", "exp"):
-            try:
-                reg = em.importance_lag_regression(
-                    subset,
-                    form=form,
-                    positive_keys=positive_keys,
-                    scale=IMPORTANCE_REPORT_SCALE,
-                )
-            except em.RegressionError:
-                row.append(f"{form}: n/a")
-                continue
-            i_slope = 1
-            i_const = 0
-            slope = float(reg.coef[i_slope])
-            const = float(reg.coef[i_const])
-            try:
-                window = em.dissemination_window(const, slope, form)
-            except em.RegressionError:
-                window = -1
-            row.append(
-                f"{form}: slope {cell(reg.coef[i_slope], reg.t[i_slope], reg.pvalues[i_slope])}"
-                f" const {cell(reg.coef[i_const], reg.t[i_const], reg.pvalues[i_const])}"
-                f" window {window if window >= 0 else 'n/a'}w"
-            )
+            row.append(f"{form}: " + _na(_decay_cell, subset, form, positive_keys, reason=False))
         lines.append("  ".join(row))
     return "\n".join(lines) + "\n"
+
+
+def _decay_cell(records: Sequence[ImportanceRecord], form: str, positive_keys: set | None) -> str:
+    reg = em.importance_lag_regression(
+        records, form=form, positive_keys=positive_keys, scale=IMPORTANCE_REPORT_SCALE
+    )
+    const, slope = (cell(reg.coef[i], reg.t[i], reg.pvalues[i]) for i in (0, 1))
+    window = _na(em.dissemination_window, float(reg.coef[0]), float(reg.coef[1]), form, reason=False)
+    return f"slope {slope} const {const} window {window}w"
 
 
 def timing_table(
@@ -266,6 +250,11 @@ def timing_table(
     rf: Mapping[dt.date, float] | float,
     leverage: int,
 ) -> str:
+    body = _na(_timing_lines, forecasts, caps, index_returns, rf, leverage)
+    return f"== market timing ==\n{body}\n"
+
+
+def _timing_lines(forecasts, caps, index_returns, rf, leverage) -> str:
     prior_cap_at = _forecast_cells(forecasts, caps.rows_before)
     bottom_up: dict[str, dict[dt.date, float]] = {}
     for algo in forecasts.algos():
@@ -279,23 +268,19 @@ def timing_table(
     strategy = pf.market_timing(bottom_up, index_returns, upside_leverage=leverage)
     stats = pf.performance_stats(strategy, rf)
     mean, t = _mean_tstat(np.asarray(strategy.returns))
-    lines = [
-        "== market timing ==",
-        f"{leverage}x strategy: mean {mean * 1e4:.2f} bps (t {t:.2f}), "
-        f"sharpe {stats.sharpe:.2f}, max1Qloss {stats.max_quarter_loss:.3f}, "
-        f"turnover {stats.mean_turnover:.3f}",
-    ]
-    idx_dates = sorted(set(index_returns) & set(strategy.dates))
+    # market_timing keeps only dates the index has
     idx = pf.PortfolioSeries(
-        dates=idx_dates, returns=np.array([index_returns[d] for d in idx_dates]), name="index"
+        dates=strategy.dates, returns=np.array([index_returns[d] for d in strategy.dates])
     )
     idx_stats = pf.performance_stats(idx, rf)
     imean, it = _mean_tstat(np.asarray(idx.returns))
-    lines.append(
+    return (
+        f"{leverage}x strategy: mean {mean * 1e4:.2f} bps (t {t:.2f}), "
+        f"sharpe {stats.sharpe:.2f}, max1Qloss {stats.max_quarter_loss:.3f}, "
+        f"turnover {stats.mean_turnover:.3f}\n"
         f"index:        mean {imean * 1e4:.2f} bps (t {it:.2f}), "
         f"sharpe {idx_stats.sharpe:.2f}, max1Qloss {idx_stats.max_quarter_loss:.3f}"
     )
-    return "\n".join(lines) + "\n"
 
 
 def sparsity_table(sparsity: Mapping[str, float]) -> str:

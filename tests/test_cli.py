@@ -267,9 +267,9 @@ class TestReportCommand:
         assert main(["report", "--config", cfg2, "--out", str(out)]) == 0
         assert (out / "tables.txt").read_bytes() == first
 
-    def test_small_panel_portfolio_error_exits_one(self, tmp_path, capsys):
+    def test_small_panel_reports_na_rows(self, tmp_path, capsys):
         # the default fraction 0.05 needs >= 20 forecasts a day; with 10
-        # assets every selection is empty and the legs share no dates
+        # assets every selection is empty, so no portfolio leg has a return
         synth_cfg = write_cfg(
             tmp_path, SYNTH_CFG.replace("n_assets = 6", "n_assets = 10"), name="synth.txt"
         )
@@ -280,9 +280,12 @@ class TestReportCommand:
         text += f"hp.lasso.alpha = 1e-5\ndata.forecasts = {out}/forecasts.csv\n"
         cfg = write_cfg(tmp_path, text, data_dir=data)
         assert main(["radar", "--config", cfg, "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["report", "--config", cfg, "--out", str(out)]) == 1
-        assert "error: series have no dates in common" in capsys.readouterr().err
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+        tables = (out / "tables.txt").read_text()
+        for leg in ("top", "bottom", "t-b"):
+            assert f"lasso    {leg:7} n/a (need at least 2 observations)\n" in tables
+        for section in ("decile portfolios", "out-of-sample fit", "signal importance", "market timing"):
+            assert f"== {section}" in tables
 
     def test_missing_forecasts_exits_two(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)

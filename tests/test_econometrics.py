@@ -1,7 +1,10 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marketradar.econometrics import (
     R2Record,
@@ -21,6 +24,32 @@ from marketradar.panel import SignalId
 from marketradar.shapley import ImportanceRecord
 
 D = dt.date
+
+
+def reference_dissemination_window(intercept: float, slope: float, form: str = "linear") -> int:
+    """The week-by-week scan that ``dissemination_window`` replaced: the
+    oracle for its closed form wherever the scan ends within its limit."""
+    if slope >= 0:
+        raise RegressionError("no decay: slope must be negative")
+    if form == "linear":
+        g = lambda w: float(w)
+    elif form == "exp":
+        def g(w: int) -> float:
+            try:
+                return math.exp(w)
+            except OverflowError:
+                return math.inf
+    else:
+        raise RegressionError(f"unknown form {form!r}")
+    if intercept + slope * g(1) <= 0:
+        return 0
+    w = 1
+    limit = 10_000_000
+    while w < limit:
+        if intercept + slope * g(w + 1) <= 0:
+            return w
+        w += 1
+    raise RegressionError("window exceeds iteration limit")
 
 
 class TestR2Oos:
@@ -309,6 +338,44 @@ class TestDisseminationWindow:
         slopes = [-0.001, -0.01, -0.1, -1.0]
         windows = [dissemination_window(1.0, s, "exp") for s in slopes]
         assert windows == sorted(windows, reverse=True)
+
+    # linear slopes stay >= 1e-3 in size so the scan ends within 10^4 weeks;
+    # exp slopes may be as small as the smallest subnormal
+    @given(
+        intercept=st.floats(-10.0, 10.0),
+        size=st.floats(1e-3, 10.0),
+        exp_size=st.floats(5e-324, 10.0),
+    )
+    def test_closed_form_matches_scan(self, intercept, size, exp_size):
+        assert dissemination_window(intercept, -size, "linear") == (
+            reference_dissemination_window(intercept, -size, "linear")
+        )
+        assert dissemination_window(intercept, -exp_size, "exp") == (
+            reference_dissemination_window(intercept, -exp_size, "exp")
+        )
+
+    @given(weeks=st.integers(1, 10_000), size=st.floats(1e-3, 10.0))
+    def test_closed_form_matches_scan_on_whole_week_roots(self, weeks, size):
+        # intercept = weeks * size puts the linear root on (or a rounding
+        # away from) a whole week, where the last step decides
+        intercept = weeks * size
+        assert dissemination_window(intercept, -size, "linear") == (
+            reference_dissemination_window(intercept, -size, "linear")
+        )
+        intercept = math.exp(weeks % 700) * size
+        assert dissemination_window(intercept, -size, "exp") == (
+            reference_dissemination_window(intercept, -size, "exp")
+        )
+
+    @pytest.mark.parametrize("slope", [-2e-7, -1e-8, -1e-12])
+    def test_flat_linear_slope_answers_at_once(self, slope):
+        # the scan took seconds on these, and gave up on the flatter two
+        w = dissemination_window(1.0, slope, "linear")
+        assert 1.0 + slope * w > 0 >= 1.0 + slope * (w + 1)
+
+    def test_unrepresentable_window_errors(self):
+        with pytest.raises(RegressionError, match="no finite window"):
+            dissemination_window(1e300, -1e-10, "linear")
 
 
 class TestSparsityAndMonthly:

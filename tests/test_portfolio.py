@@ -132,6 +132,12 @@ class TestLongShortCombine:
         with pytest.raises(PortfolioError, match="common"):
             long_short(a, b)
 
+    def test_empty_books_give_empty_series(self):
+        # books that never held a member: nothing to align, nothing to report
+        empty = series([])
+        assert len(long_short(empty, empty)) == 0
+        assert len(combine([empty, empty])) == 0
+
     def test_combine_identity(self):
         s = series([0.01, 0.02])
         np.testing.assert_allclose(combine([s, s]).returns, s.returns)
