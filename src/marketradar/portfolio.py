@@ -198,9 +198,14 @@ def long_short(top: PortfolioSeries, bottom: PortfolioSeries, name: str = "") ->
 
 
 def combine(series_list: Sequence[PortfolioSeries], name: str = "comb") -> PortfolioSeries:
-    """Equal-weighted per-date mean of the member series' returns."""
+    """Equal-weighted per-date mean of the member series' returns.
+
+    A member with no dates (a book that never held a member) is left out;
+    when every member is empty, so is the result.
+    """
     if not series_list:
         raise PortfolioError("nothing to combine")
+    series_list = [s for s in series_list if len(s)] or series_list[:1]
     dates = _align(series_list)
     maps = [{d: r for d, r in zip(s.dates, s.returns)} for s in series_list]
     rets = np.array([np.mean([m[d] for m in maps]) for d in dates])

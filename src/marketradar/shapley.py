@@ -8,13 +8,26 @@ Per-signal importance takes its method from the fitted model: the tree
 algorithm for tree ensembles, the permutation estimator for networks, and
 |coefficient| for sparse linear fits, whose inputs are standardized.
 
-The tree method works leaf by leaf.  For an explained point x and one
-background row z, a leaf is reached by the spliced point iff every feature
-constrained on its path is satisfied by whichever of x/z supplies it, so
-the leaf's indicator game is determined by the counts a (features only x
-satisfies) and b (features only z satisfies).  Its exact Shapley weights
-have the closed forms (a-1)! b! / (a+b)! for members of the x-side and
--a! (b-1)! / (a+b)! for the z-side, which are precomputed in small tables.
+The tree method works on all leaves at once.  For an explained point x and
+one background row z, a leaf is reached by the spliced point iff every
+feature constrained on its path is satisfied by whichever of x/z supplies
+it, so the leaf's indicator game is fixed by the two pass patterns (bit k
+set iff the row satisfies the path's k-th constraint).  Its exact Shapley
+weights depend on the counts a (features only x satisfies) and b (features
+only z satisfies): (a-1)! b! / (a+b)! for members of the x-side and
+-a! (b-1)! / (a+b)! for the z-side.  Every leaf that constrains a feature is
+one row of an L x K slot table, K being the longest path; shorter paths are
+padded with (-inf, inf] slots, which every row passes, so a padded slot adds
+nothing and changes no other weight.  The background's patterns are counted
+per leaf with one bincount, the counts times one 2^K x (2^K * K) table of
+weights per (z-pattern, x-pattern, slot) give each leaf's gain per
+x-pattern and slot, and each explained row gathers its gains at its own
+patterns and scatters them onto its features with one more bincount.  No
+explained x background array is formed.  Leaves and rows go in blocks whose
+temporaries stay under ``_BLOCK_ELEMENTS`` elements; the leaf blocks depend
+on the model alone, so a row gets the same bits in any batch.  The table
+grows as 4^K, so an ensemble with paths over ``_MAX_TABLE_SLOTS`` features
+is attributed leaf by leaf over all (x, z) row pairs instead.
 
 The permutation estimator evaluates in batches.  For each sampled order it
 stacks the p spliced copies of the background (x spliced in on the first
@@ -31,6 +44,7 @@ n_permutations times as many spliced rows in memory.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +76,15 @@ BACKGROUND_CAP = 500
 # Permutations per explained row of the sampled estimator, unless the run
 # configures another count.
 SAMPLED_PERMUTATIONS = 8
+
+# The exact tree kernel works on blocks of leaves and rows whose temporaries
+# (rows x leaves x path slots, or leaves x patterns x slots) hold at most
+# this many elements each.
+_BLOCK_ELEMENTS = 1 << 18
+
+# Longest leaf path (in constrained features) served by the pass-pattern
+# tables, which hold 4^K * K weights; longer paths use the pairwise kernel.
+_MAX_TABLE_SLOTS = 8
 
 
 @dataclass(frozen=True)
@@ -175,14 +198,12 @@ def _shapley_weight_tables(max_count: int) -> tuple[np.ndarray, np.ndarray]:
     return only_x, only_z
 
 
-def tree_shap_batch(
+def _pairwise_tree_shap(
     model: TreeEnsembleModel,
     X: np.ndarray,
-    background: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Exact interventional attributions for every row of X at once."""
-    X = np.asarray(X, dtype=np.float64)
-    Z = _as_background(background)
+    Z: np.ndarray,
+) -> np.ndarray:
+    """Leaf-by-leaf kernel over all (explained, background) row pairs."""
     n, p = X.shape
     m = Z.shape[0]
     phi = np.zeros((n, p))
@@ -212,8 +233,111 @@ def tree_shap_batch(
                     1.0 - fx[:, i]
                 ) * (gain_z @ fz[:, i])
                 phi[:, f] += scale * contrib
+    return phi
 
+
+def _leaf_table(
+    model: TreeEnsembleModel,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(feature, low, high) as L x K slot arrays, plus weight x value per leaf.
+
+    Only leaves that constrain a feature are kept; K is the longest path.
+    Shorter paths are padded with (-inf, inf] slots on feature 0.
+    """
+    paths = [
+        (weight * value, feats, lows, highs)
+        for weight, tree in zip(model.tree_weights, model.trees)
+        for value, feats, lows, highs in _leaf_paths(tree)
+        if len(feats)
+    ]
+    lengths = np.array([len(path[1]) for path in paths], dtype=np.intp)
+    n_leaves, k = len(paths), int(lengths.max(initial=0))
+    feature = np.zeros((n_leaves, k), dtype=np.intp)
+    low = np.full((n_leaves, k), -np.inf)
+    high = np.full((n_leaves, k), np.inf)
+    if n_leaves:
+        leaf = np.repeat(np.arange(n_leaves), lengths)
+        slot = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        for column, target in enumerate((feature, low, high), start=1):
+            target[leaf, slot] = np.concatenate([path[column] for path in paths])
+    scale = np.array([path[0] for path in paths], dtype=np.float64)
+    return feature, low, high, scale
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_weights(k: int) -> np.ndarray:
+    """Shapley weight of each (z-pattern, x-pattern, slot) for a k-slot leaf.
+
+    Bit j of a pattern is set iff the row passes slot j.  The result is
+    shaped (2^k, 2^k * k): background pattern by (explained pattern, slot).
+    """
+    only_x, only_z = _shapley_weight_tables(k)
+    passes = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1 == 1
+    x, z = passes[None, :, :], passes[:, None, :]
+    x_side, z_side = x & ~z, ~x & z
+    a, b = x_side.sum(axis=-1), z_side.sum(axis=-1)
+    alive = ~np.any(~x & ~z, axis=-1)
+    weights = np.where(x_side, only_x[a, b][..., None], 0.0) + np.where(
+        z_side, only_z[a, b][..., None], 0.0
+    )
+    weights[~alive] = 0.0
+    weights = weights.reshape(1 << k, (1 << k) * k)
+    weights.flags.writeable = False
+    return weights
+
+
+def _pass_patterns(
+    rows: np.ndarray, feature: np.ndarray, low: np.ndarray, high: np.ndarray
+) -> np.ndarray:
+    """(rows, leaves) pass patterns of a block of at most 8-slot leaves."""
+    v = rows[:, feature]
+    passes = (v > low) & (v <= high)
+    return np.packbits(passes, axis=-1, bitorder="little")[..., 0].astype(np.intp)
+
+
+def tree_shap_batch(
+    model: TreeEnsembleModel,
+    X: np.ndarray,
+    background: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Exact interventional attributions for every row of X at once."""
+    X = np.asarray(X, dtype=np.float64)
+    Z = _as_background(background)
     base = float(np.mean(predict(model, Z)))
+    feature, low, high, scale = _leaf_table(model)
+    n_leaves, k = feature.shape
+    if k > _MAX_TABLE_SLOTS:
+        return _pairwise_tree_shap(model, X, Z), base
+
+    n, p = X.shape
+    phi = np.zeros((n, p))
+    if n_leaves == 0:
+        return phi, base
+    weights = _pattern_weights(k)
+    scale = scale / Z.shape[0]
+    # the leaf blocks depend on the model only, so each row's sum runs in the
+    # same order whatever the batch; rows are blocked to bound the memory
+    leaf_step = max(1, _BLOCK_ELEMENTS // (k << k))
+    for l0 in range(0, n_leaves, leaf_step):
+        blk = slice(l0, l0 + leaf_step)
+        f, lo, hi = feature[blk], low[blk], high[blk]
+        n_blk = len(f)
+        row_step = max(1, _BLOCK_ELEMENTS // (n_blk * k))
+        offsets = np.arange(n_blk) << k
+        counts = np.zeros(n_blk << k)
+        for r0 in range(0, len(Z), row_step):
+            cz = _pass_patterns(Z[r0 : r0 + row_step], f, lo, hi) + offsets
+            counts += np.bincount(cz.ravel(), minlength=n_blk << k)
+        gain = (counts.reshape(n_blk, 1 << k) @ weights).reshape(n_blk, 1 << k, k)
+        gain *= scale[blk, None, None]
+        for r0 in range(0, n, row_step):
+            cx = _pass_patterns(X[r0 : r0 + row_step], f, lo, hi)
+            rows = len(cx)
+            bins = f + p * np.arange(rows)[:, None, None]
+            values = gain[np.arange(n_blk), cx]
+            phi[r0 : r0 + rows] += np.bincount(
+                bins.ravel(), weights=values.ravel(), minlength=rows * p
+            ).reshape(rows, p)
     return phi, base
 
 

@@ -1,3 +1,4 @@
+import datetime as dt
 import os
 import subprocess
 import sys
@@ -286,6 +287,33 @@ class TestReportCommand:
             assert f"lasso    {leg:7} n/a (need at least 2 observations)\n" in tables
         for section in ("decile portfolios", "out-of-sample fit", "signal importance", "market timing"):
             assert f"== {section}" in tables
+
+    def test_comb_averages_the_algorithms_that_hold_a_book(self, tmp_path):
+        # at fraction 0.05 a day needs 20 forecasts: gb has 20 and lasso 19,
+        # so lasso's books stay empty and comb is gb's books alone
+        days = [dt.date(2020, 1, 6) + dt.timedelta(days=k) for k in range(5)]
+        assets = [f"A{i:02d}" for i in range(20)]
+        returns = "".join(
+            f"{day},{asset},{0.0001 * (i + 1) * (k + 1)!r}\n"
+            for k, day in enumerate(days)
+            for i, asset in enumerate(assets)
+        )
+        (tmp_path / "returns.csv").write_text("date,entity,value\n" + returns)
+        forecasts = "".join(
+            f"{day},{asset},{algo},{float(i)!r}\n"
+            for day in days
+            for algo, n in (("gb", 20), ("lasso", 19))
+            for i, asset in enumerate(assets[:n])
+        )
+        (tmp_path / "forecasts.csv").write_text("date,asset,algo,yhat\n" + forecasts)
+        text = f"data.returns = {tmp_path}/returns.csv\ndata.forecasts = {tmp_path}/forecasts.csv\n"
+        out = tmp_path / "run"
+        assert main(["report", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        rows = (out / "tables.txt").read_text().splitlines()
+        comb = [row for row in rows if row.startswith("comb ")]
+        gb = [row for row in rows if row.startswith("gb ")][:3]
+        assert len(comb) == 3 and "n/a" not in "".join(comb)
+        assert [row[5:] for row in comb] == [row[5:] for row in gb]
 
     def test_missing_forecasts_exits_two(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)

@@ -138,6 +138,13 @@ class TestLongShortCombine:
         assert len(long_short(empty, empty)) == 0
         assert len(combine([empty, empty])) == 0
 
+    def test_combine_leaves_out_empty_members(self):
+        s = series([0.01, 0.02], turnover_values=[0.0, 0.2])
+        c = combine([s, series([])])
+        assert c.dates == s.dates
+        np.testing.assert_array_equal(c.returns, s.returns)
+        np.testing.assert_array_equal(c.turnover, s.turnover)
+
     def test_combine_identity(self):
         s = series([0.01, 0.02])
         np.testing.assert_allclose(combine([s, s]).returns, s.returns)

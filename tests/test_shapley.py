@@ -1,8 +1,13 @@
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from marketradar import shapley
 
 from marketradar.learners import (
     BoostParams,
@@ -27,9 +32,58 @@ from marketradar.shapley import (
     sampled_shapley,
     tree_shap,
     tree_shap_batch,
+    _as_background,
+    _leaf_paths,
+    _shapley_weight_tables,
 )
 
 D = dt.date
+
+
+def reference_tree_shap_batch(model, X, background):
+    """The leaf-by-leaf kernel with three n x m matrices per leaf."""
+    X = np.asarray(X, dtype=np.float64)
+    Z = _as_background(background)
+    n, p = X.shape
+    m = Z.shape[0]
+    phi = np.zeros((n, p))
+
+    per_tree = [_leaf_paths(t) for t in model.trees]
+    max_depth = max(
+        (len(feats) for leaves in per_tree for _, feats, _, _ in leaves), default=0
+    )
+    w_only_x, w_only_z = _shapley_weight_tables(max_depth)
+
+    for weight, leaves in zip(model.tree_weights, per_tree):
+        for value, feats, lows, highs in leaves:
+            if len(feats) == 0:
+                continue  # constrains nothing: same contribution to every v(S)
+            px = (X[:, feats] > lows) & (X[:, feats] <= highs)
+            pz = (Z[:, feats] > lows) & (Z[:, feats] <= highs)
+            fx = px.astype(np.float64)
+            fz = pz.astype(np.float64)
+            a = np.rint(fx @ (1.0 - fz).T).astype(np.intp)
+            b = np.rint((1.0 - fx) @ fz.T).astype(np.intp)
+            alive = ((1.0 - fx) @ (1.0 - fz).T) < 0.5
+            gain_x = np.where(alive, w_only_x[a, b], 0.0)
+            gain_z = np.where(alive, w_only_z[a, b], 0.0)
+            scale = weight * value / m
+            for i, f in enumerate(feats):
+                contrib = fx[:, i] * (gain_x @ (1.0 - fz[:, i])) + (
+                    1.0 - fx[:, i]
+                ) * (gain_z @ fz[:, i])
+                phi[:, f] += scale * contrib
+
+    base = float(np.mean(predict(model, Z)))
+    return phi, base
+
+
+def assert_matches_reference(model, X, Z):
+    phi, base = tree_shap_batch(model, X, Z)
+    ref, ref_base = reference_tree_shap_batch(model, X, Z)
+    np.testing.assert_allclose(phi, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    assert base == ref_base
+    return phi
 
 
 def reference_sampled_shapley(f, x, background, n_permutations, seed):
@@ -211,6 +265,104 @@ class TestTreeShap:
         model = single_tree_model(leaf(1.0), 2)
         with pytest.raises(ValueError):
             tree_shap(model, np.zeros(2), np.zeros((0, 2)))
+
+
+def chain(features, value=1.0):
+    """A tree whose right spine splits once on each feature in turn."""
+    node = leaf(value)
+    for depth, f in enumerate(reversed(features)):
+        node = split(f, 0.1 * depth - 0.3, leaf(-float(depth)), node)
+    return node
+
+
+@st.composite
+def fitted_tree_cases(draw):
+    seed = draw(st.integers(0, 2**16))
+    n, p = draw(st.integers(20, 120)), draw(st.integers(2, 20))
+    m, depth = draw(st.integers(3, 80)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    y = X[:, 0] * X[:, -1] + rng.normal(size=n)
+    trees = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        params = ForestParams(n_estimators=trees, max_depth=depth, min_samples_leaf=2)
+        model = fit_random_forest(X, y, params, seed=seed)
+    else:
+        params = BoostParams(n_estimators=trees, max_depth=depth, min_samples_leaf=2)
+        model = fit_gradient_boosting(X, y, params, seed=seed)
+    return model, X, rng.normal(size=(m, p))
+
+
+class TestTreeShapKernel:
+    """The pass-pattern kernel against the leaf-by-leaf reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=fitted_tree_cases())
+    def test_matches_reference_on_fitted_ensembles(self, case):
+        assert_matches_reference(*case)
+
+    def test_mixed_depths_pad_to_the_deepest_path(self):
+        stump = split(1, 0.2, leaf(-1.0), leaf(0.5))
+        deep = split(0, 0.0, split(2, -0.5, leaf(1.0), leaf(2.0)),
+                     split(1, 0.3, leaf(-2.0), split(3, 0.1, leaf(0.7), leaf(-0.4))))
+        model = TreeEnsembleModel(
+            algo="gb", n_features=4, trees=[stump, deep, leaf(3.0)],
+            tree_weights=np.array([0.5, 0.25, 1.0]), base=0.1,
+        )
+        rng = np.random.default_rng(22)
+        X, Z = rng.normal(size=(30, 4)), rng.normal(size=(9, 4))
+        phi = assert_matches_reference(model, X, Z)
+        brute = brute_force_shapley(lambda M: predict(model, M), X[0], Z)
+        np.testing.assert_allclose(phi[0], brute.phi, atol=1e-12)
+
+    @pytest.mark.parametrize("depth", [8, 9])
+    def test_paths_at_and_past_the_table_limit(self, depth):
+        root = chain(list(range(depth)))
+        model = single_tree_model(root, depth)
+        rng = np.random.default_rng(depth)
+        X = rng.normal(size=(6, depth)) * 0.3
+        Z = rng.normal(size=(7, depth)) * 0.3
+        phi = assert_matches_reference(model, X, Z)
+        brute = brute_force_shapley(lambda M: predict(model, M), X[0], Z)
+        np.testing.assert_allclose(phi[0], brute.phi, atol=1e-12)
+
+    @pytest.mark.parametrize("budget", [shapley._BLOCK_ELEMENTS, 1 << 9])
+    def test_batch_rows_equal_single_row_calls(self, budget, monkeypatch):
+        monkeypatch.setattr(shapley, "_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(150, 8))
+        y = X[:, 0] - X[:, 1] * X[:, 2] + rng.normal(size=150)
+        model = fit_random_forest(X, y, ForestParams(n_estimators=30), seed=3)
+        phi, base = tree_shap_batch(model, X, X[:60])
+        for i in (0, 1, 77, 149):
+            single = tree_shap(model, X[i], X[:60])
+            np.testing.assert_array_equal(single.phi, phi[i])
+            assert single.base_value == base
+
+    def test_one_leaf_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(40, 6))
+        y = X[:, 0] * X[:, 1] + rng.normal(size=40)
+        model = fit_gradient_boosting(X, y, BoostParams(n_estimators=20), seed=4)
+        whole, base = tree_shap_batch(model, X, X[:25])
+        monkeypatch.setattr(shapley, "_BLOCK_ELEMENTS", 1)
+        blocked, blocked_base = tree_shap_batch(model, X, X[:25])
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
+        assert blocked_base == base
+
+    def test_peak_memory_on_a_default_forest(self):
+        # 252 rows x 20 signals is one training window at the paper's size
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(252, 20))
+        y = X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=252)
+        model = fit_random_forest(X, y, ForestParams(), seed=5)
+        tracemalloc.start()
+        try:
+            tree_shap_batch(model, X, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestSampledShapley:
