@@ -302,18 +302,24 @@ def build_signal_block(
 CONSTANT_SD_RTOL = 1e-12
 
 
+def negligible_sd(sd, values: np.ndarray):
+    """Whether each sample sd is at most ``CONSTANT_SD_RTOL`` times the
+    largest absolute value of its column of ``values`` (axis 0): the sd of a
+    series that is constant up to rounding."""
+    return sd <= CONSTANT_SD_RTOL * np.abs(values).max(axis=0, initial=0.0)
+
+
 def standardize(block: SignalBlock) -> tuple[SignalBlock, StandardizationStats]:
     """Scale each column to sample mean 0, sd 1; constant columns become 0.
 
-    A column is constant when its sample sd is at most ``CONSTANT_SD_RTOL``
-    times its largest absolute value; its sd is stored as 0, so it also
-    maps to 0 at prediction time.
+    A column is constant when ``negligible_sd`` says so; its sd is stored as
+    0, so it also maps to 0 at prediction time.
     """
     if block.n_rows < 2:
         raise PanelError("standardize needs at least 2 rows")
     mean = block.values.mean(axis=0)
     sd = block.values.std(axis=0, ddof=1)
-    sd[sd <= CONSTANT_SD_RTOL * np.abs(block.values).max(axis=0)] = 0.0
+    sd[negligible_sd(sd, block.values)] = 0.0
     stats = StandardizationStats(mean=mean, sd=sd)
     scaled = SignalBlock(
         rows=block.rows,

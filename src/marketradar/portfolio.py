@@ -19,7 +19,7 @@ import numpy as np
 
 from .econometrics import rf_vector
 from .errors import MarketRadarError
-from .panel import ReturnPanel
+from .panel import ReturnPanel, negligible_sd
 from .trading_calendar import Quarter, quarter_of
 
 
@@ -250,7 +250,7 @@ def performance_stats(
         raise PortfolioError("need at least 2 observations")
     excess = np.asarray(series.returns) - rf_vector(rf, series.dates)
     sd = float(excess.std(ddof=1))
-    if sd == 0.0:
+    if negligible_sd(sd, excess):
         raise PortfolioError("zero volatility")
     sharpe = float(excess.mean()) / sd * math.sqrt(TRADING_DAYS_PER_YEAR)
 

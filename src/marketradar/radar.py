@@ -2,16 +2,27 @@
 trailing window, forecast the following quarter, and merge results in
 deterministic key order regardless of parallelism.
 
+The unit of work is one task, except for the sparse linear algorithms
+(``GROUPED_ALGOS``): their tasks of one training quarter form one group.
+Signals depend only on the date, so every asset with the same trading days
+in the window has the same design matrix.  A group assembles each asset's
+window, standardizes once per set of row dates, solves all of a set's
+targets in one multi-target coordinate descent (one row per asset, bit for
+bit the fit the asset would get alone), and then finishes each task on its
+own: prediction block, forecast, sparsity and importance.  Tuning solves
+the trials of one stock-quarter the same way, one row per trial.
+
 Each task derives its own seed from a stable hash of (base seed, asset,
 training quarter, algorithm), so partial re-runs and any worker count
-reproduce identical output.  With more than one worker, tasks run in chunks
-on forked worker processes (POSIX only), which inherit the panels instead
-of receiving them pickled.  Stock-quarters whose window is too small are
-recorded as skips, and tasks whose fit, prediction or attribution raises a
-library error as failures, never silently dropped: downstream summary
-denominators need them, and one degenerate task does not end the run.
-Tasks are labeled by the quarter they forecast, which keys forecasts, fit
-records, and importances consistently.
+reproduce identical output.  With more than one worker, units of work run in
+chunks on forked worker processes (POSIX only), which inherit the panels
+instead of receiving them pickled; a group is never split across workers.
+Stock-quarters whose window is too small are recorded as skips, and tasks
+whose fit, prediction or attribution raises a library error as failures,
+never silently dropped: downstream summary denominators need them, and one
+degenerate task, such as one target of a group at the sweep cap, does not
+end the run or its group.  Tasks are labeled by the quarter they forecast,
+which keys forecasts, fit records, and importances consistently.
 """
 from __future__ import annotations
 
@@ -56,7 +67,11 @@ from .trading_calendar import (
 
 # Tasks a worker process takes at a time: few enough round trips to amortize
 # pickling results, small enough chunks to balance slow and fast algorithms.
+# A group of tasks is never split, so a larger group is a chunk of its own.
 TASK_CHUNK = 4
+
+# Algorithms whose tasks of one training quarter are fitted as one group.
+GROUPED_ALGOS = ("lasso", "enet")
 
 
 class RadarError(MarketRadarError, ValueError):
@@ -229,6 +244,26 @@ def _fit_model(algo: str, block: SignalBlock, params, seed: int):
     return learners.fit_nn(X, y, params, seed, stats=stats)
 
 
+def _training_window(
+    assets: ReturnPanel,
+    sources: ReturnPanel,
+    calendar: TradingCalendar,
+    asset: str,
+    train_quarter: Quarter,
+    config: RadarConfig,
+) -> SignalBlock:
+    return assemble_training_window(
+        assets,
+        sources,
+        calendar,
+        asset,
+        train_quarter,
+        lags=config.lags,
+        window_quarters=config.window_quarters,
+        min_rows=config.min_train_rows,
+    )
+
+
 def train_predict_stock_quarter(
     assets: ReturnPanel,
     sources: ReturnPanel,
@@ -237,35 +272,36 @@ def train_predict_stock_quarter(
     train_quarter: Quarter,
     algo: str,
     config: RadarConfig,
+    *,
+    prefit: tuple[SignalBlock, learners.LinearModel | MarketRadarError] | None = None,
 ) -> TaskResult:
     """Fit on the trailing window ending at ``train_quarter`` and forecast
     every trading day of the asset in the next quarter.
 
     A window below ``min_train_rows`` comes back as a skip.  A library error
     from the fit, the prediction block, the prediction or the attribution
-    comes back as a failure that carries only its reason.
+    comes back as a failure that carries only its reason.  ``prefit`` is the
+    task's window and its fit, or the error of its fit, from a quarter
+    group's joint solve; the task then only predicts and attributes.
     """
     forecast_quarter = shift_quarter(train_quarter, 1)
     result = TaskResult(asset, train_quarter, forecast_quarter, algo)
-    try:
-        block = assemble_training_window(
-            assets,
-            sources,
-            calendar,
-            asset,
-            train_quarter,
-            lags=config.lags,
-            window_quarters=config.window_quarters,
-            min_rows=config.min_train_rows,
-        )
-    except WindowTooSmall as exc:
-        result.skip_reason = str(exc)
-        return result
+    if prefit is not None:
+        block, fit = prefit
+    else:
+        try:
+            block = _training_window(assets, sources, calendar, asset, train_quarter, config)
+        except WindowTooSmall as exc:
+            result.skip_reason = str(exc)
+            return result
+        fit = None
 
     seed = task_seed(config.seed, asset, train_quarter, algo)
     params = config.params_for(algo)
     try:
-        model = _fit_model(algo, block, params, seed)
+        if isinstance(fit, MarketRadarError):
+            raise fit
+        model = fit if fit is not None else _fit_model(algo, block, params, seed)
         result.model = model
         result.window_dates = (block.rows[0][1], block.rows[-1][1])
 
@@ -293,6 +329,59 @@ def train_predict_stock_quarter(
     except MarketRadarError as exc:
         return TaskResult(asset, train_quarter, forecast_quarter, algo, fail_reason=str(exc))
     return result
+
+
+def _fit_jointly(
+    block: SignalBlock, targets: np.ndarray, params: Sequence
+) -> list[learners.LinearModel | MarketRadarError]:
+    """One sparse linear fit per row of ``targets`` on ``block``'s
+    standardized design, or for every row the library error of the
+    standardization or the solve."""
+    try:
+        scaled, stats = standardize(block)
+        return learners.fit_penalized_targets(scaled.values, targets, params, stats=stats)
+    except MarketRadarError as exc:
+        return [exc] * len(targets)
+
+
+def _run_group(
+    assets: ReturnPanel,
+    sources: ReturnPanel,
+    calendar: TradingCalendar,
+    train_quarter: Quarter,
+    algo: str,
+    group: Sequence[str],
+    config: RadarConfig,
+) -> list[TaskResult]:
+    """The ``algo`` tasks of ``group``'s assets at ``train_quarter``, with one
+    standardization and one multi-target fit per set of window row dates."""
+    results: dict[str, TaskResult] = {}
+    by_dates: dict[tuple[dt.date, ...], list[tuple[str, SignalBlock]]] = {}
+    for asset in group:
+        try:
+            block = _training_window(assets, sources, calendar, asset, train_quarter, config)
+        except WindowTooSmall:
+            # the task assembles its window again and records the skip
+            results[asset] = train_predict_stock_quarter(
+                assets, sources, calendar, asset, train_quarter, algo, config
+            )
+            continue
+        members = by_dates.setdefault(tuple(d for _, d in block.rows), [])
+        if members:
+            # signals depend on the date alone: the set keeps one values array
+            block.values = members[0][1].values
+        members.append((asset, block))
+
+    params = config.params_for(algo)
+    for members in by_dates.values():
+        targets = np.stack([block.target for _, block in members])
+        fits = _fit_jointly(members[0][1], targets, [params] * len(members))
+        for (asset, block), fit in zip(members, fits):
+            results[asset] = train_predict_stock_quarter(
+                assets, sources, calendar, asset, train_quarter, algo, config,
+                prefit=(block, fit),
+            )
+    return [results[asset] for asset in group]
 
 
 def enumerate_tasks(
@@ -328,15 +417,48 @@ def _init_worker(*inputs) -> None:
     _worker_inputs = inputs
 
 
-def _run_task(task: tuple[str, Quarter, str], inputs: TaskInputs | None = None) -> TaskResult:
-    """Run one task on ``inputs``, or in a worker on the inputs its
-    initializer set.  The fitted model is dropped: nothing after the merge
-    reads it, and a worker would pickle it back."""
+# A unit of work: the assets of one (training quarter, algo) group, or the
+# one asset of a task that runs alone.
+WorkUnit = tuple[Quarter, str, list[str]]
+
+
+def _work_chunks(tasks: Sequence[tuple[str, Quarter, str]]) -> list[list[WorkUnit]]:
+    """Units of work in the order of their first task, packed into chunks of
+    at most ``TASK_CHUNK`` tasks; a group larger than that is its own chunk."""
+    units: dict[tuple, WorkUnit] = {}
+    for asset, quarter, algo in tasks:
+        key = (quarter, algo) if algo in GROUPED_ALGOS else (asset, quarter, algo)
+        units.setdefault(key, (quarter, algo, []))[2].append(asset)
+    chunks: list[list[WorkUnit]] = []
+    size = TASK_CHUNK
+    for unit in units.values():
+        if size + len(unit[2]) > TASK_CHUNK:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(unit)
+        size += len(unit[2])
+    return chunks
+
+
+def _run_chunk(chunk: list[WorkUnit], inputs: TaskInputs | None = None) -> list[TaskResult]:
+    """Run a chunk's units on ``inputs``, or in a worker on the inputs its
+    initializer set.  Fitted models are dropped: nothing after the merge
+    reads them, and a worker would pickle them back."""
     assets, sources, calendar, config = inputs or _worker_inputs
-    asset, quarter, algo = task
-    result = train_predict_stock_quarter(assets, sources, calendar, asset, quarter, algo, config)
-    result.model = None
-    return result
+    results = []
+    for quarter, algo, group in chunk:
+        if algo in GROUPED_ALGOS:
+            done = _run_group(assets, sources, calendar, quarter, algo, group, config)
+        else:
+            done = [
+                train_predict_stock_quarter(
+                    assets, sources, calendar, group[0], quarter, algo, config
+                )
+            ]
+        for result in done:
+            result.model = None
+        results.extend(done)
+    return results
 
 
 def run_radar(
@@ -353,7 +475,8 @@ def run_radar(
 
     start = time.perf_counter()
     inputs = (assets, sources, cal, config)
-    workers = min(config.threads, math.ceil(len(tasks) / TASK_CHUNK))
+    chunks = _work_chunks(tasks)
+    workers = min(config.threads, len(chunks))
     if workers > 1:
         # Imported here: the serial path and the other CLI steps then do
         # without multiprocessing (about 0.4 MB of peak RSS at start-up).
@@ -367,11 +490,11 @@ def run_radar(
                 initializer=_init_worker,
                 initargs=inputs,
             ) as pool:
-                results = list(pool.map(_run_task, tasks, chunksize=TASK_CHUNK))
+                results = [r for part in pool.map(_run_chunk, chunks) for r in part]
         except BrokenProcessPool as exc:
             raise RadarError(f"worker process died: {exc}") from exc
     else:
-        results = [_run_task(t, inputs) for t in tasks]
+        results = [r for chunk in chunks for r in _run_chunk(chunk, inputs)]
 
     results.sort(key=lambda r: (r.asset, r.train_quarter, r.algo))
     frows: list[ForecastRow] = []
@@ -490,6 +613,30 @@ class SearchDim:
         return float(min(max(value, self.lo), self.hi))
 
 
+def _trial_fits(
+    assets: ReturnPanel,
+    sources: ReturnPanel,
+    calendar: TradingCalendar,
+    asset: str,
+    quarter: Quarter,
+    algo: str,
+    trial_params: Sequence,
+    config: RadarConfig,
+) -> list[tuple[SignalBlock, learners.LinearModel | MarketRadarError] | None]:
+    """The ``prefit`` of each tuning trial of one stock-quarter.  The trials
+    of a sparse linear algorithm share one window, one standardization and
+    one joint solve; other algorithms and a window too small give None, and
+    each trial's task then fits, or records the skip, on its own."""
+    if algo not in GROUPED_ALGOS or not trial_params:
+        return [None] * len(trial_params)
+    try:
+        block = _training_window(assets, sources, calendar, asset, quarter, config)
+    except WindowTooSmall:
+        return [None] * len(trial_params)
+    targets = np.tile(block.target, (len(trial_params), 1))
+    return [(block, fit) for fit in _fit_jointly(block, targets, trial_params)]
+
+
 def tune_hyperparameters(
     assets: ReturnPanel,
     sources: ReturnPanel,
@@ -506,7 +653,9 @@ def tune_hyperparameters(
     random searches on sampled stock-quarters.
 
     Each sampled (asset, quarter) gets ``budget`` random configurations;
-    the one with the lowest next-quarter squared forecast error wins.  The
+    the one with the lowest next-quarter squared forecast error wins.  Each
+    configuration is one ``train_predict_stock_quarter`` task; lasso and
+    elastic-net configurations of one stock-quarter are fitted jointly.  The
     tuning sample must predate the evaluation period; restrict it with
     ``quarters`` when tuning and evaluation share a panel.
     """
@@ -534,18 +683,23 @@ def tune_hyperparameters(
     for task_no, ci in enumerate(chosen_idx):
         asset, q = candidates[int(ci)]
         rng = np.random.default_rng(task_seed(seed, asset, q, f"tune-{algo}-{task_no}"))
-        best_err = math.inf
-        best_cfg: dict[str, float] | None = None
+        trials = []
         for _ in range(budget):
             cfg = {d: space[d].sample(rng) for d in dims}
             try:
-                params = hp.params_from_mapping(algo, cfg)
+                trials.append((cfg, hp.params_from_mapping(algo, cfg)))
             except hp.HyperparameterError:
                 continue
+        prefits = _trial_fits(assets, sources, cal, asset, q, algo, [p for _, p in trials], base)
+        best_err = math.inf
+        best_cfg: dict[str, float] | None = None
+        for (cfg, params), prefit in zip(trials, prefits):
             task_cfg = replace(
                 base, algorithms=(algo,), hyperparameters={algo: params}, importance=False
             )
-            result = train_predict_stock_quarter(assets, sources, cal, asset, q, algo, task_cfg)
+            result = train_predict_stock_quarter(
+                assets, sources, cal, asset, q, algo, task_cfg, prefit=prefit
+            )
             if result.skipped or not result.forecasts:
                 continue
             realized = assets.rows([d for d, _ in result.forecasts], [asset])[:, 0]

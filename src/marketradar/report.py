@@ -17,7 +17,7 @@ import numpy as np
 from . import econometrics as em
 from . import portfolio as pf
 from .errors import MarketRadarError
-from .panel import ReturnPanel
+from .panel import ReturnPanel, negligible_sd
 from .radar import ForecastTable
 from .shapley import IMPORTANCE_REPORT_SCALE, ImportanceRecord
 from .trading_calendar import quarter_of
@@ -41,8 +41,9 @@ def _mean_tstat(values: np.ndarray) -> tuple[float, float]:
     n = len(values)
     mean = float(values.mean())
     sd = float(values.std(ddof=1)) if n > 1 else 0.0
-    t = mean / (sd / math.sqrt(n)) if sd > 0 else math.inf * np.sign(mean)
-    return mean, t
+    if negligible_sd(sd, values):
+        return mean, math.inf * np.sign(mean)
+    return mean, mean / (sd / math.sqrt(n))
 
 
 @dataclass

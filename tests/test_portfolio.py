@@ -237,6 +237,14 @@ class TestCostsAndStats:
         with pytest.raises(PortfolioError, match="volatility"):
             performance_stats(s, 0.0)
 
+    def test_constant_up_to_rounding_is_zero_volatility(self):
+        # a long-short spread of 0.001*i + 0.0001*day legs: 0.018 every day
+        # up to rounding, with a sample sd of that rounding (~1e-18)
+        returns = [(0.019 + 0.0001 * k) - (0.001 + 0.0001 * k) for k in range(5)]
+        assert np.std(returns, ddof=1) > 0.0
+        with pytest.raises(PortfolioError, match="zero volatility"):
+            performance_stats(series(returns), 0.0)
+
     def test_alternating_returns_zero_sharpe(self):
         s = series([0.01, -0.01] * 30)
         stats = performance_stats(s, 0.0)

@@ -1,12 +1,21 @@
 import concurrent.futures.process
 import datetime as dt
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from marketradar import radar
-from marketradar.learners import LassoParams, NetParams
-from marketradar.panel import ReturnPanel
+from marketradar.learners import (
+    ElasticNetParams,
+    LassoParams,
+    LinearModel,
+    NetParams,
+    fit_penalized_targets,
+    linear,
+)
+from marketradar.panel import PanelError, ReturnPanel, standardize
 from marketradar.radar import (
     ForecastRow,
     ForecastTable,
@@ -22,7 +31,7 @@ from marketradar.radar import (
     read_importance_csv,
 )
 from marketradar.synth import ScenarioSpec, generate
-from marketradar.trading_calendar import quarter_of, shift_quarter
+from marketradar.trading_calendar import format_quarter, quarter_of, shift_quarter
 
 D = dt.date
 
@@ -307,16 +316,167 @@ class TestWorkerPool:
         real = radar.train_predict_stock_quarter
         test_pid = os.getpid()
 
-        def dies_on_one_asset(assets, sources, calendar, asset, quarter, algo, config):
+        def dies_on_one_asset(assets, sources, calendar, asset, quarter, algo, config, **kw):
             if asset == "A003" and os.getpid() != test_pid:
                 os._exit(3)
-            return real(assets, sources, calendar, asset, quarter, algo, config)
+            return real(assets, sources, calendar, asset, quarter, algo, config, **kw)
 
         # forked workers inherit the patched module attribute
         monkeypatch.setattr(radar, "train_predict_stock_quarter", dies_on_one_asset)
         sc = small_scenario
         with pytest.raises(RadarError, match="worker process died"):
             run_radar(sc.assets, sc.markets, small_config(threads=2))
+
+
+def forecast_lines(table: ForecastTable, tmp_path, name: str) -> list[str]:
+    path = tmp_path / name
+    table.to_csv(path)
+    return path.read_text().splitlines()
+
+
+def without_records(panel: ReturnPanel, drop) -> ReturnPanel:
+    """``panel`` less the (date, entity) observations for which ``drop`` holds."""
+    rows = []
+    for e in panel.entity_ids:
+        s = panel.series(e)
+        rows.extend(
+            (dt.date.fromordinal(int(o)), e, float(v))
+            for o, v in zip(s.ordinals, s.values)
+            if not drop(dt.date.fromordinal(int(o)), e)
+        )
+    return ReturnPanel.from_records(rows)
+
+
+class TestQuarterGroups:
+    """Lasso and elastic-net tasks of one training quarter are fitted jointly."""
+
+    @pytest.mark.parametrize(
+        "algo, params", [("lasso", LassoParams(alpha=1e-5)), ("enet", ElasticNetParams(1e-4, 0.5))]
+    )
+    def test_group_members_equal_their_lone_tasks(self, small_scenario, algo, params):
+        sc = small_scenario
+        cfg = small_config(algorithms=(algo,), hyperparameters={algo: params})
+        table, imps, report = run_radar(sc.assets, sc.markets, cfg)
+        assert report.n_completed == 8
+        alone_rows, alone_imps = [], []
+        for asset, q, a in enumerate_tasks(sc.assets, sc.calendar(), cfg):
+            r = train_predict_stock_quarter(sc.assets, sc.markets, sc.calendar(), asset, q, a, cfg)
+            alone_rows.extend(ForecastRow(d, asset, a, v) for d, v in r.forecasts)
+            alone_imps.extend(r.importances)
+        assert table.rows == ForecastTable(alone_rows).rows
+        assert sorted(imps, key=repr) == sorted(alone_imps, key=repr)
+
+    def test_own_row_dates_leave_the_others_unchanged(self, tmp_path, small_scenario):
+        # A001 misses one training day, so it forms a row-date set of its own
+        sc = small_scenario
+        gap = sc.assets.dates()[100]
+        missing_day = without_records(sc.assets, lambda d, e: e == "A001" and d == gap)
+        without_a001 = without_records(sc.assets, lambda d, e: e == "A001")
+        outputs = []
+        for threads in (1, 2):
+            table, _, report = run_radar(missing_day, sc.markets, small_config(threads=threads))
+            assert report.n_completed == 8
+            outputs.append(forecast_lines(table, tmp_path, f"f{threads}.csv"))
+        assert outputs[0] == outputs[1]
+        others, _, _ = run_radar(without_a001, sc.markets, small_config())
+        assert [line for line in outputs[0] if ",A001," not in line] == forecast_lines(
+            others, tmp_path, "others.csv"
+        )
+        assert any(",A001," in line for line in outputs[0])
+
+    def test_target_at_the_sweep_cap_fails_alone(self, tmp_path, monkeypatch, small_scenario):
+        sc = small_scenario
+        params = LassoParams(alpha=1e-4)
+        cfg = small_config(hyperparameters={"lasso": params})
+        cal = sc.assets.calendar()
+        # sweeps each task's target needs: the smallest cap it converges under
+        needed = {}
+        for q in sorted({q for _, q, _ in enumerate_tasks(sc.assets, cal, cfg)}):
+            blocks = [
+                radar.assemble_training_window(
+                    sc.assets, sc.markets, cal, a, q, cfg.lags, cfg.window_quarters,
+                    cfg.min_train_rows,
+                )
+                for a in sc.assets.entity_ids
+            ]
+            X = standardize(blocks[0])[0].values
+            Y = np.stack([b.target for b in blocks])
+            cap = 0
+            while any((a, q) not in needed for a in sc.assets.entity_ids):
+                cap += 1
+                with monkeypatch.context() as patch:
+                    patch.setattr(linear, "CD_MAX_SWEEPS", cap)
+                    fits = fit_penalized_targets(X, Y, [params] * len(Y))
+                for asset, fit in zip(sc.assets.entity_ids, fits):
+                    if isinstance(fit, LinearModel):
+                        needed.setdefault((asset, q), cap)
+        second, slowest = sorted(needed.values())[-2:]
+        assert second < slowest  # one task alone needs the most sweeps
+        (failing,) = [key for key, n in needed.items() if n == slowest]
+
+        full, _, _ = run_radar(sc.assets, sc.markets, cfg)
+        monkeypatch.setattr(linear, "CD_MAX_SWEEPS", slowest - 1)
+        table, _, report = run_radar(sc.assets, sc.markets, cfg)
+        asset, q = failing
+        assert report.failures == [
+            (asset, format_quarter(shift_quarter(q, 1)), "lasso",
+             f"coordinate descent did not converge in {slowest - 1} sweeps"),
+        ]
+        assert report.to_text().count("\nfail ") == 1
+        assert report.n_completed == 7
+        kept = [
+            r for r in full.rows
+            if (r.asset, quarter_of(r.date)) != (asset, shift_quarter(q, 1))
+        ]
+        assert table.rows == kept
+
+    def test_group_error_fails_its_members_only(self, monkeypatch, small_scenario):
+        real = radar.standardize
+
+        def fails_in_2016q4(block):
+            if quarter_of(block.rows[-1][1]) == (2016, 4):
+                raise PanelError("no spread")
+            return real(block)
+
+        monkeypatch.setattr(radar, "standardize", fails_in_2016q4)
+        sc = small_scenario
+        table, _, report = run_radar(sc.assets, sc.markets, small_config())
+        assert [(f[1], f[3]) for f in report.failures] == [("2017Q1", "no spread")] * 4
+        assert report.n_completed == 4
+        assert {quarter_of(r.date) for r in table.rows} == {(2017, 2)}
+
+    def test_tracemalloc_peak_of_a_wide_quarter(self):
+        # 100 assets share one design matrix: the group keeps one values
+        # array for all of them, not one per asset (that would add ~16 MB)
+        sc = generate(
+            ScenarioSpec(n_assets=100, n_markets=20, n_quarters=5, noise_sd=0.005, seed=3)
+        )
+        cfg = RadarConfig(algorithms=("lasso",))
+        tracemalloc.start()
+        try:
+            _, _, report = run_radar(sc.assets, sc.markets, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_completed == 100
+        assert peak <= 10 * 2**20
+
+    def test_chunks_keep_groups_whole(self):
+        tasks = [
+            (f"A{i}", q, algo)
+            for i in range(6) for q in [(2016, 4), (2017, 1)] for algo in ("lasso", "gb")
+        ]
+        chunks = radar._work_chunks(tasks)
+        units = [unit for chunk in chunks for unit in chunk]
+        assert sorted((q, algo, a) for q, algo, group in units for a in group) == sorted(
+            (q, algo, a) for a, q, algo in tasks
+        )
+        groups = [group for _, algo, group in units if algo == "lasso"]
+        assert groups == [[f"A{i}" for i in range(6)]] * 2
+        assert all(len(group) == 1 for _, algo, group in units if algo == "gb")
+        for chunk in chunks:
+            size = sum(len(group) for _, _, group in chunk)
+            assert size <= radar.TASK_CHUNK or len(chunk) == 1
 
 
 class TestForecastTable:
@@ -377,6 +537,58 @@ class TestTuning:
             sc.assets, sc.markets, "lasso", space, n_tasks=4, budget=20, seed=5, config=cfg,
         )
         assert tuned.alpha == pytest.approx(1e-7)
+
+    @pytest.mark.parametrize(
+        "algo, space",
+        [
+            ("lasso", {"alpha": SearchDim(kind="loguniform", lo=1e-6, hi=1e-1)}),
+            (
+                "enet",
+                {
+                    "alpha": SearchDim(kind="loguniform", lo=1e-6, hi=1e-1),
+                    "l1_ratio": SearchDim(kind="uniform", lo=0.0, hi=1.0),
+                },
+            ),
+        ],
+    )
+    def test_trials_of_a_stock_quarter_are_fitted_jointly(
+        self, monkeypatch, small_scenario, algo, space
+    ):
+        # every trial still runs as one task, with the fit its own
+        # parameters give alone
+        sc = small_scenario
+        real = radar.train_predict_stock_quarter
+
+        def trials(grouped):
+            seen = []
+
+            def recording(*args, **kw):
+                result = real(*args, **kw)
+                seen.append((kw.get("prefit") is not None, args[6].params_for(algo), result))
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(radar, "train_predict_stock_quarter", recording)
+                if not grouped:
+                    patch.setattr(radar, "GROUPED_ALGOS", ())
+                tuned = tune_hyperparameters(
+                    sc.assets, sc.markets, algo, space, n_tasks=3, budget=5, seed=4,
+                    config=small_config(algorithms=(algo,)),
+                )
+            return tuned, seen
+
+        tuned, joint = trials(grouped=True)
+        alone_tuned, alone = trials(grouped=False)
+        assert tuned == alone_tuned
+        assert len(joint) == len(alone) == 15
+        assert all(prefit for prefit, _, _ in joint)
+        assert not any(prefit for prefit, _, _ in alone)
+        for (_, params, a), (_, alone_params, b) in zip(joint, alone):
+            assert params == alone_params
+            assert a.forecasts == b.forecasts and a.forecasts
+            assert a.model.hyper == params
+            assert a.model.intercept == b.model.intercept
+            assert np.array_equal(a.model.coef, b.model.coef)
 
     def test_median_snaps_to_valid_int(self):
         dim = SearchDim(kind="int", lo=1, hi=9)

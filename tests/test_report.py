@@ -66,6 +66,23 @@ class TestDecileTable:
         with_short_day = rp.decile_table(forecasts({**full, DAYS[4]: 9}), panel, 0.0, None)
         assert with_short_day == table
 
+    def test_high_low_of_a_constant_spread_prints_no_t_statistic(self):
+        # 20 assets earning 0.001*i + 0.0001*day over 5 days: High - Low is
+        # 0.018 every day up to rounding, whose t-statistic printed as ~1e16
+        days, assets = DAYS[:5], [f"B{i:02d}" for i in range(20)]
+        panel = ReturnPanel.from_records(
+            [
+                (d, a, 0.001 * i + 0.0001 * k)
+                for k, d in enumerate(days)
+                for i, a in enumerate(assets)
+            ]
+        )
+        table = ForecastTable(
+            [ForecastRow(d, a, "lasso", float(i)) for d in days for i, a in enumerate(assets)]
+        )
+        high_low = rp.decile_table(table, panel, 0.0, None).splitlines()[-1]
+        assert high_low.split() == ["High", "-", "Low", "180.00"]
+
     def test_high_low_is_na_when_the_deciles_share_no_dates(self):
         table = rp.decile_table(forecasts({d: 9 for d in DAYS[:4]}), returns(), 0.0, None)
         assert table.splitlines()[-1].split() == ["High", "-", "Low", "n/a"]
