@@ -2,27 +2,29 @@
 trailing window, forecast the following quarter, and merge results in
 deterministic key order regardless of parallelism.
 
-The unit of work is one task, except for the sparse linear algorithms
-(``GROUPED_ALGOS``): their tasks of one training quarter form one group.
-Signals depend only on the date, so every asset with the same trading days
-in the window has the same design matrix.  A group assembles each asset's
-window, standardizes once per set of row dates, solves all of a set's
-targets in one multi-target coordinate descent (one row per asset, bit for
-bit the fit the asset would get alone), and then finishes each task on its
-own: prediction block, forecast, sparsity and importance.  Tuning solves
-the trials of one stock-quarter the same way, one row per trial.
+Tasks run in units of work, one ``_run_unit`` call each: a list of
+``(asset, config)`` tasks that share a training quarter and an algorithm.
+Outside the sparse linear algorithms (``GROUPED_ALGOS``) a unit is one task.
+For lasso and elastic net, a run's unit is every asset of one training
+quarter, and a tuning unit is every trial of one sampled stock-quarter.
+Signals depend only on the date, so every task with the same trading days
+in the window has the same design matrix.  A unit assembles one window per
+distinct asset, standardizes once per set of row dates, solves all of a
+set's targets in one multi-target coordinate descent (one row per task, bit
+for bit the fit the task would get alone), and then finishes each task on
+its own: prediction block, forecast, sparsity and importance.
 
 Each task derives its own seed from a stable hash of (base seed, asset,
 training quarter, algorithm), so partial re-runs and any worker count
 reproduce identical output.  With more than one worker, units of work run in
 chunks on forked worker processes (POSIX only), which inherit the panels
-instead of receiving them pickled; a group is never split across workers.
+instead of receiving them pickled; a unit is never split across workers.
 Stock-quarters whose window is too small are recorded as skips, and tasks
 whose fit, prediction or attribution raises a library error as failures,
 never silently dropped: downstream summary denominators need them, and one
-degenerate task, such as one target of a group at the sweep cap, does not
-end the run or its group.  Tasks are labeled by the quarter they forecast,
-which keys forecasts, fit records, and importances consistently.
+degenerate task, such as one target of a joint solve at the sweep cap, does
+not end the run or its unit.  Tasks are labeled by the quarter they
+forecast, which keys forecasts, fit records, and importances consistently.
 """
 from __future__ import annotations
 
@@ -67,10 +69,10 @@ from .trading_calendar import (
 
 # Tasks a worker process takes at a time: few enough round trips to amortize
 # pickling results, small enough chunks to balance slow and fast algorithms.
-# A group of tasks is never split, so a larger group is a chunk of its own.
+# A unit of work is never split, so a larger unit is a chunk of its own.
 TASK_CHUNK = 4
 
-# Algorithms whose tasks of one training quarter are fitted as one group.
+# Algorithms whose tasks of one unit of work are fitted jointly.
 GROUPED_ALGOS = ("lasso", "enet")
 
 
@@ -281,8 +283,8 @@ def train_predict_stock_quarter(
     A window below ``min_train_rows`` comes back as a skip.  A library error
     from the fit, the prediction block, the prediction or the attribution
     comes back as a failure that carries only its reason.  ``prefit`` is the
-    task's window and its fit, or the error of its fit, from a quarter
-    group's joint solve; the task then only predicts and attributes.
+    task's window and its fit, or the error of its fit, from its unit's
+    joint solve; the task then only predicts and attributes.
     """
     forecast_quarter = shift_quarter(train_quarter, 1)
     result = TaskResult(asset, train_quarter, forecast_quarter, algo)
@@ -331,57 +333,68 @@ def train_predict_stock_quarter(
     return result
 
 
-def _fit_jointly(
-    block: SignalBlock, targets: np.ndarray, params: Sequence
-) -> list[learners.LinearModel | MarketRadarError]:
-    """One sparse linear fit per row of ``targets`` on ``block``'s
-    standardized design, or for every row the library error of the
-    standardization or the solve."""
-    try:
-        scaled, stats = standardize(block)
-        return learners.fit_penalized_targets(scaled.values, targets, params, stats=stats)
-    except MarketRadarError as exc:
-        return [exc] * len(targets)
-
-
-def _run_group(
+def _run_unit(
     assets: ReturnPanel,
     sources: ReturnPanel,
     calendar: TradingCalendar,
     train_quarter: Quarter,
     algo: str,
-    group: Sequence[str],
-    config: RadarConfig,
+    tasks: Sequence[tuple[str, RadarConfig]],
 ) -> list[TaskResult]:
-    """The ``algo`` tasks of ``group``'s assets at ``train_quarter``, with one
-    standardization and one multi-target fit per set of window row dates."""
-    results: dict[str, TaskResult] = {}
-    by_dates: dict[tuple[dt.date, ...], list[tuple[str, SignalBlock]]] = {}
-    for asset in group:
-        try:
-            block = _training_window(assets, sources, calendar, asset, train_quarter, config)
-        except WindowTooSmall:
+    """The ``algo`` task of each ``(asset, config)`` pair at ``train_quarter``,
+    in task order.
+
+    Outside ``GROUPED_ALGOS`` each task runs on its own.  Lasso and elastic
+    net assemble one window per distinct asset, standardize once per set of
+    row dates, and solve each set in one multi-target fit with one row per
+    task, under that task's own ``config.params_for(algo)``.  The tasks of a
+    unit must therefore share ``lags``, ``window_quarters`` and
+    ``min_train_rows``; a radar run's tasks share one config, and a tuning
+    trial's config differs from the base only in ``algorithms``,
+    ``hyperparameters`` and ``importance``.
+    """
+    if algo not in GROUPED_ALGOS:
+        return [
+            train_predict_stock_quarter(assets, sources, calendar, asset, train_quarter, algo, cfg)
+            for asset, cfg in tasks
+        ]
+    results: list[TaskResult | None] = [None] * len(tasks)
+    windows: dict[str, tuple[tuple[dt.date, ...], SignalBlock] | None] = {}
+    by_dates: dict[tuple[dt.date, ...], list[tuple[int, SignalBlock]]] = {}
+    for i, (asset, cfg) in enumerate(tasks):
+        if asset not in windows:
+            try:
+                block = _training_window(assets, sources, calendar, asset, train_quarter, cfg)
+                windows[asset] = (tuple(d for _, d in block.rows), block)
+            except WindowTooSmall:
+                windows[asset] = None
+        if windows[asset] is None:
             # the task assembles its window again and records the skip
-            results[asset] = train_predict_stock_quarter(
-                assets, sources, calendar, asset, train_quarter, algo, config
+            results[i] = train_predict_stock_quarter(
+                assets, sources, calendar, asset, train_quarter, algo, cfg
             )
             continue
-        members = by_dates.setdefault(tuple(d for _, d in block.rows), [])
+        dates, block = windows[asset]
+        members = by_dates.setdefault(dates, [])
         if members:
             # signals depend on the date alone: the set keeps one values array
             block.values = members[0][1].values
-        members.append((asset, block))
+        members.append((i, block))
 
-    params = config.params_for(algo)
     for members in by_dates.values():
         targets = np.stack([block.target for _, block in members])
-        fits = _fit_jointly(members[0][1], targets, [params] * len(members))
-        for (asset, block), fit in zip(members, fits):
-            results[asset] = train_predict_stock_quarter(
-                assets, sources, calendar, asset, train_quarter, algo, config,
-                prefit=(block, fit),
+        params = [tasks[i][1].params_for(algo) for i, _ in members]
+        try:
+            scaled, stats = standardize(members[0][1])
+            fits = learners.fit_penalized_targets(scaled.values, targets, params, stats=stats)
+        except MarketRadarError as exc:
+            fits = [exc] * len(members)
+        for (i, block), fit in zip(members, fits):
+            asset, cfg = tasks[i]
+            results[i] = train_predict_stock_quarter(
+                assets, sources, calendar, asset, train_quarter, algo, cfg, prefit=(block, fit)
             )
-    return [results[asset] for asset in group]
+    return results
 
 
 def enumerate_tasks(
@@ -417,14 +430,15 @@ def _init_worker(*inputs) -> None:
     _worker_inputs = inputs
 
 
-# A unit of work: the assets of one (training quarter, algo) group, or the
-# one asset of a task that runs alone.
+# A unit of work: the assets whose tasks of one (training quarter, algo) run
+# as one ``_run_unit`` call, every asset for a grouped algorithm and one
+# asset otherwise.
 WorkUnit = tuple[Quarter, str, list[str]]
 
 
 def _work_chunks(tasks: Sequence[tuple[str, Quarter, str]]) -> list[list[WorkUnit]]:
     """Units of work in the order of their first task, packed into chunks of
-    at most ``TASK_CHUNK`` tasks; a group larger than that is its own chunk."""
+    at most ``TASK_CHUNK`` tasks; a unit larger than that is its own chunk."""
     units: dict[tuple, WorkUnit] = {}
     for asset, quarter, algo in tasks:
         key = (quarter, algo) if algo in GROUPED_ALGOS else (asset, quarter, algo)
@@ -441,20 +455,16 @@ def _work_chunks(tasks: Sequence[tuple[str, Quarter, str]]) -> list[list[WorkUni
 
 
 def _run_chunk(chunk: list[WorkUnit], inputs: TaskInputs | None = None) -> list[TaskResult]:
-    """Run a chunk's units on ``inputs``, or in a worker on the inputs its
-    initializer set.  Fitted models are dropped: nothing after the merge
-    reads them, and a worker would pickle them back."""
+    """Run each unit of a chunk as one ``_run_unit`` call under the run's
+    config, on ``inputs`` or in a worker on the inputs its initializer set.
+    Fitted models are dropped: nothing after the merge reads them, and a
+    worker would pickle them back."""
     assets, sources, calendar, config = inputs or _worker_inputs
     results = []
     for quarter, algo, group in chunk:
-        if algo in GROUPED_ALGOS:
-            done = _run_group(assets, sources, calendar, quarter, algo, group, config)
-        else:
-            done = [
-                train_predict_stock_quarter(
-                    assets, sources, calendar, group[0], quarter, algo, config
-                )
-            ]
+        done = _run_unit(
+            assets, sources, calendar, quarter, algo, [(asset, config) for asset in group]
+        )
         for result in done:
             result.model = None
         results.extend(done)
@@ -613,30 +623,6 @@ class SearchDim:
         return float(min(max(value, self.lo), self.hi))
 
 
-def _trial_fits(
-    assets: ReturnPanel,
-    sources: ReturnPanel,
-    calendar: TradingCalendar,
-    asset: str,
-    quarter: Quarter,
-    algo: str,
-    trial_params: Sequence,
-    config: RadarConfig,
-) -> list[tuple[SignalBlock, learners.LinearModel | MarketRadarError] | None]:
-    """The ``prefit`` of each tuning trial of one stock-quarter.  The trials
-    of a sparse linear algorithm share one window, one standardization and
-    one joint solve; other algorithms and a window too small give None, and
-    each trial's task then fits, or records the skip, on its own."""
-    if algo not in GROUPED_ALGOS or not trial_params:
-        return [None] * len(trial_params)
-    try:
-        block = _training_window(assets, sources, calendar, asset, quarter, config)
-    except WindowTooSmall:
-        return [None] * len(trial_params)
-    targets = np.tile(block.target, (len(trial_params), 1))
-    return [(block, fit) for fit in _fit_jointly(block, targets, trial_params)]
-
-
 def tune_hyperparameters(
     assets: ReturnPanel,
     sources: ReturnPanel,
@@ -654,10 +640,11 @@ def tune_hyperparameters(
 
     Each sampled (asset, quarter) gets ``budget`` random configurations;
     the one with the lowest next-quarter squared forecast error wins.  Each
-    configuration is one ``train_predict_stock_quarter`` task; lasso and
-    elastic-net configurations of one stock-quarter are fitted jointly.  The
-    tuning sample must predate the evaluation period; restrict it with
-    ``quarters`` when tuning and evaluation share a panel.
+    configuration is one ``train_predict_stock_quarter`` task, and the
+    configurations of one stock-quarter are one ``_run_unit``, so lasso and
+    elastic-net configurations are fitted jointly.  The tuning sample must
+    predate the evaluation period; restrict it with ``quarters`` when tuning
+    and evaluation share a panel.
     """
     if n_tasks < 1 or budget < 1:
         raise RadarError("n_tasks and budget must be >= 1")
@@ -679,27 +666,23 @@ def tune_hyperparameters(
     )
     dims = sorted(space)
     winners: dict[str, list[float]] = {d: [] for d in dims}
+    trial_base = replace(base, algorithms=(algo,), importance=False)
 
     for task_no, ci in enumerate(chosen_idx):
         asset, q = candidates[int(ci)]
         rng = np.random.default_rng(task_seed(seed, asset, q, f"tune-{algo}-{task_no}"))
-        trials = []
+        draws, trials = [], []
         for _ in range(budget):
             cfg = {d: space[d].sample(rng) for d in dims}
             try:
-                trials.append((cfg, hp.params_from_mapping(algo, cfg)))
+                params = hp.params_from_mapping(algo, cfg)
             except hp.HyperparameterError:
                 continue
-        prefits = _trial_fits(assets, sources, cal, asset, q, algo, [p for _, p in trials], base)
+            draws.append(cfg)
+            trials.append((asset, replace(trial_base, hyperparameters={algo: params})))
         best_err = math.inf
         best_cfg: dict[str, float] | None = None
-        for (cfg, params), prefit in zip(trials, prefits):
-            task_cfg = replace(
-                base, algorithms=(algo,), hyperparameters={algo: params}, importance=False
-            )
-            result = train_predict_stock_quarter(
-                assets, sources, cal, asset, q, algo, task_cfg, prefit=prefit
-            )
+        for cfg, result in zip(draws, _run_unit(assets, sources, cal, q, algo, trials)):
             if result.skipped or not result.forecasts:
                 continue
             realized = assets.rows([d for d, _ in result.forecasts], [asset])[:, 0]

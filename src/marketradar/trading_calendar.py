@@ -20,6 +20,10 @@ def quarter_of(d: dt.date) -> Quarter:
     return (d.year, (d.month - 1) // 3 + 1)
 
 
+def _first_day(q: Quarter) -> dt.date:
+    return dt.date(q[0], 3 * q[1] - 2, 1)
+
+
 def shift_quarter(q: Quarter, n: int) -> Quarter:
     year, num = q
     idx = year * 4 + (num - 1) + n
@@ -74,11 +78,12 @@ class TradingCalendar:
         return out
 
     def days_in_quarter(self, q: Quarter) -> list[dt.date]:
-        return [d for d in self.dates if quarter_of(d) == q]
+        bounds = [_first_day(q).toordinal(), _first_day(shift_quarter(q, 1)).toordinal()]
+        lo, hi = np.searchsorted(self.ordinals, bounds)
+        return list(self.dates[lo:hi])
 
     def days_in_quarters(self, qs: Sequence[Quarter]) -> list[dt.date]:
-        wanted = set(qs)
-        return [d for d in self.dates if quarter_of(d) in wanted]
+        return [d for q in sorted(set(qs)) for d in self.days_in_quarter(q)]
 
     def previous(self, d: dt.date) -> dt.date | None:
         """Latest calendar date strictly before ``d``, or None."""

@@ -112,3 +112,32 @@ def test_tracer_reads_gb_trees(tmp_path):
     # each task attributes its window rows against themselves, so five
     # stumps would give 5 * rows**2 ops; more means some tree split
     assert sum(ops) > 5 * sum(r * r for r in rows)
+
+
+def test_tracer_counts_tuning_trials(tmp_path):
+    # the tune_gb checks read radar.trial_calls from the radar.task spans
+    # under radar.tune; a sampled stock-quarter assembles and standardizes
+    # one window for all of its lasso trials
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        RADAR_CFG
+        + "tune.algo = lasso\ntune.n_tasks = 2\ntune.budget = 3\n"
+        + "space.alpha = loguniform 0.0001 0.1\n"
+    )
+    common = ["--config", str(cfg), "--out", str(tmp_path), "--seed", "1", "--threads", "1"]
+    synth = subprocess.run(
+        [sys.executable, "-m", "marketradar.cli", "synth", *common],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert synth.returncode == 0, synth.stderr
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), "tune", *common],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads(spans.read_text())["spans"]
+    tasks = [span for span in recorded if span[2] == "radar.task"]
+    assert len(tasks) == 6 and all(span[5]["algo"] == "lasso" for span in tasks)
+    assert sum(span[2] == "panel.window" for span in recorded) == 2
+    assert sum(span[2] == "panel.standardize" for span in recorded) == 2

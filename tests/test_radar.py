@@ -1,13 +1,19 @@
 import concurrent.futures.process
 import datetime as dt
 import os
+import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketradar import radar
 from marketradar.learners import (
+    BoostParams,
     ElasticNetParams,
     LassoParams,
     LinearModel,
@@ -15,7 +21,7 @@ from marketradar.learners import (
     fit_penalized_targets,
     linear,
 )
-from marketradar.panel import PanelError, ReturnPanel, standardize
+from marketradar.panel import PanelError, ReturnPanel, SignalId, standardize
 from marketradar.radar import (
     ForecastRow,
     ForecastTable,
@@ -30,6 +36,7 @@ from marketradar.radar import (
     write_importance_csv,
     read_importance_csv,
 )
+from marketradar.shapley import ImportanceRecord
 from marketradar.synth import ScenarioSpec, generate
 from marketradar.trading_calendar import format_quarter, quarter_of, shift_quarter
 
@@ -504,6 +511,81 @@ class TestForecastTable:
             ForecastTable([ForecastRow(D(2020, 1, 2), "A", "lasso", float("nan"))])
 
 
+# Ids that need csv quoting: separators, quotes, line breaks, blanks and
+# non-ASCII text, mixed with any other character a UTF-8 file can hold (a
+# lone surrogate is not text, so no id read from a file contains one).
+hostile_ids = st.text(
+    st.one_of(st.sampled_from(list(',"\'\r\n\t ;#\\Qé€')), st.characters(codec="utf-8")),
+    max_size=8,
+)
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def csv_round_trip(write, read):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write(path)
+        return read(path)
+
+
+class TestCsvRoundTripProperties:
+    """The output CSVs read back every field and every bit of each value."""
+
+    # each example writes and reads a file
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.dates(),
+                hostile_ids,
+                hostile_ids,
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, -5e-324]),
+                ),
+            ),
+            max_size=12,
+            unique_by=lambda row: row[:3],
+        )
+    )
+    def test_forecast_table(self, rows):
+        table = ForecastTable([ForecastRow(*row) for row in rows])
+        back = csv_round_trip(table.to_csv, ForecastTable.from_csv)
+        assert [(r.date, r.asset, r.algo) for r in back.rows] == [
+            (r.date, r.asset, r.algo) for r in table.rows
+        ]
+        assert [float_bits(r.yhat) for r in back.rows] == [float_bits(r.yhat) for r in table.rows]
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                ImportanceRecord,
+                hostile_ids,
+                st.tuples(st.integers(1, 9999), st.integers(1, 4)),
+                hostile_ids,
+                st.builds(SignalId, hostile_ids.filter(bool), st.integers(1, 10**6)),
+                st.one_of(
+                    st.floats(min_value=0.0, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324]),
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_importance(self, records):
+        back = csv_round_trip(
+            lambda path: write_importance_csv(path, records), read_importance_csv
+        )
+        assert [(r.asset, r.quarter, r.algo, r.signal) for r in back] == [
+            (r.asset, r.quarter, r.algo, r.signal) for r in records
+        ]
+        assert [float_bits(r.value) for r in back] == [float_bits(r.value) for r in records]
+
+
 class TestTuning:
     def test_single_point_space_echoes(self, small_scenario):
         sc = small_scenario
@@ -589,6 +671,55 @@ class TestTuning:
             assert a.model.hyper == params
             assert a.model.intercept == b.model.intercept
             assert np.array_equal(a.model.coef, b.model.coef)
+
+    # lasso tunes through a joint solve per stock-quarter, gb through lone tasks
+    SKIP_CASES = [
+        ("lasso", {"alpha": SearchDim(kind="loguniform", lo=1e-6, hi=1e-1)}),
+        (
+            "gb",
+            {
+                "n_estimators": SearchDim(kind="int", lo=2, hi=4),
+                "max_depth": SearchDim(kind="int", lo=1, hi=2),
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize("algo, space", SKIP_CASES)
+    def test_short_history_trials_are_skips(self, monkeypatch, small_scenario, algo, space):
+        sc = small_scenario
+        last_train = sc.calendar().quarters()[-2]
+        # A001 keeps only its last training quarter: every window it gets is
+        # below min_train_rows, while the calendar keeps every date
+        short = without_records(sc.assets, lambda d, e: e == "A001" and quarter_of(d) < last_train)
+        cfg = small_config(algorithms=(algo,), hyperparameters={})
+        candidates = enumerate_tasks(short, sc.calendar(), cfg)
+        real = radar.train_predict_stock_quarter
+        seen = []
+
+        def recording(*args, **kw):
+            result = real(*args, **kw)
+            seen.append(result)
+            return result
+
+        monkeypatch.setattr(radar, "train_predict_stock_quarter", recording)
+        tuned = tune_hyperparameters(
+            short, sc.markets, algo, space, n_tasks=len(candidates), budget=2, seed=1,
+            config=cfg, calendar=sc.calendar(),
+        )
+        assert {r.asset for r in seen} == set(short.entity_ids)
+        assert all(r.skipped for r in seen if r.asset == "A001")
+        assert not any(r.skipped or r.failed for r in seen if r.asset != "A001")
+        assert len(seen) == 2 * len(candidates)
+        assert isinstance(tuned, {"lasso": LassoParams, "gb": BoostParams}[algo])
+
+    @pytest.mark.parametrize("algo, space", SKIP_CASES)
+    def test_every_window_too_small_errors(self, small_scenario, algo, space):
+        sc = small_scenario
+        cfg = small_config(algorithms=(algo,), hyperparameters={}, min_train_rows=10_000)
+        with pytest.raises(RadarError, match="no stock-quarter produced forecasts"):
+            tune_hyperparameters(
+                sc.assets, sc.markets, algo, space, n_tasks=3, budget=2, seed=1, config=cfg,
+            )
 
     def test_median_snaps_to_valid_int(self):
         dim = SearchDim(kind="int", lo=1, hi=9)

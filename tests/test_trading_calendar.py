@@ -1,6 +1,8 @@
 import datetime as dt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marketradar.trading_calendar import (
     TradingCalendar,
@@ -56,3 +58,26 @@ class TestCalendar:
     def test_empty_calendar_rejected(self):
         with pytest.raises(ValueError):
             TradingCalendar.from_dates([])
+
+
+# Calendars of up to 40 dates over three years: quarter and year boundaries
+# fall inside, and many quarters of the span hold no date at all.
+calendar_dates = st.lists(
+    st.dates(min_value=D(2019, 11, 1), max_value=D(2022, 2, 28)), min_size=1, max_size=40
+)
+quarters = st.tuples(st.integers(2018, 2023), st.integers(1, 4))
+
+
+class TestQuarterLookups:
+    """The searchsorted lookups equal a scan of every calendar date."""
+
+    @given(calendar_dates, quarters)
+    def test_days_in_quarter_matches_scan(self, dates, q):
+        cal = TradingCalendar.from_dates(dates)
+        assert cal.days_in_quarter(q) == [d for d in cal.dates if quarter_of(d) == q]
+
+    @given(calendar_dates, st.lists(quarters, max_size=6))
+    def test_days_in_quarters_matches_scan(self, dates, qs):
+        cal = TradingCalendar.from_dates(dates)
+        wanted = set(qs)
+        assert cal.days_in_quarters(qs) == [d for d in cal.dates if quarter_of(d) in wanted]
