@@ -2,8 +2,14 @@
 the lag-decay window solver.
 
 Out-of-sample R2 is computed without demeaning: 1 - SS(err)/SS(realized).
+``ols`` and ``fe_regression`` solve through one least-squares body.  A
+fixed-effects regression absorbs its effect with the most levels by
+within-demeaning and dummy-expands the others, which by Frisch-Waugh-Lovell
+is the full dummy regression with columns for the smaller effects only.
 Cluster-robust covariances use the CR1 small-sample factor
 G/(G-1) * (n-1)/(n-p); heteroskedasticity-robust ones use HC1's n/(n-p).
+Effect levels and clusters are numbered in ``repr`` order of their keys,
+so no result depends on string hashing (``PYTHONHASHSEED``).
 """
 from __future__ import annotations
 
@@ -123,6 +129,33 @@ def _design(y, X, names, add_intercept):
     return y, X, tuple(names)
 
 
+def _codes(keys: Sequence[Hashable]) -> tuple[np.ndarray, int]:
+    """Each key's index among the distinct keys sorted by ``repr``, and the
+    number of distinct keys."""
+    keys = list(keys)
+    index = {g: i for i, g in enumerate(sorted(set(keys), key=repr))}
+    return np.fromiter((index[g] for g in keys), dtype=np.intp, count=len(keys)), len(index)
+
+
+def _group_sums(codes: np.ndarray, G: int, A: np.ndarray) -> np.ndarray:
+    """(G, q) sums of the rows of the (n, q) array ``A`` per group code; each
+    sum runs in row order."""
+    q = A.shape[1]
+    bins = (codes[:, None] * q + np.arange(q)).ravel()
+    return np.bincount(bins, weights=A.ravel(), minlength=G * q).reshape(G, q)
+
+
+def _solve(y: np.ndarray, D: np.ndarray, singular_message: str):
+    """Least squares of ``y`` on the columns of ``D``: the coefficients, the
+    residuals and (D'D)^-1."""
+    gram = D.T @ D
+    if np.linalg.matrix_rank(gram) < D.shape[1]:
+        raise RegressionError(singular_message)
+    bread = np.linalg.inv(gram)
+    beta = bread @ (D.T @ y)
+    return beta, y - D @ beta, bread
+
+
 def ols(
     y: np.ndarray,
     X: np.ndarray,
@@ -136,12 +169,7 @@ def ols(
     n, p = D.shape
     if n <= p:
         raise RegressionError(f"need n > p, got n={n}, p={p}")
-    gram = D.T @ D
-    if np.linalg.matrix_rank(gram) < p:
-        raise RegressionError("singular design matrix")
-    bread = np.linalg.inv(gram)
-    beta = bread @ (D.T @ y)
-    resid = y - D @ beta
+    beta, resid, bread = _solve(y, D, "singular design matrix")
     se_vec, tstats, pvals = _inference(D, resid, beta, bread, n - p, se, clusters)
 
     if add_intercept:
@@ -174,27 +202,21 @@ def _inference(D, resid, beta, bread, dof, se, clusters):
     from scipy.special import stdtr
 
     n, p = D.shape
+    scored = D * resid[:, None]
     if se == "classic":
         sigma2 = float(resid @ resid) / dof
         cov = sigma2 * bread
     elif se == "hc1":
-        scored = D * resid[:, None]
         cov = bread @ (scored.T @ scored) @ bread * (n / dof)
     elif se == "cluster":
         if clusters is None or len(clusters) != n:
             raise RegressionError("cluster keys must align with rows")
-        groups: dict[Hashable, list[int]] = {}
-        for i, key in enumerate(clusters):
-            groups.setdefault(key, []).append(i)
-        G = len(groups)
+        codes, G = _codes(clusters)
         if G < 2:
             raise RegressionError("need at least 2 clusters")
-        meat = np.zeros((p, p))
-        for idx in groups.values():
-            s = D[idx].T @ resid[idx]
-            meat += np.outer(s, s)
+        scores = _group_sums(codes, G, scored)
         factor = (G / (G - 1)) * ((n - 1) / dof)
-        cov = bread @ meat @ bread * factor
+        cov = bread @ (scores.T @ scores) @ bread * factor
     else:
         raise RegressionError(f"unknown se type {se!r}")
 
@@ -251,81 +273,50 @@ def fe_regression(
     se: str = "classic",
     clusters: Sequence[Hashable] | None = None,
 ) -> RegressionResult:
-    """OLS with fixed effects: absorbed by within-demeaning for a single
-    effect, dummy-expanded otherwise.  Reported coefficients cover only the
-    X columns; R2 is that of the full dummy model either way."""
-    y = np.asarray(y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if X.size == 0:
-        X = X.reshape(len(y), 0)
+    """OLS with fixed effects, equal to the full dummy regression.
+
+    The effect with the most levels (the first one on a tie) is absorbed by
+    within-demeaning; every other effect is dummy-expanded, dropping its
+    first level in ``repr`` order, and demeaned with X.  Reported
+    coefficients cover only the X columns; the degrees of freedom count the
+    absorbed levels, and R2 is that of the full dummy model.
+    """
+    y, X, names = _design(y, X, names, add_intercept=False)
     if not fixed_effects:
         raise RegressionError("need at least one fixed effect")
     for keys in fixed_effects:
         if len(keys) != len(y):
             raise RegressionError("fixed-effect keys must align with rows")
-    if names is None:
-        names = [f"x{j}" for j in range(X.shape[1])]
+    coded = [_codes(keys) for keys in fixed_effects]
+    absorbed = max(range(len(coded)), key=lambda k: coded[k][1])
+    gidx, G = coded[absorbed]
+    dummies = [
+        codes[:, None] == np.arange(1, levels)
+        for k, (codes, levels) in enumerate(coded)
+        if k != absorbed
+    ]
+    D = np.column_stack([X] + dummies)
 
     n = len(y)
-    if len(fixed_effects) == 1:
-        labels = list(fixed_effects[0])
-        uniq = sorted(set(labels), key=repr)
-        index = {g: i for i, g in enumerate(uniq)}
-        gidx = np.array([index[g] for g in labels])
-        G = len(uniq)
-        counts = np.bincount(gidx, minlength=G).astype(np.float64)
-        gy = np.bincount(gidx, weights=y, minlength=G) / counts
-        yd = y - gy[gidx]
-        sst = float(np.sum((y - y.mean()) ** 2))
-        p_eff = X.shape[1] + G
-        if n <= p_eff:
-            raise RegressionError(f"need n > p, got n={n}, p={p_eff}")
-        Xd = np.empty_like(X)
-        for j in range(X.shape[1]):
-            gx = np.bincount(gidx, weights=X[:, j], minlength=G) / counts
-            Xd[:, j] = X[:, j] - gx[gidx]
-        gram = Xd.T @ Xd
-        if np.linalg.matrix_rank(gram) < Xd.shape[1]:
-            raise RegressionError("collinear with fixed effects")
-        bread = np.linalg.inv(gram)
-        beta = bread @ (Xd.T @ yd)
-        resid = yd - Xd @ beta
-        se_vec, tstats, pvals = _inference(Xd, resid, beta, bread, n - p_eff, se, clusters)
-        r2, adj = _r2(float(resid @ resid), sst, n, 1, n - p_eff)
-        return RegressionResult(
-            names=tuple(names),
-            coef=beta,
-            se=se_vec,
-            t=tstats,
-            pvalues=pvals,
-            r2=r2,
-            adj_r2=adj,
-            n=n,
-            se_type=se,
-        )
-
-    # Multiple effects: expand dummies, dropping one level per effect.
-    blocks = [X]
-    dummy_names = list(names)
-    for k, keys in enumerate(fixed_effects):
-        labels = list(keys)
-        uniq = sorted(set(labels), key=repr)
-        for level in uniq[1:]:
-            blocks.append(np.array([1.0 if g == level else 0.0 for g in labels])[:, None])
-            dummy_names.append(f"fe{k}[{level}]")
-    D = np.hstack(blocks)
-    result = ols(y, D, names=dummy_names, se=se, clusters=clusters, add_intercept=True)
-    keep = [result.names.index(nm) for nm in names]
-    sel = np.array(keep, dtype=int)
+    p_eff = D.shape[1] + G
+    if n <= p_eff:
+        raise RegressionError(f"need n > p, got n={n}, p={p_eff}")
+    counts = np.bincount(gidx, minlength=G).astype(np.float64)
+    within = lambda A: A - (_group_sums(gidx, G, A) / counts[:, None])[gidx]
+    Dd = within(D)
+    beta, resid, bread = _solve(within(y[:, None])[:, 0], Dd, "collinear with fixed effects")
+    se_vec, tstats, pvals = _inference(Dd, resid, beta, bread, n - p_eff, se, clusters)
+    r2, adj = _r2(float(resid @ resid), float(np.sum((y - y.mean()) ** 2)), n, 1, n - p_eff)
+    k = X.shape[1]
     return RegressionResult(
-        names=tuple(names),
-        coef=result.coef[sel],
-        se=result.se[sel],
-        t=result.t[sel],
-        pvalues=result.pvalues[sel],
-        r2=result.r2,
-        adj_r2=result.adj_r2,
-        n=result.n,
+        names=names,
+        coef=beta[:k],
+        se=se_vec[:k],
+        t=tstats[:k],
+        pvalues=pvals[:k],
+        r2=r2,
+        adj_r2=adj,
+        n=n,
         se_type=se,
     )
 

@@ -18,7 +18,7 @@ import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -362,17 +362,34 @@ def assemble_training_window(
 # calendar.csv (one ISO date per line), caps.csv (date,asset,cap).
 # ---------------------------------------------------------------------------
 
-def read_panel_csv(path: Path | str, check_returns: bool = True) -> ReturnPanel:
-    records = []
+def read_csv_rows(
+    path: Path | str, parse: Callable[[list[str]], object], error: type[MarketRadarError],
+    header: Callable[[list[str]], bool] | None = None, expected: str = "",
+) -> tuple[list[str] | None, list]:
+    """The header row, which must satisfy ``header`` if given (else ``error``:
+    ``path: expected <expected>``), and ``parse`` of every non-blank later
+    row.  A row ``parse`` rejects with ValueError or IndexError (a bad number,
+    date or quarter; a missing field) raises ``error``: ``path:line: reason``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != 3:
-            raise PanelError(f"{path}: expected header date,entity,value")
+        head = next(reader, None) if header else None
+        if header and not (head and header(head)):
+            raise error(f"{path}: expected {expected}")
+        rows = []
         for row in reader:
-            if not row:
-                continue
-            records.append((dt.date.fromisoformat(row[0]), row[1], float(row[2])))
+            if len(row) > 1 or "".join(row).strip():
+                try:
+                    rows.append(parse(row))
+                except (ValueError, IndexError) as exc:
+                    reason = "too few fields" if isinstance(exc, IndexError) else exc
+                    raise error(f"{path}:{reader.line_num}: {reason}") from None
+    return head, rows
+
+
+def read_panel_csv(path: Path | str, check_returns: bool = True) -> ReturnPanel:
+    parse = lambda row: (dt.date.fromisoformat(row[0]), row[1], float(row[2]))
+    header = lambda head: len(head) == 3
+    _, records = read_csv_rows(path, parse, PanelError, header, "header date,entity,value")
     if not records:
         raise PanelError(f"{path}: empty panel")
     return ReturnPanel.from_records(records, check_returns=check_returns)
@@ -389,10 +406,8 @@ def write_panel_csv(path: Path | str, panel: ReturnPanel, header: Sequence[str])
 
 
 def read_calendar_csv(path: Path | str) -> TradingCalendar:
-    dates = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                dates.append(dt.date.fromisoformat(line))
+    parse = lambda row: dt.date.fromisoformat(",".join(row).strip())
+    _, dates = read_csv_rows(path, parse, PanelError)
+    if not dates:
+        raise PanelError(f"{path}: empty calendar")
     return TradingCalendar.from_dates(dates)

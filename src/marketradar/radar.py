@@ -50,6 +50,7 @@ from .panel import (
     WindowTooSmall,
     assemble_training_window,
     build_signal_block,
+    read_csv_rows,
     standardize,
 )
 from .shapley import (
@@ -153,18 +154,9 @@ class ForecastTable:
 
     @classmethod
     def from_csv(cls, path: Path | str) -> "ForecastTable":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["date", "asset", "algo", "yhat"]:
-                raise RadarError(f"{path}: expected forecasts header")
-            for rec in reader:
-                if rec:
-                    rows.append(
-                        ForecastRow(dt.date.fromisoformat(rec[0]), rec[1], rec[2], float(rec[3]))
-                    )
-        return cls(rows)
+        parse = lambda rec: ForecastRow(dt.date.fromisoformat(rec[0]), rec[1], rec[2], float(rec[3]))
+        header = lambda head: head == ["date", "asset", "algo", "yhat"]
+        return cls(read_csv_rows(path, parse, RadarError, header, "forecasts header")[1])
 
 
 @dataclass
@@ -559,24 +551,11 @@ def write_importance_csv(path: Path | str, records: Sequence[ImportanceRecord]) 
 
 
 def read_importance_csv(path: Path | str) -> list[ImportanceRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["asset", "quarter", "algo", "source", "lag_week", "importance"]:
-            raise RadarError(f"{path}: expected importance header")
-        for rec in reader:
-            if rec:
-                out.append(
-                    ImportanceRecord(
-                        rec[0],
-                        parse_quarter(rec[1]),
-                        rec[2],
-                        SignalId(rec[3], int(rec[4])),
-                        float(rec[5]),
-                    )
-                )
-    return out
+    parse = lambda rec: ImportanceRecord(
+        rec[0], parse_quarter(rec[1]), rec[2], SignalId(rec[3], int(rec[4])), float(rec[5])
+    )
+    header = lambda head: head == ["asset", "quarter", "algo", "source", "lag_week", "importance"]
+    return read_csv_rows(path, parse, RadarError, header, "importance header")[1]
 
 
 # ---------------------------------------------------------------------------

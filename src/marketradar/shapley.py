@@ -199,40 +199,35 @@ def _shapley_weight_tables(max_count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairwise_tree_shap(
-    model: TreeEnsembleModel,
     X: np.ndarray,
     Z: np.ndarray,
+    feature: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    scale: np.ndarray,
 ) -> np.ndarray:
-    """Leaf-by-leaf kernel over all (explained, background) row pairs."""
+    """Leaf-by-leaf kernel over all (explained, background) row pairs, on
+    the slot table of ``_leaf_table``.  A padded (-inf, inf] slot passes for
+    every row, so it changes no count and adds an exact zero."""
     n, p = X.shape
     m = Z.shape[0]
     phi = np.zeros((n, p))
-
-    per_tree = [_leaf_paths(t) for t in model.trees]
-    max_depth = max(
-        (len(feats) for leaves in per_tree for _, feats, _, _ in leaves), default=0
-    )
-    w_only_x, w_only_z = _shapley_weight_tables(max_depth)
-
-    for weight, leaves in zip(model.tree_weights, per_tree):
-        for value, feats, lows, highs in leaves:
-            if len(feats) == 0:
-                continue  # constrains nothing: same contribution to every v(S)
-            px = (X[:, feats] > lows) & (X[:, feats] <= highs)
-            pz = (Z[:, feats] > lows) & (Z[:, feats] <= highs)
-            fx = px.astype(np.float64)
-            fz = pz.astype(np.float64)
-            a = np.rint(fx @ (1.0 - fz).T).astype(np.intp)
-            b = np.rint((1.0 - fx) @ fz.T).astype(np.intp)
-            alive = ((1.0 - fx) @ (1.0 - fz).T) < 0.5
-            gain_x = np.where(alive, w_only_x[a, b], 0.0)
-            gain_z = np.where(alive, w_only_z[a, b], 0.0)
-            scale = weight * value / m
-            for i, f in enumerate(feats):
-                contrib = fx[:, i] * (gain_x @ (1.0 - fz[:, i])) + (
-                    1.0 - fx[:, i]
-                ) * (gain_z @ fz[:, i])
-                phi[:, f] += scale * contrib
+    w_only_x, w_only_z = _shapley_weight_tables(feature.shape[1])
+    for feats, lows, highs, leaf_scale in zip(feature, low, high, scale / m):
+        px = (X[:, feats] > lows) & (X[:, feats] <= highs)
+        pz = (Z[:, feats] > lows) & (Z[:, feats] <= highs)
+        fx = px.astype(np.float64)
+        fz = pz.astype(np.float64)
+        a = np.rint(fx @ (1.0 - fz).T).astype(np.intp)
+        b = np.rint((1.0 - fx) @ fz.T).astype(np.intp)
+        alive = ((1.0 - fx) @ (1.0 - fz).T) < 0.5
+        gain_x = np.where(alive, w_only_x[a, b], 0.0)
+        gain_z = np.where(alive, w_only_z[a, b], 0.0)
+        for i, f in enumerate(feats):
+            contrib = fx[:, i] * (gain_x @ (1.0 - fz[:, i])) + (
+                1.0 - fx[:, i]
+            ) * (gain_z @ fz[:, i])
+            phi[:, f] += leaf_scale * contrib
     return phi
 
 
@@ -307,7 +302,7 @@ def tree_shap_batch(
     feature, low, high, scale = _leaf_table(model)
     n_leaves, k = feature.shape
     if k > _MAX_TABLE_SLOTS:
-        return _pairwise_tree_shap(model, X, Z), base
+        return _pairwise_tree_shap(X, Z, feature, low, high, scale), base
 
     n, p = X.shape
     phi = np.zeros((n, p))

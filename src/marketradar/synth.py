@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import MarketRadarError
-from .panel import ReturnPanel, SignalId, lagged_signals, signal_columns
+from .panel import EntitySeries, ReturnPanel, SignalId, lagged_signals, read_csv_rows, signal_columns
 from .trading_calendar import Quarter, TradingCalendar, quarter_of, shift_quarter
 
 
@@ -145,11 +145,14 @@ def generate(spec: ScenarioSpec) -> Scenario:
     market_ids = [f"M{i:02d}" for i in range(spec.n_markets)]
     asset_ids = [f"A{i:03d}" for i in range(spec.n_assets)]
 
-    market_records = []
-    for mid in market_ids:
-        rets = rng.normal(0.0, spec.market_sd, size=len(market_dates))
-        market_records.extend(zip(market_dates, [mid] * len(market_dates), rets))
-    markets = ReturnPanel.from_records(market_records)
+    # both date lists are sorted and unique, so each entity's draws are its series
+    market_ords, asset_ords = (
+        np.array([d.toordinal() for d in dates], dtype=np.int64) for dates in (market_dates, asset_dates)
+    )
+    markets = ReturnPanel({
+        mid: EntitySeries(market_ords, rng.normal(0.0, spec.market_sd, size=len(market_ords)))
+        for mid in market_ids
+    })
 
     mkt_path = rng.normal(0.0, spec.market_sd, size=len(asset_dates))
     factors = {
@@ -202,8 +205,8 @@ def generate(spec: ScenarioSpec) -> Scenario:
             if mult is not None:
                 break_mult[i] = mult
 
-    asset_records = []
-    cap_records = []
+    asset_series: dict[str, EntitySeries] = {}
+    cap_series: dict[str, EntitySeries] = {}
     for a in asset_ids:
         signal_part = signal_matrix @ loading_vectors[a]
         if a in interactions:
@@ -216,16 +219,14 @@ def generate(spec: ScenarioSpec) -> Scenario:
             + betas[a] * mkt_path
             + rng.normal(0.0, spec.noise_sd, size=len(asset_dates))
         )
-        rets = np.maximum(rets, -0.95)  # simple-return floor
-        asset_records.extend(zip(asset_dates, [a] * len(asset_dates), rets))
+        asset_series[a] = EntitySeries(asset_ords, np.maximum(rets, -0.95))  # simple-return floor
 
         cap0 = math.exp(rng.uniform(math.log(1e9), math.log(1e11)))
         steps = np.exp(rng.normal(0.0, spec.cap_sd, size=len(asset_dates)).cumsum())
-        caps = cap0 * steps
-        cap_records.extend(zip(asset_dates, [a] * len(asset_dates), caps))
+        cap_series[a] = EntitySeries(asset_ords, cap0 * steps)
 
-    assets = ReturnPanel.from_records(asset_records)
-    caps_panel = ReturnPanel.from_records(cap_records, check_returns=False)
+    assets = ReturnPanel(asset_series)
+    caps_panel = ReturnPanel(cap_series, check_returns=False)
     truth = GroundTruth(
         exposed=exposed, loadings=loadings, betas=betas, interactions=interactions
     )
@@ -277,17 +278,14 @@ def write_scenario(scenario: Scenario, out_dir: Path | str) -> dict[str, Path]:
 
 
 def read_factors_csv(path: Path | str) -> dict[str, dict[dt.date, float]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "date":
-            raise ScenarioError(f"{path}: expected wide factor table with a date column")
-        names = header[1:]
-        out: dict[str, dict[dt.date, float]] = {n: {} for n in names}
-        for rec in reader:
-            if not rec:
-                continue
-            d = dt.date.fromisoformat(rec[0])
-            for name, cell in zip(names, rec[1:]):
-                out[name][d] = float(cell)
+    parse = lambda row: (dt.date.fromisoformat(row[0]), [float(cell) for cell in row[1:]])
+    header = lambda head: head[0] == "date"
+    head, rows = read_csv_rows(
+        path, parse, ScenarioError, header, "wide factor table with a date column"
+    )
+    names = head[1:]
+    out: dict[str, dict[dt.date, float]] = {n: {} for n in names}
+    for d, values in rows:
+        for name, value in zip(names, values):
+            out[name][d] = value
     return out

@@ -320,6 +320,74 @@ class TestReportCommand:
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "empty")]) == 2
 
 
+def write_report_inputs(tmp_path):
+    """returns.csv and forecasts.csv of 20 assets over 5 days, and a config
+    that reads them."""
+    days = [dt.date(2020, 1, 6) + dt.timedelta(days=k) for k in range(5)]
+    assets = [f"A{i:02d}" for i in range(20)]
+    (tmp_path / "returns.csv").write_text("date,entity,value\n" + "".join(
+        f"{day},{asset},{0.0001 * (i + 1) * (k + 1)!r}\n"
+        for k, day in enumerate(days)
+        for i, asset in enumerate(assets)
+    ))
+    (tmp_path / "forecasts.csv").write_text("date,asset,algo,yhat\n" + "".join(
+        f"{day},{asset},gb,{float(i)!r}\n" for day in days for i, asset in enumerate(assets)
+    ))
+    return f"data.returns = {tmp_path}/returns.csv\ndata.forecasts = {tmp_path}/forecasts.csv\n"
+
+
+class TestMalformedInput:
+    """A bad cell or an empty file is one ``error: path:line: reason`` line
+    and exit 1, never a traceback."""
+
+    def run(self, capsys, command, cfg, out):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        return err
+
+    def test_bad_return(self, tmp_path, synth_dir, capsys):
+        lines = (synth_dir / "returns.csv").read_text().splitlines(keepends=True)
+        date, asset, _ = lines[4].split(",")
+        lines[4] = f"{date},{asset},abc\n"
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("markets.csv", "factors.csv", "caps.csv"):
+            (data / name).write_bytes((synth_dir / name).read_bytes())
+        (data / "returns.csv").write_text("".join(lines))
+        cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=data)
+        err = self.run(capsys, "radar", cfg, tmp_path / "run")
+        assert err == f"error: {data}/returns.csv:5: could not convert string to float: 'abc'\n"
+
+    def test_empty_calendar(self, tmp_path, synth_dir, capsys):
+        calendar = tmp_path / "calendar.csv"
+        calendar.write_text("\n  \n")
+        cfg = write_cfg(tmp_path, RADAR_CFG + f"\ndata.calendar = {calendar}", data_dir=synth_dir)
+        err = self.run(capsys, "radar", cfg, tmp_path / "run")
+        assert err == f"error: {calendar}: empty calendar\n"
+
+    def test_short_forecast_row(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, write_report_inputs(tmp_path))
+        forecasts = tmp_path / "forecasts.csv"
+        lines = forecasts.read_text().splitlines(keepends=True)
+        lines[6] = ",".join(lines[6].split(",")[:3]) + "\n"
+        forecasts.write_text("".join(lines))
+        err = self.run(capsys, "report", cfg, tmp_path / "run")
+        assert err == f"error: {forecasts}:7: too few fields\n"
+
+    def test_bad_importance_quarter(self, tmp_path, capsys):
+        importance = tmp_path / "importance.csv"
+        importance.write_text(
+            "asset,quarter,algo,source,lag_week,importance\n"
+            "A00,2020Q1,gb,M00,1,0.5\n"
+            "\n"
+            "A00,2020Q5,gb,M00,2,0.25\n"
+        )
+        text = write_report_inputs(tmp_path) + f"data.importance = {importance}\n"
+        err = self.run(capsys, "report", write_cfg(tmp_path, text), tmp_path / "run")
+        assert err == f"error: {importance}:4: bad quarter '2020Q5'\n"
+
+
 class TestTuneCommand:
     def test_tuned_file_is_valid_config(self, tmp_path, synth_dir):
         text = RADAR_CFG + "\ntune.algo = lasso\ntune.n_tasks = 2\ntune.budget = 3\n"

@@ -1,5 +1,9 @@
 import datetime as dt
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from marketradar.panel import SignalId
 from marketradar.shapley import ImportanceRecord
 
 D = dt.date
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def reference_dissemination_window(intercept: float, slope: float, form: str = "linear") -> int:
@@ -312,6 +317,123 @@ class TestFixedEffects:
         y = 0.5 * x + rng.normal(size=8) * 0.1
         res = fe_regression(y, x[:, None], [groups, ["m", "n"] * 4], names=["x"])
         assert res.n == 8
+
+
+def full_dummy_design(X, fixed_effects):
+    """X followed by one indicator per level of every effect but its first
+    in ``repr`` order: the design ``ols`` fits with its intercept."""
+    columns = [X[:, j] for j in range(X.shape[1])]
+    for keys in fixed_effects:
+        for level in sorted(set(keys), key=repr)[1:]:
+            columns.append(np.array([1.0 if g == level else 0.0 for g in keys]))
+    return np.column_stack(columns)
+
+
+def multi_effect_case(seed, n_effects):
+    rng = np.random.default_rng(seed)
+    n = 60
+    X = rng.normal(size=(n, 2))
+    effects = [
+        [f"s{i}" for i in rng.integers(0, 7, n)],
+        [(2020, int(q)) for q in rng.integers(1, 5, n)],
+        [int(m) for m in rng.integers(0, 3, n)],
+    ][:n_effects]
+    y = X @ np.array([0.7, -0.3]) + rng.normal(size=n)
+    for keys in effects:
+        level_effect = dict(zip(sorted(set(keys), key=repr), rng.normal(size=len(set(keys)))))
+        y = y + np.array([level_effect[g] for g in keys])
+    clusters = [f"c{i}" for i in rng.integers(0, 9, n)]
+    return X, y, effects, clusters
+
+
+class TestFixedEffectsEqualFullDummies:
+    @pytest.mark.parametrize("n_effects", [2, 3])
+    @pytest.mark.parametrize("se", ["classic", "hc1", "cluster"])
+    def test_matches_full_dummy_ols(self, n_effects, se):
+        X, y, effects, clusters = multi_effect_case(30 + n_effects, n_effects)
+        cl = clusters if se == "cluster" else None
+        res = fe_regression(y, X, effects, names=["a", "b"], se=se, clusters=cl)
+        full = ols(y, full_dummy_design(X, effects), se=se, clusters=cl)
+        assert res.names == ("a", "b")
+        np.testing.assert_allclose(res.coef, full.coef[1:3], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.se, full.se[1:3], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.t, full.t[1:3], rtol=1e-10)
+        assert res.r2 == pytest.approx(full.r2, abs=1e-10)
+        assert res.adj_r2 == pytest.approx(full.adj_r2, abs=1e-10)
+
+    @pytest.mark.parametrize("se", ["classic", "hc1", "cluster"])
+    def test_effect_order_does_not_matter(self, se):
+        X, y, effects, clusters = multi_effect_case(41, 3)
+        cl = clusters if se == "cluster" else None
+        results = [
+            fe_regression(y, X, [effects[i] for i in order], se=se, clusters=cl)
+            for order in ((0, 1, 2), (2, 1, 0), (1, 2, 0))
+        ]
+        for other in results[1:]:
+            np.testing.assert_allclose(other.coef, results[0].coef, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(other.se, results[0].se, rtol=0, atol=1e-12)
+            assert other.r2 == pytest.approx(results[0].r2, abs=1e-12)
+
+    def test_too_many_levels_errors(self):
+        with pytest.raises(RegressionError, match="need n > p"):
+            fe_regression(np.arange(6.0), np.zeros((6, 1)), [list("aabbcc"), list("xyzxyz")])
+
+    def test_misaligned_x_errors(self):
+        with pytest.raises(RegressionError, match="aligned"):
+            fe_regression(np.arange(6.0), np.zeros((5, 1)), [list("aabbcc")])
+
+
+# Distinct cluster keys of mixed types; their repr order is not the order in
+# which ``cluster_layouts`` hands them out.
+CLUSTER_KEYS = ["z", ("a", 1), 7, ("a", 0), "b", 2.5, (3, "x"), "a", -1, ("b",)]
+
+
+@st.composite
+def cluster_layouts(draw):
+    """(clusters, seed): at least 2 clusters, singletons allowed, keys
+    assigned in first-appearance order from the repr-largest down."""
+    n = draw(st.integers(6, 40))
+    groups = draw(st.lists(st.integers(0, len(CLUSTER_KEYS) - 1), min_size=n, max_size=n))
+    if len(set(groups)) < 2:
+        groups[-1] = (groups[0] + 1) % len(CLUSTER_KEYS)
+    by_repr = sorted(CLUSTER_KEYS, key=repr, reverse=True)
+    first_seen = list(dict.fromkeys(groups))
+    clusters = [by_repr[first_seen.index(g)] for g in groups]
+    return clusters, draw(st.integers(0, 2**16))
+
+
+class TestClusterSandwichProperty:
+    @given(layout=cluster_layouts())
+    def test_cluster_se_matches_hand_sandwich(self, layout):
+        clusters, seed = layout
+        rng = np.random.default_rng(seed)
+        n = len(clusters)
+        X = rng.normal(size=(n, 2))
+        y = X @ np.array([0.4, -1.1]) + rng.normal(size=n)
+        res = ols(y, X, se="cluster", clusters=clusters)
+        beta, se = hand_sandwich(np.column_stack([np.ones(n), X]), y, "cluster", clusters)
+        np.testing.assert_allclose(res.coef, beta, rtol=0, atol=1e-12 * np.abs(beta).max())
+        np.testing.assert_allclose(res.se, se, rtol=1e-12)
+
+    def test_cluster_se_independent_of_hash_seed(self):
+        code = (
+            "import numpy as np\n"
+            "from marketradar.econometrics import ols\n"
+            "rng = np.random.default_rng(3)\n"
+            "x = rng.normal(size=200)\n"
+            "y = x + rng.normal(size=200)\n"
+            "keys = [('s%d' % (i % 37), 'q%d' % (i % 5)) for i in range(200)]\n"
+            "print(ols(y, x[:, None], se='cluster', clusters=keys).se.tobytes().hex())\n"
+        )
+        out = []
+        for hash_seed in ("0", "1", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            out.append(done.stdout)
+        assert out[0] == out[1] == out[2]
 
 
 class TestDisseminationWindow:

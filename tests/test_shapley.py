@@ -326,6 +326,25 @@ class TestTreeShapKernel:
         brute = brute_force_shapley(lambda M: predict(model, M), X[0], Z)
         np.testing.assert_allclose(phi[0], brute.phi, atol=1e-12)
 
+    @pytest.mark.parametrize("algo", ["rf", "gb"])
+    def test_deep_fitted_ensembles_take_the_pairwise_fallback(self, algo):
+        # depth-10 trees on 16 features have paths past the table limit; the
+        # fallback reads the padded slot table and must equal the reference
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(200, 16))
+        y = X @ rng.normal(size=16) + X[:, 0] * X[:, 1] + rng.normal(size=200)
+        if algo == "rf":
+            params = ForestParams(n_estimators=4, max_depth=10, min_samples_leaf=1)
+            model = fit_random_forest(X, y, params, seed=1)
+        else:
+            params = BoostParams(n_estimators=4, max_depth=10, min_samples_leaf=1)
+            model = fit_gradient_boosting(X, y, params, seed=1)
+        assert shapley._leaf_table(model)[0].shape[1] > shapley._MAX_TABLE_SLOTS
+        phi, base = tree_shap_batch(model, X[:30], X[100:140])
+        ref, ref_base = reference_tree_shap_batch(model, X[:30], X[100:140])
+        np.testing.assert_array_equal(phi, ref)
+        assert base == ref_base
+
     @pytest.mark.parametrize("budget", [shapley._BLOCK_ELEMENTS, 1 << 9])
     def test_batch_rows_equal_single_row_calls(self, budget, monkeypatch):
         monkeypatch.setattr(shapley, "_BLOCK_ELEMENTS", budget)
