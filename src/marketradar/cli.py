@@ -30,6 +30,7 @@ from .radar import (
     RadarError,
     SearchDim,
     read_importance_csv,
+    read_run_report_sparsity,
     run_radar,
     tune_hyperparameters,
     write_importance_csv,
@@ -383,11 +384,7 @@ def cmd_report(cfg: RunConfig) -> int:
             )
 
     if run_report_path:
-        sparsity = {}
-        for line in Path(run_report_path).read_text().splitlines():
-            if line.startswith("sparsity."):
-                key, _, value = line.partition("=")
-                sparsity[key.strip()[len("sparsity.") :]] = float(value)
+        sparsity = read_run_report_sparsity(run_report_path)
         if sparsity:
             sections.append(rp.sparsity_table(sparsity))
 

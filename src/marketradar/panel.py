@@ -368,8 +368,9 @@ def read_csv_rows(
 ) -> tuple[list[str] | None, list]:
     """The header row, which must satisfy ``header`` if given (else ``error``:
     ``path: expected <expected>``), and ``parse`` of every non-blank later
-    row.  A row ``parse`` rejects with ValueError or IndexError (a bad number,
-    date or quarter; a missing field) raises ``error``: ``path:line: reason``."""
+    row.  A row with fewer or more fields than the header, or one ``parse``
+    rejects with ValueError (a bad number, date or quarter), raises
+    ``error``: ``path:line: reason``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         head = next(reader, None) if header else None
@@ -378,12 +379,22 @@ def read_csv_rows(
         rows = []
         for row in reader:
             if len(row) > 1 or "".join(row).strip():
+                if head and len(row) != len(head):
+                    reason = f"too {'few' if len(row) < len(head) else 'many'} fields"
+                    raise error(f"{path}:{reader.line_num}: {reason}")
                 try:
                     rows.append(parse(row))
-                except (ValueError, IndexError) as exc:
-                    reason = "too few fields" if isinstance(exc, IndexError) else exc
-                    raise error(f"{path}:{reader.line_num}: {reason}") from None
+                except ValueError as exc:
+                    raise error(f"{path}:{reader.line_num}: {exc}") from None
     return head, rows
+
+
+def write_csv_rows(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The ``header`` row, then ``rows``, as ``read_csv_rows`` reads them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_panel_csv(path: Path | str, check_returns: bool = True) -> ReturnPanel:
@@ -396,13 +407,12 @@ def read_panel_csv(path: Path | str, check_returns: bool = True) -> ReturnPanel:
 
 
 def write_panel_csv(path: Path | str, panel: ReturnPanel, header: Sequence[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for entity in panel.entity_ids:
-            s = panel.series(entity)
-            for o, v in zip(s.ordinals, s.values):
-                writer.writerow([dt.date.fromordinal(int(o)).isoformat(), entity, repr(float(v))])
+    observed = (panel.series(entity) for entity in panel.entity_ids)
+    write_csv_rows(path, header, (
+        [dt.date.fromordinal(int(o)).isoformat(), entity, repr(float(v))]
+        for entity, s in zip(panel.entity_ids, observed)
+        for o, v in zip(s.ordinals, s.values)
+    ))
 
 
 def read_calendar_csv(path: Path | str) -> TradingCalendar:

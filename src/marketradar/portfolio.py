@@ -1,14 +1,15 @@
 """Forecast-sorted portfolios, performance accounting, and market timing.
 
 Selection takes the ceil(f*n) highest/lowest forecasts with ties broken by
-ascending asset id, so portfolio membership is deterministic.  Turnover
-follows the drifted-weight definition: half the L1 distance between today's
-weights and yesterday's weights grown by today's returns, which lives in
-[0, 1] for long-only books.  Costs are charged per unit of turnover.
+ascending asset id, so portfolio membership is deterministic.  A book is
+one (assets x dates) weight matrix whose sums over assets add its rows one
+at a time in id order.  Turnover follows the drifted-weight definition:
+half the L1 distance between today's weights and yesterday's weights grown
+by today's returns, which lives in [0, 1] for long-only books.  Costs are
+charged per unit of turnover.
 """
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .econometrics import rf_vector
 from .errors import MarketRadarError
-from .panel import ReturnPanel, negligible_sd
+from .panel import ReturnPanel, negligible_sd, write_csv_rows
 from .trading_calendar import Quarter, quarter_of
 
 
@@ -30,21 +31,6 @@ class PortfolioError(MarketRadarError, ValueError):
 DEFAULT_COST_BPS = 6.24
 DEFAULT_TOP_FRACTION = 0.05
 TRADING_DAYS_PER_YEAR = 252
-
-
-@dataclass(frozen=True)
-class DailyWeights:
-    date: dt.date
-    weights: dict[str, float]
-    side: str = "long"
-
-    def __post_init__(self) -> None:
-        total = sum(self.weights.values())
-        if self.side in ("long", "short"):
-            if any(w < 0 for w in self.weights.values()):
-                raise PortfolioError("single-side weights must be nonnegative")
-            if self.weights and abs(total - 1.0) > 1e-10:
-                raise PortfolioError(f"weights sum to {total}, expected 1")
 
 
 @dataclass
@@ -97,19 +83,29 @@ def rank_deciles(forecasts: Mapping[str, float]) -> list[tuple[str, ...]]:
     return [tuple(ordered[bounds[i] : bounds[i + 1]]) for i in range(10)]
 
 
+_FAULTS = (
+    "missing market cap for {a} before {d}",
+    "nonpositive total cap on {d}",
+    "missing return for {a} on {d}",
+    "single-side weights must be nonnegative",
+)
+
+
 def build_series(
     members_by_date: Mapping[dt.date, Sequence[str]],
     returns: ReturnPanel,
     weighting: str = "equal",
     caps: ReturnPanel | None = None,
     name: str = "",
-) -> tuple[PortfolioSeries, list[DailyWeights]]:
-    """Daily portfolio returns with weights set at the prior close.
+) -> tuple[PortfolioSeries, np.ndarray]:
+    """Daily portfolio returns with weights set at the prior close, and the
+    (assets x dates) weights, assets in id order.
 
     Equal weighting gives each member 1/m; value weighting is proportional
     to the latest market cap strictly before the date.  Dates with empty
     membership are dropped.  Turnover is computed from consecutive weight
-    vectors (0 for the first day, where there is no prior book).
+    columns (0 for the first day, where there is no prior book).  A fault is
+    reported for the earliest date that has one.
     """
     if weighting not in ("equal", "value"):
         raise PortfolioError(f"unknown weighting {weighting!r}")
@@ -118,44 +114,49 @@ def build_series(
 
     dates = sorted(d for d, members in members_by_date.items() if members)
     universe = sorted({a for d in dates for a in members_by_date[d]})
-    day_returns = returns.rows(dates, universe)
-    if weighting == "value":
-        prior_caps = caps.rows_before(dates, universe)  # type: ignore[union-attr]
-    rets: list[float] = []
-    tos: list[float] = []
-    weight_rows: list[DailyWeights] = []
-    prev_weights: dict[str, float] | None = None
-    for i, d in enumerate(dates):
-        members = sorted(members_by_date[d])
-        # Python floats, so every sum below adds as a plain float loop
-        day = dict(zip(universe, day_returns[i].tolist()))
-        if weighting == "equal":
-            w = {a: 1.0 / len(members) for a in members}
-        else:
-            cap_now = dict(zip(universe, prior_caps[i].tolist()))
-            raw = {a: cap_now[a] for a in members}
-            for a in members:
-                if math.isnan(raw[a]):
-                    raise PortfolioError(f"missing market cap for {a} before {d.isoformat()}")
-            total = sum(raw.values())
-            if total <= 0:
-                raise PortfolioError(f"nonpositive total cap on {d.isoformat()}")
-            w = {a: c / total for a, c in raw.items()}
-        for a in members:
-            if math.isnan(day[a]):
-                raise PortfolioError(f"missing return for {a} on {d.isoformat()}")
-        rets.append(sum(w[a] * day[a] for a in members))
-        if prev_weights is None:
-            tos.append(0.0)
-        else:
-            drift_rets = {a: 0.0 if math.isnan(day[a]) else day[a] for a in prev_weights}
-            tos.append(turnover(prev_weights, drift_rets, w))
-        weight_rows.append(DailyWeights(date=d, weights=w, side="long"))
-        prev_weights = w
-    series = PortfolioSeries(
-        dates=dates, returns=np.array(rets), turnover=np.array(tos), name=name
-    )
-    return series, weight_rows
+    row = {a: i for i, a in enumerate(universe)}
+    held = np.zeros((len(universe), len(dates)), dtype=bool)
+    for j, d in enumerate(dates):
+        held[[row[a] for a in members_by_date[d]], j] = True
+    day = returns.rows(dates, universe).T
+    prior = 1.0 if weighting == "equal" else caps.rows_before(dates, universe).T  # type: ignore
+    raw = np.where(held, prior, 0.0)
+    total = _sum_assets(raw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = raw / total
+    nonpositive = np.broadcast_to(total <= 0, held.shape)
+    faults = held & np.stack([np.isnan(raw), nonpositive, np.isnan(day), weights < 0])
+    by_date = faults.any(axis=1)
+    if by_date.any():  # the day loop's first: earliest date, then fault order, then asset id
+        j = by_date.any(axis=0).argmax()
+        k = by_date[:, j].argmax()
+        asset = universe[faults[k, :, j].argmax()]
+        raise PortfolioError(_FAULTS[k].format(a=asset, d=dates[j].isoformat()))
+
+    rets = _sum_assets(np.where(held, weights * day, 0.0))
+    tos = np.zeros(len(dates))
+    drift = np.where(np.isnan(day), 0.0, day)[:, 1:]  # a leaver with no return today stays flat
+    tos[1:] = _turnover(weights[:, :-1], drift, weights[:, 1:])
+    return PortfolioSeries(dates=dates, returns=rets, turnover=tos, name=name), weights
+
+
+def _sum_assets(table: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 (assets in id order), added one row at a time as a
+    plain float loop adds them, never pairwise.  The loop starts from 0, so
+    a sum of zeros is 0.0, never -0.0."""
+    if not len(table):
+        return np.zeros(table.shape[1:])
+    return np.add.accumulate(table, axis=0)[-1] + 0.0
+
+
+def _turnover(w_prev: np.ndarray, r_today: np.ndarray, w_today: np.ndarray) -> np.ndarray:
+    """``turnover`` per column of (assets x dates) weights and returns, the
+    assets in id order, weight 0 where not held."""
+    drifted = w_prev * (1.0 + r_today)
+    drifted_sum = _sum_assets(drifted)
+    if np.any(drifted_sum <= 0):
+        raise PortfolioError("drifted prior weights sum to zero")
+    return 0.5 * _sum_assets(np.abs(w_today - drifted / drifted_sum))
 
 
 def turnover(
@@ -163,16 +164,11 @@ def turnover(
     r_today: Mapping[str, float],
     w_today: Mapping[str, float],
 ) -> float:
-    """Half the L1 gap between target weights and return-drifted prior ones."""
-    drifted_sum = sum(w * (1.0 + r_today.get(a, 0.0)) for a, w in w_prev.items())
-    if drifted_sum <= 0:
-        raise PortfolioError("drifted prior weights sum to zero")
-    total = 0.0
-    # sorted, so the float sum does not follow the per-process string hash order
-    for a in sorted(set(w_prev) | set(w_today)):
-        drifted = w_prev.get(a, 0.0) * (1.0 + r_today.get(a, 0.0)) / drifted_sum
-        total += abs(w_today.get(a, 0.0) - drifted)
-    return 0.5 * total
+    """Half the L1 gap between target weights and return-drifted prior ones,
+    summed over the sorted union of the two books' assets."""
+    assets = sorted(set(w_prev) | set(w_today))
+    column = lambda m: np.array([m.get(a, 0.0) for a in assets], dtype=np.float64)
+    return float(_turnover(column(w_prev), column(r_today), column(w_today)))
 
 
 def _align(series_list: Sequence[PortfolioSeries]) -> list[dt.date]:
@@ -339,12 +335,9 @@ def timing_exposure(forecast_values: Sequence[float], upside_leverage: int = 2) 
 
 def write_portfolio_csv(path: Path | str, series_list: Sequence[PortfolioSeries]) -> None:
     """`date,name,ret,turnover` rows for every series, sorted by name/date."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "name", "ret", "turnover"])
-        for series in sorted(series_list, key=lambda s: s.name):
-            tos = series.turnover if series.turnover is not None else [""] * len(series)
-            for d, r, t in zip(series.dates, series.returns, tos):
-                writer.writerow(
-                    [d.isoformat(), series.name, repr(float(r)), "" if t == "" else repr(float(t))]
-                )
+    write_csv_rows(path, ["date", "name", "ret", "turnover"], (
+        [d.isoformat(), s.name, repr(float(s.returns[i])),
+         "" if s.turnover is None else repr(float(s.turnover[i]))]
+        for s in sorted(series_list, key=lambda s: s.name)
+        for i, d in enumerate(s.dates)
+    ))

@@ -28,7 +28,6 @@ forecast, which keys forecasts, fit records, and importances consistently.
 """
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import hashlib
 import math
@@ -52,6 +51,7 @@ from .panel import (
     build_signal_block,
     read_csv_rows,
     standardize,
+    write_csv_rows,
 )
 from .shapley import (
     SAMPLED_PERMUTATIONS,
@@ -146,11 +146,9 @@ class ForecastTable:
         return out
 
     def to_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "asset", "algo", "yhat"])
-            for r in self.rows:
-                writer.writerow([r.date.isoformat(), r.asset, r.algo, repr(r.yhat)])
+        write_csv_rows(path, ["date", "asset", "algo", "yhat"], (
+            [r.date.isoformat(), r.asset, r.algo, repr(r.yhat)] for r in self.rows
+        ))
 
     @classmethod
     def from_csv(cls, path: Path | str) -> "ForecastTable":
@@ -209,6 +207,20 @@ class RunReport:
         for asset, quarter, algo, reason in self.failures:
             lines.append(f"fail {asset} {quarter} {algo}: {reason}")
         return "\n".join(lines) + "\n"
+
+
+def read_run_report_sparsity(path: Path | str) -> dict[str, float]:
+    """The ``sparsity.<algo> = <fraction>`` lines of a ``RunReport.to_text``
+    file.  A bad fraction raises RadarError: ``path:line: reason``."""
+    sparsity = {}
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if line.startswith("sparsity."):
+            key, _, value = line.partition("=")
+            try:
+                sparsity[key.strip()[len("sparsity.") :]] = float(value.strip())
+            except ValueError as exc:
+                raise RadarError(f"{path}:{number}: {exc}") from None
+    return sparsity
 
 
 def task_seed(base_seed: int, asset: str, train_quarter: Quarter, algo: str) -> int:
@@ -534,20 +546,11 @@ def run_radar(
 
 
 def write_importance_csv(path: Path | str, records: Sequence[ImportanceRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["asset", "quarter", "algo", "source", "lag_week", "importance"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.asset,
-                    format_quarter(r.quarter),
-                    r.algo,
-                    r.signal.source,
-                    r.signal.lag_week,
-                    repr(r.value),
-                ]
-            )
+    write_csv_rows(path, ["asset", "quarter", "algo", "source", "lag_week", "importance"], (
+        [r.asset, format_quarter(r.quarter), r.algo, r.signal.source, r.signal.lag_week,
+         repr(r.value)]
+        for r in records
+    ))
 
 
 def read_importance_csv(path: Path | str) -> list[ImportanceRecord]:

@@ -8,7 +8,6 @@ tests a null to compare against.
 """
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import MarketRadarError
 from .panel import EntitySeries, ReturnPanel, SignalId, lagged_signals, read_csv_rows, signal_columns
+from .panel import write_csv_rows, write_panel_csv
 from .trading_calendar import Quarter, TradingCalendar, quarter_of, shift_quarter
 
 
@@ -254,26 +254,20 @@ def write_scenario(scenario: Scenario, out_dir: Path | str) -> dict[str, Path]:
         "caps": out / "caps.csv",
         "truth": out / "truth.csv",
     }
-    from .panel import write_panel_csv
-
     write_panel_csv(paths["returns"], scenario.assets, ["date", "entity", "ret"])
     write_panel_csv(paths["markets"], scenario.markets, ["date", "entity", "ret"])
     write_panel_csv(paths["caps"], scenario.caps, ["date", "asset", "cap"])
 
     names = sorted(scenario.factors)
-    with open(paths["factors"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + names)
-        dates = sorted(scenario.factors[names[0]])
-        for d in dates:
-            writer.writerow([d.isoformat()] + [repr(scenario.factors[n][d]) for n in names])
-
-    with open(paths["truth"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["asset", "source", "lag_week", "loading"])
-        for a in sorted(scenario.truth.loadings):
-            for sig, loading in sorted(scenario.truth.loadings[a].items()):
-                writer.writerow([a, sig.source, sig.lag_week, repr(float(loading))])
+    write_csv_rows(paths["factors"], ["date"] + names, (
+        [d.isoformat()] + [repr(scenario.factors[n][d]) for n in names]
+        for d in sorted(scenario.factors[names[0]])
+    ))
+    write_csv_rows(paths["truth"], ["asset", "source", "lag_week", "loading"], (
+        [a, sig.source, sig.lag_week, repr(float(loading))]
+        for a in sorted(scenario.truth.loadings)
+        for sig, loading in sorted(scenario.truth.loadings[a].items())
+    ))
     return paths
 
 

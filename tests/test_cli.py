@@ -388,6 +388,32 @@ class TestMalformedInput:
         assert err == f"error: {importance}:4: bad quarter '2020Q5'\n"
 
 
+    def test_short_factors_row(self, tmp_path, capsys):
+        factors = tmp_path / "factors.csv"
+        factors.write_text("date,MKT,RF\n2020-01-06,0.001,0.0001\n2020-01-07,0.002\n")
+        text = write_report_inputs(tmp_path) + f"data.factors = {factors}\n"
+        err = self.run(capsys, "report", write_cfg(tmp_path, text), tmp_path / "run")
+        assert err == f"error: {factors}:3: too few fields\n"
+
+    def test_extra_return_field(self, tmp_path, synth_dir, capsys):
+        lines = (synth_dir / "returns.csv").read_text().splitlines(keepends=True)
+        lines[4] = lines[4].rstrip("\n") + ",0.5\n"
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("markets.csv", "factors.csv", "caps.csv"):
+            (data / name).write_bytes((synth_dir / name).read_bytes())
+        (data / "returns.csv").write_text("".join(lines))
+        cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=data)
+        err = self.run(capsys, "radar", cfg, tmp_path / "run")
+        assert err == f"error: {data}/returns.csv:5: too many fields\n"
+
+    def test_bad_sparsity_line(self, tmp_path, capsys):
+        run_report = tmp_path / "run_report.txt"
+        run_report.write_text("run report\ntasks.total = 1\nsparsity.lasso = n/a\n")
+        text = write_report_inputs(tmp_path) + f"data.run_report = {run_report}\n"
+        err = self.run(capsys, "report", write_cfg(tmp_path, text), tmp_path / "run")
+        assert err == f"error: {run_report}:3: could not convert string to float: 'n/a'\n"
+
 class TestTuneCommand:
     def test_tuned_file_is_valid_config(self, tmp_path, synth_dir):
         text = RADAR_CFG + "\ntune.algo = lasso\ntune.n_tasks = 2\ntune.budget = 3\n"

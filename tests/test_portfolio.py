@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 import os
 import subprocess
 import sys
@@ -6,13 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marketradar
 from marketradar.panel import ReturnPanel
 from marketradar.portfolio import (
-    DailyWeights,
     PortfolioError,
     PortfolioSeries,
     apply_costs,
@@ -35,6 +35,102 @@ def series(returns, start=D(2020, 1, 1), turnover_values=None, name="s"):
     dates = [start + dt.timedelta(days=i) for i in range(len(returns))]
     to = None if turnover_values is None else np.array(turnover_values, dtype=float)
     return PortfolioSeries(dates=dates, returns=np.array(returns, dtype=float), turnover=to, name=name)
+
+
+# The day loop that build_series replaced, kept as its reference: a dict of
+# weights per day, every sum a plain float loop over the sorted members, the
+# weight checks of the old per-day weight row inline.
+def day_loop_build_series(members_by_date, returns, weighting="equal", caps=None, name=""):
+    if weighting not in ("equal", "value"):
+        raise PortfolioError(f"unknown weighting {weighting!r}")
+    if weighting == "value" and caps is None:
+        raise PortfolioError("value weighting requires a caps panel")
+
+    dates = sorted(d for d, members in members_by_date.items() if members)
+    universe = sorted({a for d in dates for a in members_by_date[d]})
+    day_returns = returns.rows(dates, universe)
+    if weighting == "value":
+        prior_caps = caps.rows_before(dates, universe)
+    rets: list[float] = []
+    tos: list[float] = []
+    prev_weights: dict[str, float] | None = None
+    for i, d in enumerate(dates):
+        members = sorted(members_by_date[d])
+        day = dict(zip(universe, day_returns[i].tolist()))
+        if weighting == "equal":
+            w = {a: 1.0 / len(members) for a in members}
+        else:
+            cap_now = dict(zip(universe, prior_caps[i].tolist()))
+            raw = {a: cap_now[a] for a in members}
+            for a in members:
+                if math.isnan(raw[a]):
+                    raise PortfolioError(f"missing market cap for {a} before {d.isoformat()}")
+            total = sum(raw.values())
+            if total <= 0:
+                raise PortfolioError(f"nonpositive total cap on {d.isoformat()}")
+            w = {a: c / total for a, c in raw.items()}
+        for a in members:
+            if math.isnan(day[a]):
+                raise PortfolioError(f"missing return for {a} on {d.isoformat()}")
+        rets.append(sum(w[a] * day[a] for a in members))
+        if prev_weights is None:
+            tos.append(0.0)
+        else:
+            drift_rets = {a: 0.0 if math.isnan(day[a]) else day[a] for a in prev_weights}
+            tos.append(dict_loop_turnover(prev_weights, drift_rets, w))
+        if any(v < 0 for v in w.values()):
+            raise PortfolioError("single-side weights must be nonnegative")
+        if w and abs(sum(w.values()) - 1.0) > 1e-10:
+            raise PortfolioError(f"weights sum to {sum(w.values())}, expected 1")
+        prev_weights = w
+    return PortfolioSeries(dates=dates, returns=np.array(rets), turnover=np.array(tos), name=name)
+
+
+def dict_loop_turnover(w_prev, r_today, w_today):
+    drifted_sum = sum(w * (1.0 + r_today.get(a, 0.0)) for a, w in w_prev.items())
+    if drifted_sum <= 0:
+        raise PortfolioError("drifted prior weights sum to zero")
+    total = 0.0
+    for a in sorted(set(w_prev) | set(w_today)):
+        drifted = w_prev.get(a, 0.0) * (1.0 + r_today.get(a, 0.0)) / drifted_sum
+        total += abs(w_today.get(a, 0.0) - drifted)
+    return 0.5 * total
+
+
+@st.composite
+def books(draw, faults=True):
+    """(members by date, returns, weighting, caps) over up to 10 assets and 12
+    days.  Dates have gaps; books hold one member, every asset, at least 8 or
+    any number; returns include 0.0 and -0.0.  With ``faults``, returns and
+    caps may be missing (a prior member's return among them) and caps
+    negative."""
+    assets = [f"A{i:02d}" for i in range(draw(st.sampled_from([1, 2, 3, 8, 10])))]
+    n = len(assets)
+    days = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True)))
+    sizes = st.sampled_from(sorted({0, 1, min(8, n), n})) | st.integers(0, n)
+    members = {D(2020, 1, day): draw(st.permutations(assets))[: draw(sizes)] for day in days}
+    ret = st.sampled_from([0.0, -0.0]) | st.floats(-0.5, 0.5)
+    cap = st.floats(0.01, 1e6) | (st.floats(-5.0, 5.0) if faults else st.floats(0.5, 2.0))
+    returns = {(D(2020, 1, day), a): draw(ret) for day in range(1, 13) for a in assets}
+    cap_days = [D(2019, 12, 31) + dt.timedelta(day) for day in range(12)]
+    caps = {(d, a): draw(cap) for d in cap_days for a in assets}
+    if faults:
+        for key in draw(st.sets(st.sampled_from(sorted(returns)), max_size=2)):
+            del returns[key]
+        uncapped, first_cap = draw(st.sampled_from(assets)), draw(st.integers(0, 12))
+        for d in cap_days[:first_cap]:  # no cap for one asset before cap_days[first_cap]
+            del caps[(d, uncapped)]
+        if draw(st.booleans()):  # members leaving a book have no return on its next date
+            held = [members[d] for d in sorted(members)]
+            for d, before, now in zip(sorted(members)[1:], held, held[1:]):
+                for a in set(before) - set(now):
+                    returns.pop((d, a), None)
+    return (
+        members,
+        ReturnPanel.from_records((d, a, r) for (d, a), r in returns.items()),
+        draw(st.sampled_from(["equal", "value"])),
+        ReturnPanel.from_records(((d, a, c) for (d, a), c in caps.items()), check_returns=False),
+    )
 
 
 class TestRankSelect:
@@ -71,7 +167,7 @@ class TestBuildSeries:
         panel = self._returns([(D(2020, 1, 2), "A", 0.01), (D(2020, 1, 2), "B", 0.03)])
         s, weights = build_series({D(2020, 1, 2): ["A", "B"]}, panel)
         assert s.returns[0] == pytest.approx(0.02)
-        assert weights[0].weights == {"A": 0.5, "B": 0.5}
+        assert weights[:, 0].tolist() == [0.5, 0.5]
 
     def test_value_weighting_hand_case(self):
         rets = self._returns([(D(2020, 1, 2), "A", 0.00), (D(2020, 1, 2), "B", 0.04)])
@@ -80,7 +176,7 @@ class TestBuildSeries:
         )
         s, weights = build_series({D(2020, 1, 2): ["A", "B"]}, rets, "value", caps)
         assert s.returns[0] == pytest.approx(0.01)
-        assert weights[0].weights["A"] == pytest.approx(0.75)
+        assert weights[0, 0] == pytest.approx(0.75)
 
     def test_single_member(self):
         panel = self._returns([(D(2020, 1, 2), "A", -0.015)])
@@ -101,7 +197,7 @@ class TestBuildSeries:
             check_returns=False,
         )
         s, weights = build_series({D(2020, 1, 3): ["A", "B"]}, rets, "value", caps)
-        assert weights[0].weights == {"A": 0.75, "B": 0.25}
+        assert weights[:, 0].tolist() == [0.75, 0.25]
         assert s.returns[0] == pytest.approx(0.01)
 
     def test_asset_without_caps_errors(self):
@@ -114,6 +210,61 @@ class TestBuildSeries:
         panel = self._returns([(D(2020, 1, 2), "A", 0.01)])
         with pytest.raises(PortfolioError, match="missing return"):
             build_series({D(2020, 1, 2): ["A", "B"]}, panel)
+
+
+    def test_negative_cap_errors(self):
+        rets = self._returns([(D(2020, 1, 2), "A", 0.0), (D(2020, 1, 2), "B", 0.0)])
+        caps = ReturnPanel.from_records(
+            [(D(2020, 1, 1), "A", 3.0), (D(2020, 1, 1), "B", -1.0)], check_returns=False
+        )
+        with pytest.raises(PortfolioError, match="single-side weights must be nonnegative"):
+            build_series({D(2020, 1, 2): ["A", "B"]}, rets, "value", caps)
+
+    def test_first_fault_is_the_day_loops(self):
+        # earliest date first; on one date a missing return before a negative weight
+        rets = self._returns([(D(2020, 1, 3), "A", 0.0), (D(2020, 1, 4), "A", 0.0)])
+        caps = ReturnPanel.from_records(
+            [(D(2020, 1, 2), "A", 3.0), (D(2020, 1, 2), "B", -1.0)], check_returns=False
+        )
+        same_day = {D(2020, 1, 3): ["A", "B"]}
+        with pytest.raises(PortfolioError, match="^missing return for B on 2020-01-03$"):
+            build_series(same_day, rets, "value", caps)
+        two_days = {D(2020, 1, 3): ["A", "B"], D(2020, 1, 4): ["A", "C"]}
+        rets = self._returns([(D(2020, 1, 3), a, 0.0) for a in "AB"] + [(D(2020, 1, 4), "A", 0.0)])
+        with pytest.raises(PortfolioError, match="^single-side weights must be nonnegative$"):
+            build_series(two_days, rets, "value", caps)
+
+    def test_one_date_wide_books_add_in_id_order(self):
+        # a one-date book collapses numpy's sum to one dimension, where it adds
+        # pairwise; build_series must still add member by member
+        rng = np.random.default_rng(5)
+        day, before = D(2020, 1, 2), D(2020, 1, 1)
+        names = [f"A{i:02d}" for i in range(12)]
+        for _ in range(50):
+            rets = self._returns([(day, n, r) for n, r in zip(names, rng.normal(0, 0.02, 12))])
+            caps = ReturnPanel.from_records(
+                [(before, n, c) for n, c in zip(names, rng.lognormal(3, 1, 12))], check_returns=False
+            )
+            for weighting in ("equal", "value"):
+                args = ({day: names}, rets, weighting, caps)
+                got, expected = build_series(*args)[0], day_loop_build_series(*args)
+                assert got.returns.tobytes() == expected.returns.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_bits_and_errors_as_the_day_loop(self, data):
+        args = data.draw(books())
+        try:
+            expected = day_loop_build_series(*args)
+        except PortfolioError as exc:
+            with pytest.raises(PortfolioError) as raised:
+                build_series(*args)
+            assert str(raised.value) == str(exc)
+            return
+        got, _ = build_series(*args)
+        assert got.dates == expected.dates
+        assert got.returns.tobytes() == expected.returns.tobytes()
+        assert got.turnover.tobytes() == expected.turnover.tobytes()
 
 
 class TestLongShortCombine:
@@ -296,13 +447,19 @@ class TestBottomUpAndTiming:
 
 
 class TestWeightInvariants:
-    def test_long_weights_must_sum_to_one(self):
-        with pytest.raises(PortfolioError):
-            DailyWeights(D(2020, 1, 1), {"A": 0.6, "B": 0.6})
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(PortfolioError):
-            DailyWeights(D(2020, 1, 1), {"A": 1.4, "B": -0.4})
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_weights_nonnegative_zero_outside_book_sum_to_one(self, data):
+        members_by_date, rets, weighting, caps = data.draw(books(faults=False))
+        _, weights = build_series(members_by_date, rets, weighting, caps)
+        dates = sorted(d for d, m in members_by_date.items() if m)
+        universe = sorted({a for d in dates for a in members_by_date[d]})
+        held = np.array([[a in members_by_date[d] for d in dates] for a in universe], dtype=bool)
+        held = held.reshape(len(universe), len(dates))
+        assert weights.shape == held.shape
+        assert np.all(weights >= 0.0)
+        assert np.all(weights[~held] == 0.0)
+        np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
 
     def test_equal_weight_top_fraction_matches_mean(self):
         rng = np.random.default_rng(0)

@@ -27,6 +27,7 @@ from marketradar.radar import (
     ForecastTable,
     RadarConfig,
     RadarError,
+    RunReport,
     SearchDim,
     enumerate_tasks,
     run_radar,
@@ -35,6 +36,7 @@ from marketradar.radar import (
     tune_hyperparameters,
     write_importance_csv,
     read_importance_csv,
+    read_run_report_sparsity,
 )
 from marketradar.shapley import ImportanceRecord
 from marketradar.synth import ScenarioSpec, generate
@@ -585,6 +587,16 @@ class TestCsvRoundTripProperties:
         ]
         assert [float_bits(r.value) for r in back] == [float_bits(r.value) for r in records]
 
+
+    @given(st.dictionaries(st.sampled_from(["enet", "lasso", "ols"]), st.floats(0.0, 1.0)))
+    def test_run_report_sparsity(self, sparsity):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run_report.txt"
+            path.write_text(RunReport(sparsity=sparsity).to_text())
+            back = read_run_report_sparsity(path)
+        assert {a: float_bits(v) for a, v in back.items()} == {
+            a: float_bits(float(f"{v:.6f}")) for a, v in sparsity.items()
+        }
 
 class TestTuning:
     def test_single_point_space_echoes(self, small_scenario):
