@@ -256,10 +256,11 @@ def _require(cfg: RunConfig, key: str, default_name: str | None = None) -> Path:
 
 
 def _optional(cfg: RunConfig, key: str, default_name: str | None = None) -> Path | None:
-    try:
-        return _require(cfg, key, default_name)
-    except FileNotFoundError:
+    """Like ``_require``, but None when ``data.<key>`` is not configured and
+    no ``out/<default_name>`` exists; a configured input must exist."""
+    if key not in cfg.data and not (default_name and (cfg.out / default_name).exists()):
         return None
+    return _require(cfg, key, default_name)
 
 
 def cmd_synth(cfg: RunConfig) -> int:

@@ -209,10 +209,6 @@ def lasso_kkt_gap(model: LinearModel, X: np.ndarray, y: np.ndarray, alpha: float
     Xc = X - X.mean(axis=0)
     resid = (y - y.mean()) - Xc @ model.coef
     grad = Xc.T @ resid / n
-    gap = 0.0
-    for j, b in enumerate(model.coef):
-        if b == 0.0:
-            gap = max(gap, abs(grad[j]) - alpha)
-        else:
-            gap = max(gap, abs(grad[j] - alpha * np.sign(b)))
-    return gap
+    coef = model.coef
+    gaps = np.where(coef == 0.0, np.abs(grad) - alpha, np.abs(grad - alpha * np.sign(coef)))
+    return float(gaps.max(initial=0.0))

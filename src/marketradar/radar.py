@@ -8,11 +8,12 @@ Outside the sparse linear algorithms (``GROUPED_ALGOS``) a unit is one task.
 For lasso and elastic net, a run's unit is every asset of one training
 quarter, and a tuning unit is every trial of one sampled stock-quarter.
 Signals depend only on the date, so every task with the same trading days
-in the window has the same design matrix.  A unit assembles one window per
-distinct asset, standardizes once per set of row dates, solves all of a
-set's targets in one multi-target coordinate descent (one row per task, bit
-for bit the fit the task would get alone), and then finishes each task on
-its own: prediction block, forecast, sparsity and importance.
+in the window has the same design matrix.  A unit first groups its tasks by
+the days their asset trades in the window, then assembles one window per
+such set of row dates, standardizes it once, solves all of the set's
+targets in one multi-target coordinate descent (one row per task, bit for
+bit the fit the task would get alone), and then finishes each task on its
+own: prediction block, forecast, sparsity and importance.
 
 Each task derives its own seed from a stable hash of (base seed, asset,
 training quarter, algorithm), so partial re-runs and any worker count
@@ -286,9 +287,11 @@ def train_predict_stock_quarter(
 
     A window below ``min_train_rows`` comes back as a skip.  A library error
     from the fit, the prediction block, the prediction or the attribution
-    comes back as a failure that carries only its reason.  ``prefit`` is the
-    task's window and its fit, or the error of its fit, from its unit's
-    joint solve; the task then only predicts and attributes.
+    comes back as a failure that carries only its reason.  ``prefit`` is a
+    window with the task's row dates and the task's fit, or the error of its
+    fit, from its unit's joint solve; the task then only predicts and
+    attributes.  The window may be another member's of the same row-date
+    set: only its dates, columns and values are read.
     """
     forecast_quarter = shift_quarter(train_quarter, 1)
     result = TaskResult(asset, train_quarter, forecast_quarter, algo)
@@ -349,55 +352,54 @@ def _run_unit(
     in task order.
 
     Outside ``GROUPED_ALGOS`` each task runs on its own.  Lasso and elastic
-    net assemble one window per distinct asset, standardize once per set of
-    row dates, and solve each set in one multi-target fit with one row per
-    task, under that task's own ``config.params_for(algo)``.  The tasks of a
-    unit must therefore share ``lags``, ``window_quarters`` and
+    net group the tasks by the window days their asset trades on, then
+    assemble one window per set (its first member's), standardize it once,
+    and solve the set in one multi-target fit with one row per task, under
+    that task's own ``config.params_for(algo)``; a set below
+    ``min_train_rows`` runs each member alone, which records its skip.  The
+    tasks of a unit must therefore share ``lags``, ``window_quarters`` and
     ``min_train_rows``; a radar run's tasks share one config, and a tuning
     trial's config differs from the base only in ``algorithms``,
     ``hyperparameters`` and ``importance``.
     """
-    if algo not in GROUPED_ALGOS:
-        return [
-            train_predict_stock_quarter(assets, sources, calendar, asset, train_quarter, algo, cfg)
-            for asset, cfg in tasks
-        ]
-    results: list[TaskResult | None] = [None] * len(tasks)
-    windows: dict[str, tuple[tuple[dt.date, ...], SignalBlock] | None] = {}
-    by_dates: dict[tuple[dt.date, ...], list[tuple[int, SignalBlock]]] = {}
-    for i, (asset, cfg) in enumerate(tasks):
-        if asset not in windows:
-            try:
-                block = _training_window(assets, sources, calendar, asset, train_quarter, cfg)
-                windows[asset] = (tuple(d for _, d in block.rows), block)
-            except WindowTooSmall:
-                windows[asset] = None
-        if windows[asset] is None:
-            # the task assembles its window again and records the skip
-            results[i] = train_predict_stock_quarter(
-                assets, sources, calendar, asset, train_quarter, algo, cfg
-            )
-            continue
-        dates, block = windows[asset]
-        members = by_dates.setdefault(dates, [])
-        if members:
-            # signals depend on the date alone: the set keeps one values array
-            block.values = members[0][1].values
-        members.append((i, block))
+    def run_task(i: int, prefit=None) -> TaskResult:
+        asset, cfg = tasks[i]
+        return train_predict_stock_quarter(
+            assets, sources, calendar, asset, train_quarter, algo, cfg, prefit=prefit
+        )
 
-    for members in by_dates.values():
-        targets = np.stack([block.target for _, block in members])
-        params = [tasks[i][1].params_for(algo) for i, _ in members]
+    if algo not in GROUPED_ALGOS:
+        return [run_task(i) for i in range(len(tasks))]
+    # the window's days, as assemble_training_window reads them, and which of
+    # them each task's asset trades on: its training window's row dates
+    cfg = tasks[0][1]
+    days = calendar.days_in_quarters(quarter_range(train_quarter, cfg.window_quarters))
+    returns = assets.rows(days, [asset for asset, _ in tasks])
+    observed = ~np.isnan(returns)
+    row_date_sets: dict[bytes, list[int]] = {}
+    for i in range(len(tasks)):
+        row_date_sets.setdefault(observed[:, i].tobytes(), []).append(i)
+
+    results: list[TaskResult | None] = [None] * len(tasks)
+    for members in row_date_sets.values():
         try:
-            scaled, stats = standardize(members[0][1])
+            window = _training_window(
+                assets, sources, calendar, tasks[members[0]][0], train_quarter, cfg
+            )
+        except WindowTooSmall:
+            # each member assembles its window again and records its own skip
+            for i in members:
+                results[i] = run_task(i)
+            continue
+        targets = np.ascontiguousarray(returns[observed[:, members[0]]][:, members].T)
+        params = [tasks[i][1].params_for(algo) for i in members]
+        try:
+            scaled, stats = standardize(window)
             fits = learners.fit_penalized_targets(scaled.values, targets, params, stats=stats)
         except MarketRadarError as exc:
             fits = [exc] * len(members)
-        for (i, block), fit in zip(members, fits):
-            asset, cfg = tasks[i]
-            results[i] = train_predict_stock_quarter(
-                assets, sources, calendar, asset, train_quarter, algo, cfg, prefit=(block, fit)
-            )
+        for i, fit in zip(members, fits):
+            results[i] = run_task(i, (window, fit))
     return results
 
 

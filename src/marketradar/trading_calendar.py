@@ -65,10 +65,6 @@ class TradingCalendar:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def __contains__(self, d: dt.date) -> bool:
-        i = int(np.searchsorted(self.ordinals, d.toordinal()))
-        return i < len(self.dates) and self.dates[i] == d
-
     def quarters(self) -> list[Quarter]:
         out: list[Quarter] = []
         for d in self.dates:
@@ -84,8 +80,3 @@ class TradingCalendar:
 
     def days_in_quarters(self, qs: Sequence[Quarter]) -> list[dt.date]:
         return [d for q in sorted(set(qs)) for d in self.days_in_quarter(q)]
-
-    def previous(self, d: dt.date) -> dt.date | None:
-        """Latest calendar date strictly before ``d``, or None."""
-        i = int(np.searchsorted(self.ordinals, d.toordinal()))
-        return self.dates[i - 1] if i > 0 else None

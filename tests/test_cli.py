@@ -122,6 +122,16 @@ class TestRadarCommand:
         cfg = write_cfg(tmp_path, RADAR_CFG)
         assert main(["radar", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_missing_calendar_exits_two(self, tmp_path, synth_dir, capsys):
+        # a configured calendar that does not exist is an error, not the
+        # panel's own calendar
+        calendar = tmp_path / "calendar.csv"
+        cfg = write_cfg(tmp_path, RADAR_CFG + f"\ndata.calendar = {calendar}", data_dir=synth_dir)
+        out = tmp_path / "run"
+        assert main(["radar", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: input {calendar} not found\n"
+        assert not (out / "forecasts.csv").exists()
+
     def test_run_writes_outputs(self, tmp_path, synth_dir, capsys):
         cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
         out = tmp_path / "run"
@@ -314,6 +324,15 @@ class TestReportCommand:
         gb = [row for row in rows if row.startswith("gb ")][:3]
         assert len(comb) == 3 and "n/a" not in "".join(comb)
         assert [row[5:] for row in comb] == [row[5:] for row in gb]
+
+    def test_missing_factors_exits_two(self, tmp_path, capsys):
+        # a misspelled factors path is an error, not a report without alphas
+        factors = tmp_path / "factor.csv"
+        text = write_report_inputs(tmp_path) + f"data.factors = {factors}\n"
+        out = tmp_path / "run"
+        assert main(["report", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: input {factors} not found\n"
+        assert not (out / "tables.txt").exists()
 
     def test_missing_forecasts_exits_two(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)

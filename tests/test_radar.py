@@ -393,6 +393,50 @@ class TestQuarterGroups:
         )
         assert any(",A001," in line for line in outputs[0])
 
+    def test_one_window_per_row_date_set(self, monkeypatch, small_scenario):
+        # A001 misses a day that both training windows hold: each training
+        # quarter has two row-date sets, A001 and the other three assets
+        sc = small_scenario
+        gap = sc.assets.dates()[50]
+        missing_day = without_records(sc.assets, lambda d, e: e == "A001" and d == gap)
+        real = radar.assemble_training_window
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append((args[3], args[4]))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(radar, "assemble_training_window", counting)
+        cfg = small_config()
+        _, _, report = run_radar(missing_day, sc.markets, cfg)
+        assert report.n_completed == 8
+        quarters = sorted({q for _, q, _ in enumerate_tasks(missing_day, sc.calendar(), cfg)})
+        # each set's window is its first member's
+        assert sorted(calls) == [(a, q) for a in ("A000", "A001") for q in quarters]
+
+    def test_set_below_the_minimum_skips_each_member(self, small_scenario):
+        # A001 and A002 keep only their last training quarter: they form one
+        # row-date set below min_train_rows in every training window
+        sc = small_scenario
+        last_train = sc.calendar().quarters()[-2]
+        short = without_records(
+            sc.assets, lambda d, e: e in ("A001", "A002") and quarter_of(d) < last_train
+        )
+        cfg = small_config()
+        _, _, report = run_radar(short, sc.markets, cfg, calendar=sc.calendar())
+        expected = []
+        for asset, q, algo in enumerate_tasks(short, sc.calendar(), cfg):
+            alone = train_predict_stock_quarter(
+                short, sc.markets, sc.calendar(), asset, q, algo, cfg
+            )
+            if alone.skipped:
+                expected.append((asset, format_quarter(shift_quarter(q, 1)), algo, alone.skip_reason))
+        assert report.skips == expected
+        assert [(asset, reason.split()[0]) for asset, _, _, reason in expected] == [
+            ("A001", "A001"), ("A001", "A001"), ("A002", "A002"), ("A002", "A002"),
+        ]
+        assert report.n_completed == 4
+
     def test_target_at_the_sweep_cap_fails_alone(self, tmp_path, monkeypatch, small_scenario):
         sc = small_scenario
         params = LassoParams(alpha=1e-4)

@@ -43,10 +43,6 @@ class TestCalendar:
         days = [D(2020, 1, 3), D(2020, 1, 2), D(2020, 1, 3), D(2020, 4, 1)]
         cal = TradingCalendar.from_dates(days)
         assert list(cal.dates) == [D(2020, 1, 2), D(2020, 1, 3), D(2020, 4, 1)]
-        assert D(2020, 1, 3) in cal
-        assert D(2020, 1, 4) not in cal
-        assert cal.previous(D(2020, 4, 1)) == D(2020, 1, 3)
-        assert cal.previous(D(2020, 1, 2)) is None
 
     def test_quarters_and_days(self):
         days = [D(2020, 1, 2), D(2020, 1, 3), D(2020, 4, 1), D(2020, 7, 6)]
