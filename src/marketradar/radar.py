@@ -30,6 +30,7 @@ forecast, which keys forecasts, fit records, and importances consistently.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import hashlib
 import math
 import time
@@ -556,8 +557,11 @@ def write_importance_csv(path: Path | str, records: Sequence[ImportanceRecord]) 
 
 
 def read_importance_csv(path: Path | str) -> list[ImportanceRecord]:
+    # each distinct quarter and (source, lag) cell is parsed once per file
+    quarter = functools.cache(parse_quarter)
+    signal = functools.cache(lambda source, lag: SignalId(source, int(lag)))
     parse = lambda rec: ImportanceRecord(
-        rec[0], parse_quarter(rec[1]), rec[2], SignalId(rec[3], int(rec[4])), float(rec[5])
+        rec[0], quarter(rec[1]), rec[2], signal(rec[3], rec[4]), float(rec[5])
     )
     header = lambda head: head == ["asset", "quarter", "algo", "source", "lag_week", "importance"]
     return read_csv_rows(path, parse, RadarError, header, "importance header")[1]

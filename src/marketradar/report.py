@@ -227,18 +227,19 @@ def importance_table(
     lines = ["== signal importance vs lag (x 1e4; clustered t) =="]
     algos = sorted({r.algo for r in records})
     for algo in algos:
-        subset = [r for r in records if r.algo == algo]
+        subset = [
+            r for r in records
+            if r.algo == algo and (positive_keys is None or (r.asset, r.quarter, algo) in positive_keys)
+        ]
         row = [f"{algo:8}"]
         for form in ("linear", "exp"):
-            row.append(f"{form}: " + _na(_decay_cell, subset, form, positive_keys, reason=False))
+            row.append(f"{form}: " + _na(_decay_cell, subset, form, reason=False))
         lines.append("  ".join(row))
     return "\n".join(lines) + "\n"
 
 
-def _decay_cell(records: Sequence[ImportanceRecord], form: str, positive_keys: set | None) -> str:
-    reg = em.importance_lag_regression(
-        records, form=form, positive_keys=positive_keys, scale=IMPORTANCE_REPORT_SCALE
-    )
+def _decay_cell(records: Sequence[ImportanceRecord], form: str) -> str:
+    reg = em.importance_lag_regression(records, form=form, scale=IMPORTANCE_REPORT_SCALE)
     const, slope = (cell(reg.coef[i], reg.t[i], reg.pvalues[i]) for i in (0, 1))
     window = _na(em.dissemination_window, float(reg.coef[0]), float(reg.coef[1]), form, reason=False)
     return f"slope {slope} const {const} window {window}w"

@@ -271,8 +271,15 @@ def write_scenario(scenario: Scenario, out_dir: Path | str) -> dict[str, Path]:
     return paths
 
 
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
 def read_factors_csv(path: Path | str) -> dict[str, dict[dt.date, float]]:
-    parse = lambda row: (dt.date.fromisoformat(row[0]), [float(cell) for cell in row[1:]])
+    parse = lambda row: (dt.date.fromisoformat(row[0]), [_finite(cell) for cell in row[1:]])
     header = lambda head: head[0] == "date"
     head, rows = read_csv_rows(
         path, parse, ScenarioError, header, "wide factor table with a date column"

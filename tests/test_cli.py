@@ -43,17 +43,27 @@ def write_cfg(tmp_path, text, data_dir=None, name="cfg.txt"):
     return str(path)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only the report's regressions need scipy; synth, radar and tune do not
+def test_cli_import_leaves_scipy_unloaded(tmp_path, synth_dir):
+    # no step needs scipy: neither importing the CLI nor a report whose
+    # factor alphas and importance slopes run regressions loads it
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
+    assert main(["radar", "--config", cfg, "--out", str(out)]) == 0
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [v for v in [env.get("PYTHONPATH")] if v])
-    code = "import sys, marketradar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    report = f"marketradar.cli.main(['report', '--config', {cfg!r}, '--out', {str(out)!r}])"
+    for step in ("0", report):
+        code = f"import sys, marketradar.cli; print({step}, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+    lines = (out / "tables.txt").read_text().splitlines()
+    top = next(line for line in lines if line.startswith("lasso    top"))
+    assert "*" in top and "n/a" not in top
+    assert any(line.startswith("lasso     linear: slope") for line in lines)
 
 
 class TestConfigParsing:
@@ -413,6 +423,17 @@ class TestMalformedInput:
         text = write_report_inputs(tmp_path) + f"data.factors = {factors}\n"
         err = self.run(capsys, "report", write_cfg(tmp_path, text), tmp_path / "run")
         assert err == f"error: {factors}:3: too few fields\n"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_factor(self, tmp_path, capsys, bad):
+        days = [dt.date(2020, 1, 6) + dt.timedelta(days=k) for k in range(5)]
+        factors = tmp_path / "factors.csv"
+        factors.write_text("date,MKT,RF\n" + "".join(
+            f"{day},{bad if k == 3 else 0.001 * k},0.0001\n" for k, day in enumerate(days)
+        ))
+        text = write_report_inputs(tmp_path) + f"data.factors = {factors}\n"
+        err = self.run(capsys, "report", write_cfg(tmp_path, text), tmp_path / "run")
+        assert err == f"error: {factors}:5: non-finite value {bad!r}\n"
 
     def test_extra_return_field(self, tmp_path, synth_dir, capsys):
         lines = (synth_dir / "returns.csv").read_text().splitlines(keepends=True)

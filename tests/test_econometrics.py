@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from marketradar.econometrics import (
     R2Record,
     RegressionError,
+    _t_pvalue,
     dissemination_window,
     factor_alpha,
     fe_regression,
@@ -197,6 +198,46 @@ class TestOls:
         D_mat = np.column_stack([np.ones(50), X])
         resid = y - D_mat @ res.coef
         assert np.max(np.abs(D_mat.T @ resid)) < 1e-8
+
+
+class TestStudentTPValue:
+    """The incomplete-beta tail against its oracle, scipy's ``stdtr``."""
+
+    def test_matches_stdtr(self):
+        from scipy.special import stdtr
+
+        t = np.linspace(-80.0, 80.0, 1281)
+        for dof in [*range(1, 61), *(10**k for k in range(2, 9))]:
+            ref = 2.0 * stdtr(dof, -np.abs(t))
+            got = np.array([_t_pvalue(float(v), dof) for v in t])
+            kept = ref > 1e-290
+            rel = np.abs(got[kept] - ref[kept]) / ref[kept]
+            assert rel.max() <= (1e-9 if dof <= 10**5 else 1e-6), dof
+
+    @pytest.mark.parametrize("dof", [1, 7, 10**6])
+    def test_edge_cases(self, dof):
+        from scipy.special import stdtr
+
+        for t, p in ((0.0, 1.0), (-0.0, 1.0), (math.inf, 0.0), (-math.inf, 0.0)):
+            assert _t_pvalue(t, dof) == p == 2.0 * stdtr(dof, -abs(t))
+        assert math.isnan(_t_pvalue(math.nan, dof))
+
+    def test_cauchy_closed_form_near_zero(self):
+        # one degree of freedom: p = 2/pi * atan(1/|t|), also where t^2 is tiny
+        for t in np.geomspace(1e-12, 1e12, 97):
+            exact = 2.0 / math.pi * math.atan(1.0 / t)
+            assert _t_pvalue(float(t), 1) == pytest.approx(exact, rel=1e-13)
+
+    def test_regression_pvalues(self):
+        from scipy.special import stdtr
+
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3))
+        y = X @ np.array([0.5, 0.0, -0.2]) + rng.normal(size=40)
+        for se in ("classic", "hc1"):
+            res = ols(y, X, se=se)
+            ref = 2.0 * stdtr(40 - 4, -np.abs(res.t))
+            np.testing.assert_allclose(res.pvalues, ref, rtol=1e-12, atol=0.0)
 
 
 class TestFactorAlpha:
