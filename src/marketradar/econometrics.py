@@ -154,7 +154,9 @@ def _solve(y: np.ndarray, D: np.ndarray, singular_message: str):
     if np.linalg.matrix_rank(gram) < D.shape[1]:
         raise RegressionError(singular_message)
     bread = np.linalg.inv(gram)
-    beta = bread @ (D.T @ y)
+    # (D'D)^-1 D' y in textbook order: a nearly cancelling sandwich
+    # amplifies the last bits of the residuals.
+    beta = bread @ D.T @ y
     return beta, y - D @ beta, bread
 
 
@@ -213,8 +215,10 @@ def _inference(D, resid, beta, bread, dof, se, clusters):
         if G < 2:
             raise RegressionError("need at least 2 clusters")
         scores = _group_sums(codes, G, scored)
+        # the sum of the clusters' outer products, in code order
+        meat = (scores[:, :, None] * scores[:, None, :]).sum(axis=0)
         factor = (G / (G - 1)) * ((n - 1) / dof)
-        cov = bread @ (scores.T @ scores) @ bread * factor
+        cov = bread @ meat @ bread * factor
     else:
         raise RegressionError(f"unknown se type {se!r}")
 
@@ -454,25 +458,13 @@ def to_monthly(
 def importance_lag_regression(
     records: Sequence,
     form: str = "exp",
-    positive_keys: set[tuple[str, Quarter, str]] | None = None,
     scale: float = 1.0,
 ) -> RegressionResult:
     """Regress importance on the lag-week indicator (or its exponential),
-    with errors clustered by (asset, quarter, source).
-
-    ``positive_keys`` optionally restricts rows to stock-quarters whose
-    out-of-sample fit was positive; pass None to use every record.
-    """
-    rows = [
-        r
-        for r in records
-        if positive_keys is None or (r.asset, r.quarter, r.algo) in positive_keys
-    ]
-    if not rows:
-        raise RegressionError("no importance records after filtering")
-    y = np.array([r.value * scale for r in rows])
-    lag = np.array([float(r.signal.lag_week) for r in rows])
+    with errors clustered by (asset, quarter, source)."""
+    y = np.array([r.value * scale for r in records])
+    lag = np.array([float(r.signal.lag_week) for r in records])
     x = np.exp(lag) if form == "exp" else lag
-    clusters = [(r.asset, r.quarter, r.signal.source) for r in rows]
+    clusters = [(r.asset, r.quarter, r.signal.source) for r in records]
     name = "exp_lag_week" if form == "exp" else "lag_week"
     return ols(y, x[:, None], names=[name], se="cluster", clusters=clusters)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -301,6 +302,9 @@ def build_signal_block(
 # rounding noise (~1e-16 of the values) instead of 0.
 CONSTANT_SD_RTOL = 1e-12
 
+# Largest mean, in sds, left in a standardized column (far above rounding noise).
+CENTRE_ATOL = 1e-12
+
 
 def negligible_sd(sd, values: np.ndarray):
     """Whether each sample sd is at most ``CONSTANT_SD_RTOL`` times the
@@ -314,17 +318,29 @@ def standardize(block: SignalBlock) -> tuple[SignalBlock, StandardizationStats]:
 
     A column is constant when ``negligible_sd`` says so; its sd is stored as
     0, so it also maps to 0 at prediction time.
+
+    When the spread is tiny against the level, the float mean's last bit
+    can be a visible fraction of an sd; a scaled column whose mean exceeds
+    ``CENTRE_ATOL`` is centred and scaled again and its stored sd corrected.
+    Prediction rows are centred by the stored mean alone.
     """
     if block.n_rows < 2:
         raise PanelError("standardize needs at least 2 rows")
     mean = block.values.mean(axis=0)
     sd = block.values.std(axis=0, ddof=1)
     sd[negligible_sd(sd, block.values)] = 0.0
+    values = StandardizationStats(mean=mean, sd=sd).transform(block.values)
+    off = np.abs(values.mean(axis=0)) > CENTRE_ATOL
+    if off.any():
+        values[:, off] -= values[:, off].mean(axis=0)
+        spread = values[:, off].std(axis=0, ddof=1)
+        values[:, off] /= spread
+        sd[off] *= spread
     stats = StandardizationStats(mean=mean, sd=sd)
     scaled = SignalBlock(
         rows=block.rows,
         columns=block.columns,
-        values=stats.transform(block.values),
+        values=values,
         target=block.target,
         empty_windows=block.empty_windows,
     )
@@ -397,8 +413,16 @@ def write_csv_rows(path: Path | str, header: Sequence[str], rows: Iterable[Seque
         writer.writerows(rows)
 
 
+def finite_float(cell: str) -> float:
+    """The float of a CSV cell; ValueError if it is not a finite number."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
 def read_panel_csv(path: Path | str, check_returns: bool = True) -> ReturnPanel:
-    parse = lambda row: (dt.date.fromisoformat(row[0]), row[1], float(row[2]))
+    parse = lambda row: (dt.date.fromisoformat(row[0]), row[1], finite_float(row[2]))
     header = lambda head: len(head) == 3
     _, records = read_csv_rows(path, parse, PanelError, header, "header date,entity,value")
     if not records:

@@ -4,21 +4,23 @@ deterministic key order regardless of parallelism.
 
 Tasks run in units of work, one ``_run_unit`` call each: a list of
 ``(asset, config)`` tasks that share a training quarter and an algorithm.
-Outside the sparse linear algorithms (``GROUPED_ALGOS``) a unit is one task.
-For lasso and elastic net, a run's unit is every asset of one training
-quarter, and a tuning unit is every trial of one sampled stock-quarter.
-Signals depend only on the date, so every task with the same trading days
-in the window has the same design matrix.  A unit first groups its tasks by
-the days their asset trades in the window, then assembles one window per
-such set of row dates, standardizes it once, solves all of the set's
-targets in one multi-target coordinate descent (one row per task, bit for
-bit the fit the task would get alone), and then finishes each task on its
-own: prediction block, forecast, sparsity and importance.
+A run's unit is every asset of one training quarter for lasso and elastic
+net (``GROUPED_ALGOS``) and one task otherwise; a tuning unit is every trial
+of one sampled stock-quarter.  Signals depend only on the date, so every
+task with the same trading days in the window has the same design matrix.
+A unit groups its tasks by the days their asset trades in the window and
+assembles one window per such set of row dates, for every algorithm.  Only
+the fit differs: lasso and elastic net standardize the window once and
+solve all of the set's targets in one multi-target coordinate descent (one
+row per task, bit for bit the fit the task would get alone), and any other
+algorithm fits each task's own model on the window.  Each task then
+finishes on its own: prediction block, forecast, sparsity and importance.
 
 Each task derives its own seed from a stable hash of (base seed, asset,
 training quarter, algorithm), so partial re-runs and any worker count
-reproduce identical output.  With more than one worker, units of work run in
-chunks on forked worker processes (POSIX only), which inherit the panels
+reproduce identical output.  Radar runs and tuning dispatch their units the
+same way: in this process, or with more than one worker, one unit per pool
+item on forked worker processes (POSIX only), which inherit the panels
 instead of receiving them pickled; a unit is never split across workers.
 Stock-quarters whose window is too small are recorded as skips, and tasks
 whose fit, prediction or attribution raises a library error as failures,
@@ -70,11 +72,6 @@ from .trading_calendar import (
     shift_quarter,
 )
 
-# Tasks a worker process takes at a time: few enough round trips to amortize
-# pickling results, small enough chunks to balance slow and fast algorithms.
-# A unit of work is never split, so a larger unit is a chunk of its own.
-TASK_CHUNK = 4
-
 # Algorithms whose tasks of one unit of work are fitted jointly.
 GROUPED_ALGOS = ("lasso", "enet")
 
@@ -93,7 +90,7 @@ class RadarConfig:
     min_train_rows: int = 60
     importance: bool = True
     nn_importance_permutations: int = SAMPLED_PERMUTATIONS
-    threads: int = 1  # worker processes; 1 runs every task in this process
+    threads: int = 1  # radar's and tune's worker processes; 1 runs all in this process
 
     def __post_init__(self) -> None:
         if self.window_quarters < 1 or self.lags < 1:
@@ -281,18 +278,19 @@ def train_predict_stock_quarter(
     algo: str,
     config: RadarConfig,
     *,
-    prefit: tuple[SignalBlock, learners.LinearModel | MarketRadarError] | None = None,
+    prefit: tuple[SignalBlock, learners.LinearModel | MarketRadarError | None] | None = None,
 ) -> TaskResult:
     """Fit on the trailing window ending at ``train_quarter`` and forecast
     every trading day of the asset in the next quarter.
 
     A window below ``min_train_rows`` comes back as a skip.  A library error
     from the fit, the prediction block, the prediction or the attribution
-    comes back as a failure that carries only its reason.  ``prefit`` is a
-    window with the task's row dates and the task's fit, or the error of its
-    fit, from its unit's joint solve; the task then only predicts and
-    attributes.  The window may be another member's of the same row-date
-    set: only its dates, columns and values are read.
+    comes back as a failure that carries only its reason.  ``prefit`` is the
+    task's training window, assembled by its unit, and its fit: None to fit
+    here, or the task's fit, or the error of its fit, from the unit's joint
+    solve, and the task then only predicts and attributes.  The window's
+    rows may name another asset of the same row-date set: only its dates,
+    columns, values and target are read.
     """
     forecast_quarter = shift_quarter(train_quarter, 1)
     result = TaskResult(asset, train_quarter, forecast_quarter, algo)
@@ -341,36 +339,52 @@ def train_predict_stock_quarter(
     return result
 
 
-def _run_unit(
-    assets: ReturnPanel,
-    sources: ReturnPanel,
-    calendar: TradingCalendar,
-    train_quarter: Quarter,
-    algo: str,
-    tasks: Sequence[tuple[str, RadarConfig]],
-) -> list[TaskResult]:
-    """The ``algo`` task of each ``(asset, config)`` pair at ``train_quarter``,
-    in task order.
+TaskInputs = tuple[ReturnPanel, ReturnPanel, TradingCalendar]
 
-    Outside ``GROUPED_ALGOS`` each task runs on its own.  Lasso and elastic
-    net group the tasks by the window days their asset trades on, then
-    assemble one window per set (its first member's), standardize it once,
-    and solve the set in one multi-target fit with one row per task, under
-    that task's own ``config.params_for(algo)``; a set below
-    ``min_train_rows`` runs each member alone, which records its skip.  The
-    tasks of a unit must therefore share ``lags``, ``window_quarters`` and
-    ``min_train_rows``; a radar run's tasks share one config, and a tuning
-    trial's config differs from the base only in ``algorithms``,
-    ``hyperparameters`` and ``importance``.
+# Set only in worker processes, by the pool's initializer: a forked worker
+# inherits the inputs every task reads instead of unpickling them.
+_worker_inputs: TaskInputs | None = None
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+# A unit of work: the (asset, config) tasks of one (training quarter, algo)
+# that run as one ``_run_unit`` call and one pool item.
+WorkUnit = tuple[Quarter, str, list[tuple[str, RadarConfig]]]
+
+
+def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResult]:
+    """The unit's ``algo`` task of each ``(asset, config)`` pair at its
+    training quarter, in task order, on ``inputs`` or in a worker on the
+    inputs its initializer set.  Fitted models are dropped: nothing after
+    the merge reads them, and a worker would pickle them back.
+
+    The tasks are grouped by the window days their asset trades on, and each
+    set assembles one window (its first member's) that every member reads
+    with its own target; a set below ``min_train_rows`` runs each member
+    alone, which records its skip.  Only the fit differs by algorithm: in
+    ``GROUPED_ALGOS`` the set's window is standardized once and the set
+    solved in one multi-target fit with one row per task, under that task's
+    own ``config.params_for(algo)``; any other algorithm fits each task's
+    own model.  The tasks of a unit must therefore share ``lags``,
+    ``window_quarters`` and ``min_train_rows``; a radar run's tasks share
+    one config, and a tuning trial's config differs from the base only in
+    ``algorithms``, ``hyperparameters`` and ``importance``.
     """
+    assets, sources, calendar = inputs or _worker_inputs
+    train_quarter, algo, tasks = unit
+
     def run_task(i: int, prefit=None) -> TaskResult:
         asset, cfg = tasks[i]
-        return train_predict_stock_quarter(
+        result = train_predict_stock_quarter(
             assets, sources, calendar, asset, train_quarter, algo, cfg, prefit=prefit
         )
+        result.model = None
+        return result
 
-    if algo not in GROUPED_ALGOS:
-        return [run_task(i) for i in range(len(tasks))]
     # the window's days, as assemble_training_window reads them, and which of
     # them each task's asset trades on: its training window's row dates
     cfg = tasks[0][1]
@@ -393,14 +407,17 @@ def _run_unit(
                 results[i] = run_task(i)
             continue
         targets = np.ascontiguousarray(returns[observed[:, members[0]]][:, members].T)
-        params = [tasks[i][1].params_for(algo) for i in members]
-        try:
-            scaled, stats = standardize(window)
-            fits = learners.fit_penalized_targets(scaled.values, targets, params, stats=stats)
-        except MarketRadarError as exc:
-            fits = [exc] * len(members)
-        for i, fit in zip(members, fits):
-            results[i] = run_task(i, (window, fit))
+        if algo in GROUPED_ALGOS:
+            params = [tasks[i][1].params_for(algo) for i in members]
+            try:
+                scaled, stats = standardize(window)
+                fits = learners.fit_penalized_targets(scaled.values, targets, params, stats=stats)
+            except MarketRadarError as exc:
+                fits = [exc] * len(members)
+        else:
+            fits = [None] * len(members)
+        for i, target, fit in zip(members, targets, fits):
+            results[i] = run_task(i, (replace(window, target=target), fit))
     return results
 
 
@@ -425,57 +442,29 @@ def enumerate_tasks(
     return tasks
 
 
-TaskInputs = tuple[ReturnPanel, ReturnPanel, TradingCalendar, RadarConfig]
+def _run_units(
+    units: Sequence[WorkUnit], inputs: TaskInputs, threads: int
+) -> list[list[TaskResult]]:
+    """Each unit's task results, in unit order: in this process, or one unit
+    per pool item on up to ``threads`` forked worker processes."""
+    workers = min(threads, len(units))
+    if workers <= 1:
+        return [_run_unit(unit, inputs) for unit in units]
+    # Imported here: serial runs and the other CLI steps then do without
+    # multiprocessing (about 0.4 MB of peak RSS at start-up).
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-# Set only in worker processes, by the pool's initializer: a forked worker
-# inherits the inputs every task reads instead of unpickling them.
-_worker_inputs: TaskInputs | None = None
-
-
-def _init_worker(*inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-# A unit of work: the assets whose tasks of one (training quarter, algo) run
-# as one ``_run_unit`` call, every asset for a grouped algorithm and one
-# asset otherwise.
-WorkUnit = tuple[Quarter, str, list[str]]
-
-
-def _work_chunks(tasks: Sequence[tuple[str, Quarter, str]]) -> list[list[WorkUnit]]:
-    """Units of work in the order of their first task, packed into chunks of
-    at most ``TASK_CHUNK`` tasks; a unit larger than that is its own chunk."""
-    units: dict[tuple, WorkUnit] = {}
-    for asset, quarter, algo in tasks:
-        key = (quarter, algo) if algo in GROUPED_ALGOS else (asset, quarter, algo)
-        units.setdefault(key, (quarter, algo, []))[2].append(asset)
-    chunks: list[list[WorkUnit]] = []
-    size = TASK_CHUNK
-    for unit in units.values():
-        if size + len(unit[2]) > TASK_CHUNK:
-            chunks.append([])
-            size = 0
-        chunks[-1].append(unit)
-        size += len(unit[2])
-    return chunks
-
-
-def _run_chunk(chunk: list[WorkUnit], inputs: TaskInputs | None = None) -> list[TaskResult]:
-    """Run each unit of a chunk as one ``_run_unit`` call under the run's
-    config, on ``inputs`` or in a worker on the inputs its initializer set.
-    Fitted models are dropped: nothing after the merge reads them, and a
-    worker would pickle them back."""
-    assets, sources, calendar, config = inputs or _worker_inputs
-    results = []
-    for quarter, algo, group in chunk:
-        done = _run_unit(
-            assets, sources, calendar, quarter, algo, [(asset, config) for asset in group]
-        )
-        for result in done:
-            result.model = None
-        results.extend(done)
-    return results
+    try:
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=inputs,
+        ) as pool:
+            return list(pool.map(_run_unit, units))
+    except BrokenProcessPool as exc:
+        raise RadarError(f"worker process died: {exc}") from exc
 
 
 def run_radar(
@@ -491,29 +480,17 @@ def run_radar(
         raise RadarError("no runnable tasks: not enough quarters for the window")
 
     start = time.perf_counter()
-    inputs = (assets, sources, cal, config)
-    chunks = _work_chunks(tasks)
-    workers = min(config.threads, len(chunks))
-    if workers > 1:
-        # Imported here: the serial path and the other CLI steps then do
-        # without multiprocessing (about 0.4 MB of peak RSS at start-up).
-        import multiprocessing
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=inputs,
-            ) as pool:
-                results = [r for part in pool.map(_run_chunk, chunks) for r in part]
-        except BrokenProcessPool as exc:
-            raise RadarError(f"worker process died: {exc}") from exc
-    else:
-        results = [r for chunk in chunks for r in _run_chunk(chunk, inputs)]
-
-    results.sort(key=lambda r: (r.asset, r.train_quarter, r.algo))
+    # units in the order of their first task: every asset of a training
+    # quarter for a grouped algorithm, one task otherwise
+    units: dict[tuple, WorkUnit] = {}
+    for asset, quarter, algo in tasks:
+        key = (quarter, algo) if algo in GROUPED_ALGOS else (asset, quarter, algo)
+        units.setdefault(key, (quarter, algo, []))[2].append((asset, config))
+    done = _run_units(list(units.values()), (assets, sources, cal), config.threads)
+    results = sorted(
+        (r for unit_results in done for r in unit_results),
+        key=lambda r: (r.asset, r.train_quarter, r.algo),
+    )
     frows: list[ForecastRow] = []
     importances: list[ImportanceRecord] = []
     report = RunReport(n_tasks=len(tasks), threads=config.threads)
@@ -629,10 +606,11 @@ def tune_hyperparameters(
     Each sampled (asset, quarter) gets ``budget`` random configurations;
     the one with the lowest next-quarter squared forecast error wins.  Each
     configuration is one ``train_predict_stock_quarter`` task, and the
-    configurations of one stock-quarter are one ``_run_unit``, so lasso and
-    elastic-net configurations are fitted jointly.  The tuning sample must
-    predate the evaluation period; restrict it with ``quarters`` when tuning
-    and evaluation share a panel.
+    configurations of one stock-quarter are one unit of work, with one
+    window, so lasso and elastic-net configurations are fitted jointly.  The
+    units run on ``config.threads`` workers, as a radar run's do.  The
+    tuning sample must predate the evaluation period; restrict it with
+    ``quarters`` when tuning and evaluation share a panel.
     """
     if n_tasks < 1 or budget < 1:
         raise RadarError("n_tasks and budget must be >= 1")
@@ -653,27 +631,37 @@ def tune_hyperparameters(
         len(candidates), size=n_tasks, replace=n_tasks > len(candidates)
     )
     dims = sorted(space)
-    winners: dict[str, list[float]] = {d: [] for d in dims}
     trial_base = replace(base, algorithms=(algo,), importance=False)
 
+    # one unit per sampled stock-quarter with a valid draw, its trials in
+    # draw order
+    units: list[WorkUnit] = []
+    draws: list[list[dict[str, float]]] = []
     for task_no, ci in enumerate(chosen_idx):
         asset, q = candidates[int(ci)]
         rng = np.random.default_rng(task_seed(seed, asset, q, f"tune-{algo}-{task_no}"))
-        draws, trials = [], []
+        unit_draws, trials = [], []
         for _ in range(budget):
             cfg = {d: space[d].sample(rng) for d in dims}
             try:
                 params = hp.params_from_mapping(algo, cfg)
             except hp.HyperparameterError:
                 continue
-            draws.append(cfg)
+            unit_draws.append(cfg)
             trials.append((asset, replace(trial_base, hyperparameters={algo: params})))
+        if trials:
+            units.append((q, algo, trials))
+            draws.append(unit_draws)
+
+    winners: dict[str, list[float]] = {d: [] for d in dims}
+    done = _run_units(units, (assets, sources, cal), base.threads)
+    for unit_draws, results in zip(draws, done):
         best_err = math.inf
         best_cfg: dict[str, float] | None = None
-        for cfg, result in zip(draws, _run_unit(assets, sources, cal, q, algo, trials)):
+        for cfg, result in zip(unit_draws, results):
             if result.skipped or not result.forecasts:
                 continue
-            realized = assets.rows([d for d, _ in result.forecasts], [asset])[:, 0]
+            realized = assets.rows([d for d, _ in result.forecasts], [result.asset])[:, 0]
             predicted = np.array([v for _, v in result.forecasts])
             err = float(np.sum((realized - predicted) ** 2))
             if err < best_err:

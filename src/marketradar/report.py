@@ -20,7 +20,7 @@ from .errors import MarketRadarError
 from .panel import ReturnPanel, negligible_sd
 from .radar import ForecastTable
 from .shapley import IMPORTANCE_REPORT_SCALE, ImportanceRecord
-from .trading_calendar import quarter_of
+from .trading_calendar import Quarter, quarter_of
 
 
 def stars(pvalue: float) -> str:
@@ -221,15 +221,15 @@ def r2_table(records: Sequence[em.R2Record], algos: Sequence[str]) -> str:
 
 
 def importance_table(
-    records: Sequence[ImportanceRecord],
-    positive_keys: set | None,
+    records: Sequence[ImportanceRecord], positive_keys: set[tuple[str, Quarter, str]]
 ) -> str:
+    """Importance-decay regressions per algorithm over the records of the
+    (asset, quarter, algo) stock-quarters in ``positive_keys``."""
     lines = ["== signal importance vs lag (x 1e4; clustered t) =="]
     algos = sorted({r.algo for r in records})
     for algo in algos:
         subset = [
-            r for r in records
-            if r.algo == algo and (positive_keys is None or (r.asset, r.quarter, algo) in positive_keys)
+            r for r in records if r.algo == algo and (r.asset, r.quarter, algo) in positive_keys
         ]
         row = [f"{algo:8}"]
         for form in ("linear", "exp"):

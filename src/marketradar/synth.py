@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MarketRadarError
 from .panel import EntitySeries, ReturnPanel, SignalId, lagged_signals, read_csv_rows, signal_columns
-from .panel import write_csv_rows, write_panel_csv
+from .panel import finite_float, write_csv_rows, write_panel_csv
 from .trading_calendar import Quarter, TradingCalendar, quarter_of, shift_quarter
 
 
@@ -271,15 +271,8 @@ def write_scenario(scenario: Scenario, out_dir: Path | str) -> dict[str, Path]:
     return paths
 
 
-def _finite(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {cell!r}")
-    return value
-
-
 def read_factors_csv(path: Path | str) -> dict[str, dict[dt.date, float]]:
-    parse = lambda row: (dt.date.fromisoformat(row[0]), [_finite(cell) for cell in row[1:]])
+    parse = lambda row: (dt.date.fromisoformat(row[0]), [finite_float(cell) for cell in row[1:]])
     header = lambda head: head[0] == "date"
     head, rows = read_csv_rows(
         path, parse, ScenarioError, header, "wide factor table with a date column"

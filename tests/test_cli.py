@@ -45,21 +45,29 @@ def write_cfg(tmp_path, text, data_dir=None, name="cfg.txt"):
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path, synth_dir):
     # no step needs scipy: neither importing the CLI nor a report whose
-    # factor alphas and importance slopes run regressions loads it
+    # factor alphas and importance slopes run regressions loads it; and a
+    # radar run on one worker does without multiprocessing
     out = tmp_path / "run"
     cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
-    assert main(["radar", "--config", cfg, "--out", str(out)]) == 0
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [v for v in [env.get("PYTHONPATH")] if v])
-    report = f"marketradar.cli.main(['report', '--config', {cfg!r}, '--out', {str(out)!r}])"
-    for step in ("0", report):
-        code = f"import sys, marketradar.cli; print({step}, sorted(m for m in sys.modules if m.startswith('scipy')))"
+    steps = [
+        f"marketradar.cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(out)!r}, "
+        "'--threads', '1'])"
+        for command in ("radar", "report")
+    ]
+    for step in ("0", *steps):
+        code = (
+            f"import sys, marketradar.cli; print({step}, "
+            "sorted(m for m in sys.modules if m.startswith('scipy')), "
+            "'multiprocessing' in sys.modules)"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert proc.stdout.splitlines()[-1] == "0 [] False"
     lines = (out / "tables.txt").read_text().splitlines()
     top = next(line for line in lines if line.startswith("lasso    top"))
     assert "*" in top and "n/a" not in top
@@ -375,18 +383,29 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and err.startswith("error: ")
         return err
 
-    def test_bad_return(self, tmp_path, synth_dir, capsys):
+    def radar_with_line_5(self, tmp_path, synth_dir, capsys, edit):
+        """``radar``'s error on the synth data with line 5 of returns.csv
+        replaced by ``edit`` of it, and the data directory."""
         lines = (synth_dir / "returns.csv").read_text().splitlines(keepends=True)
-        date, asset, _ = lines[4].split(",")
-        lines[4] = f"{date},{asset},abc\n"
+        lines[4] = edit(lines[4].rstrip("\n")) + "\n"
         data = tmp_path / "data"
         data.mkdir()
         for name in ("markets.csv", "factors.csv", "caps.csv"):
             (data / name).write_bytes((synth_dir / name).read_bytes())
         (data / "returns.csv").write_text("".join(lines))
         cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=data)
-        err = self.run(capsys, "radar", cfg, tmp_path / "run")
+        return self.run(capsys, "radar", cfg, tmp_path / "run"), data
+
+    def test_bad_return(self, tmp_path, synth_dir, capsys):
+        edit = lambda line: line.rsplit(",", 1)[0] + ",abc"
+        err, data = self.radar_with_line_5(tmp_path, synth_dir, capsys, edit)
         assert err == f"error: {data}/returns.csv:5: could not convert string to float: 'abc'\n"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_return(self, tmp_path, synth_dir, capsys, bad):
+        edit = lambda line: line.rsplit(",", 1)[0] + f",{bad}"
+        err, data = self.radar_with_line_5(tmp_path, synth_dir, capsys, edit)
+        assert err == f"error: {data}/returns.csv:5: non-finite value {bad!r}\n"
 
     def test_empty_calendar(self, tmp_path, synth_dir, capsys):
         calendar = tmp_path / "calendar.csv"
@@ -436,15 +455,8 @@ class TestMalformedInput:
         assert err == f"error: {factors}:5: non-finite value {bad!r}\n"
 
     def test_extra_return_field(self, tmp_path, synth_dir, capsys):
-        lines = (synth_dir / "returns.csv").read_text().splitlines(keepends=True)
-        lines[4] = lines[4].rstrip("\n") + ",0.5\n"
-        data = tmp_path / "data"
-        data.mkdir()
-        for name in ("markets.csv", "factors.csv", "caps.csv"):
-            (data / name).write_bytes((synth_dir / name).read_bytes())
-        (data / "returns.csv").write_text("".join(lines))
-        cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=data)
-        err = self.run(capsys, "radar", cfg, tmp_path / "run")
+        edit = lambda line: line + ",0.5"
+        err, data = self.radar_with_line_5(tmp_path, synth_dir, capsys, edit)
         assert err == f"error: {data}/returns.csv:5: too many fields\n"
 
     def test_bad_sparsity_line(self, tmp_path, capsys):

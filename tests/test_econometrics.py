@@ -585,10 +585,3 @@ class TestImportanceLagRegression:
         assert slope == pytest.approx(-0.1, abs=0.02)
         assert t < -2
 
-    def test_positive_filter_respected(self):
-        records = self._records()
-        keys = {("A", (2020, 1), "lasso")}
-        res = importance_lag_regression(records, form="exp", positive_keys=keys)
-        assert res.n == 8
-        with pytest.raises(RegressionError):
-            importance_lag_regression(records, positive_keys=set())

@@ -60,6 +60,21 @@ def small_scenario():
     return generate(spec)
 
 
+def recording_pools(monkeypatch) -> list[int]:
+    """The worker count of every process pool started from now on; a pool
+    never forks more than two workers, even if the worker bound breaks."""
+    started = []
+
+    class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(min(max_workers, 2), *args, **kwargs)
+
+    # the dispatcher imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
 def small_config(**kw):
     defaults = dict(
         algorithms=("lasso",),
@@ -299,26 +314,18 @@ class TestWorkerPool:
         with pytest.raises(RadarError, match=r"^non-finite loss .*\(A000 2017Q1 nn\)"):
             run_radar(sc.assets, sc.markets, cfg)
 
-    def test_pool_never_outnumbers_chunks(self, monkeypatch, small_scenario):
-        started = []
-
-        class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
-            def __init__(self, max_workers, *args, **kwargs):
-                started.append(max_workers)
-                # never fork a large pool, even if the worker bound breaks
-                super().__init__(min(max_workers, 2), *args, **kwargs)
-
-        # run_radar imports the pool class when it starts one
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_never_outnumbers_units(self, monkeypatch, small_scenario):
+        started = recording_pools(monkeypatch)
         sc = small_scenario
-        cfg = small_config(threads=64)
-        _, _, report = run_radar(sc.assets, sc.markets, cfg)
-        # 8 lasso tasks make two chunks
+        _, _, report = run_radar(sc.assets, sc.markets, small_config(threads=64))
+        # 8 lasso tasks make two units, one per training quarter
         assert report.n_tasks == 8
         assert started == [2]
-        # a single chunk runs in this process, with no pool at all
-        monkeypatch.setattr(radar, "TASK_CHUNK", 8)
-        run_radar(sc.assets, sc.markets, cfg)
+        # a single unit runs in this process, with no pool at all
+        _, _, report = run_radar(
+            sc.assets, sc.markets, small_config(threads=64, window_quarters=5)
+        )
+        assert report.n_tasks == 4
         assert started == [2]
 
     def test_dead_worker_is_radar_error(self, monkeypatch, small_scenario):
@@ -374,6 +381,23 @@ class TestQuarterGroups:
             alone_imps.extend(r.importances)
         assert table.rows == ForecastTable(alone_rows).rows
         assert sorted(imps, key=repr) == sorted(alone_imps, key=repr)
+
+    def test_lone_fits_of_a_set_read_their_own_target(self, small_scenario):
+        # gb tasks of several assets in one unit share their set's window,
+        # yet each fits on its own asset's returns
+        sc = small_scenario
+        cfg = small_config(algorithms=("gb",), hyperparameters={"gb": BoostParams(n_estimators=3)})
+        q = enumerate_tasks(sc.assets, sc.calendar(), cfg)[0][1]
+        assets = sc.assets.entity_ids
+        unit = (q, "gb", [(asset, cfg) for asset in assets])
+        together = radar._run_unit(unit, (sc.assets, sc.markets, sc.calendar()))
+        alone = [
+            train_predict_stock_quarter(sc.assets, sc.markets, sc.calendar(), a, q, "gb", cfg)
+            for a in assets
+        ]
+        assert all(r.forecasts for r in together)
+        assert [r.forecasts for r in together] == [r.forecasts for r in alone]
+        assert [r.importances for r in together] == [r.importances for r in alone]
 
     def test_own_row_dates_leave_the_others_unchanged(self, tmp_path, small_scenario):
         # A001 misses one training day, so it forms a row-date set of its own
@@ -513,23 +537,6 @@ class TestQuarterGroups:
             tracemalloc.stop()
         assert report.n_completed == 100
         assert peak <= 10 * 2**20
-
-    def test_chunks_keep_groups_whole(self):
-        tasks = [
-            (f"A{i}", q, algo)
-            for i in range(6) for q in [(2016, 4), (2017, 1)] for algo in ("lasso", "gb")
-        ]
-        chunks = radar._work_chunks(tasks)
-        units = [unit for chunk in chunks for unit in chunk]
-        assert sorted((q, algo, a) for q, algo, group in units for a in group) == sorted(
-            (q, algo, a) for a, q, algo in tasks
-        )
-        groups = [group for _, algo, group in units if algo == "lasso"]
-        assert groups == [[f"A{i}" for i in range(6)]] * 2
-        assert all(len(group) == 1 for _, algo, group in units if algo == "gb")
-        for chunk in chunks:
-            size = sum(len(group) for _, _, group in chunk)
-            assert size <= radar.TASK_CHUNK or len(chunk) == 1
 
 
 class TestForecastTable:
@@ -700,9 +707,11 @@ class TestTuning:
         def trials(grouped):
             seen = []
 
+            # a unit drops each task's model once the task returns
             def recording(*args, **kw):
                 result = real(*args, **kw)
-                seen.append((kw.get("prefit") is not None, args[6].params_for(algo), result))
+                fitted = kw["prefit"][1] is not None
+                seen.append((fitted, args[6].params_for(algo), result, result.model))
                 return result
 
             with monkeypatch.context() as patch:
@@ -719,14 +728,14 @@ class TestTuning:
         alone_tuned, alone = trials(grouped=False)
         assert tuned == alone_tuned
         assert len(joint) == len(alone) == 15
-        assert all(prefit for prefit, _, _ in joint)
-        assert not any(prefit for prefit, _, _ in alone)
-        for (_, params, a), (_, alone_params, b) in zip(joint, alone):
+        assert all(fitted for fitted, _, _, _ in joint)
+        assert not any(fitted for fitted, _, _, _ in alone)
+        for (_, params, a, a_model), (_, alone_params, b, b_model) in zip(joint, alone):
             assert params == alone_params
             assert a.forecasts == b.forecasts and a.forecasts
-            assert a.model.hyper == params
-            assert a.model.intercept == b.model.intercept
-            assert np.array_equal(a.model.coef, b.model.coef)
+            assert a_model.hyper == params
+            assert a_model.intercept == b_model.intercept
+            assert np.array_equal(a_model.coef, b_model.coef)
 
     # lasso tunes through a joint solve per stock-quarter, gb through lone tasks
     SKIP_CASES = [
@@ -775,6 +784,62 @@ class TestTuning:
         with pytest.raises(RadarError, match="no stock-quarter produced forecasts"):
             tune_hyperparameters(
                 sc.assets, sc.markets, algo, space, n_tasks=3, budget=2, seed=1, config=cfg,
+            )
+
+    @pytest.mark.parametrize("algo, space", SKIP_CASES)
+    def test_threads_run_the_serial_trials_in_one_pool(
+        self, monkeypatch, small_scenario, algo, space
+    ):
+        sc = small_scenario
+        started = recording_pools(monkeypatch)
+        real = radar._run_units
+        forecasts = []
+
+        def recording(units, inputs, threads):
+            done = real(units, inputs, threads)
+            forecasts.append([[r.forecasts for r in results] for results in done])
+            return done
+
+        monkeypatch.setattr(radar, "_run_units", recording)
+        tuned = [
+            tune_hyperparameters(
+                sc.assets, sc.markets, algo, space, n_tasks=3, budget=3, seed=2,
+                config=small_config(algorithms=(algo,), hyperparameters={}, threads=threads),
+            )
+            for threads in (1, 2)
+        ]
+        assert started == [2]
+        assert tuned[0] == tuned[1]
+        assert forecasts[0] == forecasts[1]
+        assert [len(unit) for unit in forecasts[0]] == [3] * 3
+        assert all(trial for unit in forecasts[0] for trial in unit)
+
+    def test_one_window_per_sampled_stock_quarter(self, monkeypatch, small_scenario):
+        # the trials of a stock-quarter share its window, also for gb, whose
+        # trials are fitted one by one
+        sc = small_scenario
+        real = radar.assemble_training_window
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append((args[3], args[4]))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(radar, "assemble_training_window", counting)
+        algo, space = self.SKIP_CASES[1]
+        tune_hyperparameters(
+            sc.assets, sc.markets, algo, space, n_tasks=3, budget=4, seed=2,
+            config=small_config(algorithms=(algo,), hyperparameters={}),
+        )
+        assert len(calls) == 3
+
+    def test_no_valid_draw_errors(self, small_scenario):
+        sc = small_scenario
+        space = {"alpha": SearchDim(kind="choice", values=(-1.0,))}
+        with pytest.raises(RadarError, match="no stock-quarter produced forecasts"):
+            tune_hyperparameters(
+                sc.assets, sc.markets, "lasso", space, n_tasks=2, budget=2, seed=0,
+                config=small_config(),
             )
 
     def test_median_snaps_to_valid_int(self):

@@ -3,8 +3,9 @@ import datetime as dt
 import numpy as np
 
 from marketradar import report as rp
-from marketradar.panel import ReturnPanel
+from marketradar.panel import ReturnPanel, SignalId
 from marketradar.radar import ForecastRow, ForecastTable
+from marketradar.shapley import ImportanceRecord
 
 D = dt.date
 DAYS = [D(2020, 1, 6) + dt.timedelta(days=i) for i in range(6)]
@@ -101,3 +102,26 @@ class TestTimingTable:
         assert table == (
             "== market timing ==\nn/a (no dates shared by forecasts and index returns)\n"
         )
+
+
+class TestImportanceTable:
+    def test_positive_filter_respected(self):
+        # importance falls by 0.1 a lag week, plus noise
+        rng = np.random.default_rng(10)
+        quarters = [(2020, 1), (2020, 2)]
+        records = [
+            ImportanceRecord(
+                asset, q, "lasso", SignalId(src, k), 0.6 - 0.1 * k + rng.normal(0, 0.01)
+            )
+            for asset in ("A", "B", "C") for q in quarters for src in ("M1", "M2")
+            for k in range(1, 5)
+        ]
+        every = {(r.asset, r.quarter, r.algo) for r in records}
+        keys = {(asset, q, "lasso") for asset in ("A", "B") for q in quarters}
+        kept = [r for r in records if (r.asset, r.quarter, r.algo) in keys]
+        table = rp.importance_table(records, keys)
+        assert "slope" in table
+        assert table == rp.importance_table(kept, every)
+        assert table != rp.importance_table(records, every)
+        empty = rp.importance_table(records, set()).splitlines()
+        assert empty[1].split() == ["lasso", "linear:", "n/a", "exp:", "n/a"]
