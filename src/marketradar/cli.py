@@ -286,8 +286,7 @@ def cmd_radar(cfg: RunConfig) -> int:
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
     forecasts.to_csv(cfg.out / "forecasts.csv")
-    if cfg.radar.importance:
-        write_importance_csv(cfg.out / "importance.csv", importances)
+    write_importance_csv(cfg.out / "importance.csv", importances)
     (cfg.out / "run_report.txt").write_text(run_report.to_text())
     print(run_report.to_text(), end="")
     return 0

@@ -166,23 +166,17 @@ def ols(
     names: Sequence[str] | None = None,
     se: str = "classic",
     clusters: Sequence[Hashable] | None = None,
-    add_intercept: bool = True,
 ) -> RegressionResult:
-    """OLS with classic, HC1-robust, or one-way cluster-robust (CR1) errors."""
-    y, D, names = _design(y, X, names, add_intercept)
+    """OLS with an intercept and classic, HC1-robust, or one-way
+    cluster-robust (CR1) errors."""
+    y, D, names = _design(y, X, names, add_intercept=True)
     n, p = D.shape
     if n <= p:
         raise RegressionError(f"need n > p, got n={n}, p={p}")
     beta, resid, bread = _solve(y, D, "singular design matrix")
     se_vec, tstats, pvals = _inference(D, resid, beta, bread, n - p, se, clusters)
 
-    if add_intercept:
-        sst = float(np.sum((y - y.mean()) ** 2))
-        df0 = 1
-    else:
-        sst = float(np.sum(y * y))
-        df0 = 0
-    r2, adj = _r2(float(resid @ resid), sst, n, df0, n - p)
+    r2, adj = _r2(float(resid @ resid), float(np.sum((y - y.mean()) ** 2)), n, n - p)
     return RegressionResult(
         names=names,
         coef=beta,
@@ -287,10 +281,10 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     raise RegressionError(f"t p-value did not converge at dof {2 * max(a, b):g}")
 
 
-def _r2(ssr: float, sst: float, n: int, df0: int, dof: int) -> tuple[float, float]:
-    """R2 and adjusted R2; ``df0`` is 1 when the model has an intercept."""
+def _r2(ssr: float, sst: float, n: int, dof: int) -> tuple[float, float]:
+    """R2 and adjusted R2 of a model with an intercept."""
     r2 = 1.0 - ssr / sst if sst > 0 else 1.0
-    return r2, 1.0 - (1.0 - r2) * (n - df0) / dof
+    return r2, 1.0 - (1.0 - r2) * (n - 1) / dof
 
 
 def rf_vector(rf: Mapping[dt.date, float] | float, dates: Sequence[dt.date]) -> np.ndarray:
@@ -305,9 +299,9 @@ def factor_alpha(
     portfolio_returns: np.ndarray,
     rf: Mapping[dt.date, float] | float,
     factors: Mapping[str, Mapping[dt.date, float]],
-    se: str = "hc1",
 ) -> RegressionResult:
-    """Excess-return regression on any factor set; intercept is the alpha."""
+    """Excess-return regression on any factor set, with HC1 errors;
+    intercept is the alpha."""
     dates = list(portfolio_dates)
     missing = []
     for name, series in factors.items():
@@ -320,7 +314,7 @@ def factor_alpha(
     names = list(factors)
     X = np.column_stack([[factors[name][d] for d in dates] for name in names]) if names else np.empty((len(dates), 0))
     y = np.asarray(portfolio_returns, dtype=np.float64) - rf_vec
-    result = ols(y, X, names=names, se=se, add_intercept=True)
+    result = ols(y, X, names=names, se="hc1")
     return replace(result, names=("alpha",) + result.names[1:])
 
 
@@ -365,7 +359,7 @@ def fe_regression(
     Dd = within(D)
     beta, resid, bread = _solve(within(y[:, None])[:, 0], Dd, "collinear with fixed effects")
     se_vec, tstats, pvals = _inference(Dd, resid, beta, bread, n - p_eff, se, clusters)
-    r2, adj = _r2(float(resid @ resid), float(np.sum((y - y.mean()) ** 2)), n, 1, n - p_eff)
+    r2, adj = _r2(float(resid @ resid), float(np.sum((y - y.mean()) ** 2)), n, n - p_eff)
     k = X.shape[1]
     return RegressionResult(
         names=names,

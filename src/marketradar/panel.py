@@ -11,13 +11,16 @@ d, so no signal ever touches the prediction date itself (no look-ahead).
 Sources with no trading day inside a window contribute a 0.0 signal; the
 block records how often that happened instead of dropping rows, which keeps
 row alignment across many sources with different holiday calendars.
+
+A signal block is one asset's, as a model is: one row per date on which the
+asset has a return, valued by the ``lagged_signals`` of those dates.
 """
 from __future__ import annotations
 
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -47,9 +50,6 @@ class SignalId:
             raise PanelError("SignalId source must be nonempty")
         if self.lag_week < 1:
             raise PanelError("SignalId lag_week must be >= 1")
-
-    def label(self) -> str:
-        return f"{self.source}:w{self.lag_week}"
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,11 @@ class StandardizationStats:
 
 @dataclass
 class SignalBlock:
-    """A (row x signal) design with realized same-day returns as targets."""
+    """One asset's (date x signal) design, with its realized same-day
+    returns on those dates as targets."""
 
-    rows: list[tuple[str, dt.date]]
+    asset: str
+    dates: list[dt.date]
     columns: list[SignalId]
     values: np.ndarray
     target: np.ndarray
@@ -198,14 +200,19 @@ class SignalBlock:
 
     def __post_init__(self) -> None:
         n, p = self.values.shape
-        if len(self.rows) != n or len(self.columns) != p or len(self.target) != n:
+        if len(self.dates) != n or len(self.columns) != p or len(self.target) != n:
             raise PanelError("signal block shape mismatch")
         if not np.all(np.isfinite(self.values)) or not np.all(np.isfinite(self.target)):
             raise PanelError("non-finite cell in signal block")
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.dates)
+
+    @property
+    def rows(self) -> list[tuple[str, dt.date]]:
+        """(asset, date) per row."""
+        return [(self.asset, d) for d in self.dates]
 
 
 def lag_window(d: dt.date | np.ndarray, k: int) -> tuple:
@@ -274,26 +281,18 @@ def build_signal_block(
     assets: ReturnPanel,
     dates: Sequence[dt.date],
     lags: int,
-    asset_ids: Sequence[str] | None = None,
+    asset: str,
 ) -> SignalBlock:
-    """One row per (asset, date) with a return, asset-major; one column per
-    (source, lag).  Unobserved (asset, date) pairs are dropped, and empty
-    windows are counted over the distinct dates that keep a row."""
-    if asset_ids is None:
-        asset_ids = assets.entity_ids
+    """``asset``'s block: one row per distinct date on which it has a
+    return, in date order; one column per (source, lag).  Empty windows are
+    counted over the rows."""
     date_list = sorted(set(dates))
-    returns = assets.rows(date_list, asset_ids)
-    kept = ~np.isnan(returns).all(axis=1)
+    returns = assets.rows(date_list, [asset])[:, 0]
+    kept = ~np.isnan(returns)
     row_dates = [d for d, keep in zip(date_list, kept) if keep]
-    signals, empties = lagged_signals(sources, row_dates, lags)
-    returns = returns[kept].T
-    asset_idx, date_idx = np.nonzero(~np.isnan(returns))
+    values, empties = lagged_signals(sources, row_dates, lags)
     return SignalBlock(
-        rows=[(asset_ids[a], row_dates[d]) for a, d in zip(asset_idx.tolist(), date_idx.tolist())],
-        columns=signal_columns(sources, lags),
-        values=signals[date_idx],
-        target=returns[asset_idx, date_idx],
-        empty_windows=empties,
+        asset, row_dates, signal_columns(sources, lags), values, returns[kept], empties
     )
 
 
@@ -336,15 +335,15 @@ def standardize(block: SignalBlock) -> tuple[SignalBlock, StandardizationStats]:
         spread = values[:, off].std(axis=0, ddof=1)
         values[:, off] /= spread
         sd[off] *= spread
-    stats = StandardizationStats(mean=mean, sd=sd)
-    scaled = SignalBlock(
-        rows=block.rows,
-        columns=block.columns,
-        values=values,
-        target=block.target,
-        empty_windows=block.empty_windows,
-    )
-    return scaled, stats
+    return replace(block, values=values), StandardizationStats(mean=mean, sd=sd)
+
+
+def window_days(
+    calendar: TradingCalendar, last_quarter: Quarter, window_quarters: int
+) -> list[dt.date]:
+    """The calendar's trading days in the ``window_quarters`` quarters
+    ending at ``last_quarter``: the candidate rows of a training window."""
+    return calendar.days_in_quarters(quarter_range(last_quarter, window_quarters))
 
 
 def assemble_training_window(
@@ -357,16 +356,15 @@ def assemble_training_window(
     window_quarters: int = 4,
     min_rows: int = 60,
 ) -> SignalBlock:
-    """Training block over the asset's trading days in the trailing quarters.
+    """The asset's training block over its ``window_days``.
 
     Raises WindowTooSmall when the asset has fewer than ``min_rows``
     observations in the window, so the caller can skip and record the task.
     """
-    window = quarter_range(last_quarter, window_quarters)
-    block = build_signal_block(
-        sources, assets, calendar.days_in_quarters(window), lags, asset_ids=[asset]
-    )
+    days = window_days(calendar, last_quarter, window_quarters)
+    block = build_signal_block(sources, assets, days, lags, asset)
     if block.n_rows < min_rows:
+        window = quarter_range(last_quarter, window_quarters)
         raise WindowTooSmall(
             f"{asset} {window[0]}..{window[-1]}: {block.n_rows} rows < minimum {min_rows}"
         )

@@ -55,6 +55,7 @@ from .panel import (
     build_signal_block,
     read_csv_rows,
     standardize,
+    window_days,
     write_csv_rows,
 )
 from .shapley import (
@@ -99,6 +100,8 @@ class RadarConfig:
             raise RadarError("nn_importance_permutations must be >= 1")
         if self.threads < 1:
             raise RadarError("threads must be >= 1")
+        if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
+            raise RadarError(f"algorithms must be non-empty and distinct, got {self.algorithms}")
         for algo in self.algorithms:
             if algo not in hp.PARAM_TYPES:
                 raise RadarError(f"unknown algorithm {algo!r}")
@@ -288,9 +291,8 @@ def train_predict_stock_quarter(
     comes back as a failure that carries only its reason.  ``prefit`` is the
     task's training window, assembled by its unit, and its fit: None to fit
     here, or the task's fit, or the error of its fit, from the unit's joint
-    solve, and the task then only predicts and attributes.  The window's
-    rows may name another asset of the same row-date set: only its dates,
-    columns, values and target are read.
+    solve, and the task then only predicts and attributes.  A forecast
+    that is not finite fails the task.
     """
     forecast_quarter = shift_quarter(train_quarter, 1)
     result = TaskResult(asset, train_quarter, forecast_quarter, algo)
@@ -311,17 +313,16 @@ def train_predict_stock_quarter(
             raise fit
         model = fit if fit is not None else _fit_model(algo, block, params, seed)
         result.model = model
-        result.window_dates = (block.rows[0][1], block.rows[-1][1])
+        result.window_dates = (block.dates[0], block.dates[-1])
 
         pred_block = build_signal_block(
-            sources,
-            assets,
-            calendar.days_in_quarter(forecast_quarter),
-            config.lags,
-            asset_ids=[asset],
+            sources, assets, calendar.days_in_quarter(forecast_quarter), config.lags, asset
         )
-        yhat = learners.predict(model, pred_block.values)
-        result.forecasts = [(d, float(v)) for (_, d), v in zip(pred_block.rows, yhat)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            yhat = learners.predict(model, pred_block.values)
+        if not np.all(np.isfinite(yhat)):
+            raise learners.ModelError("non-finite forecast")
+        result.forecasts = [(d, float(v)) for d, v in zip(pred_block.dates, yhat)]
 
         if isinstance(model, learners.LinearModel):
             result.nonzero_fraction = sparsity_fraction(model.coef)
@@ -362,14 +363,14 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
     inputs its initializer set.  Fitted models are dropped: nothing after
     the merge reads them, and a worker would pickle them back.
 
-    The tasks are grouped by the window days their asset trades on, and each
-    set assembles one window (its first member's) that every member reads
-    with its own target; a set below ``min_train_rows`` runs each member
-    alone, which records its skip.  Only the fit differs by algorithm: in
-    ``GROUPED_ALGOS`` the set's window is standardized once and the set
-    solved in one multi-target fit with one row per task, under that task's
-    own ``config.params_for(algo)``; any other algorithm fits each task's
-    own model.  The tasks of a unit must therefore share ``lags``,
+    The tasks are grouped by the ``window_days`` their asset trades on, and
+    each set assembles one window (its first member's) that every member
+    reads as its own block, with its own asset and target; a set below
+    ``min_train_rows`` runs each member alone, which records its skip.
+    Only the fit differs by algorithm: in ``GROUPED_ALGOS`` the set's
+    window is standardized once and the set solved in one multi-target fit
+    with one row per task, under that task's own ``config.params_for(algo)``;
+    any other algorithm fits each task's own model.  The tasks of a unit must therefore share ``lags``,
     ``window_quarters`` and ``min_train_rows``; a radar run's tasks share
     one config, and a tuning trial's config differs from the base only in
     ``algorithms``, ``hyperparameters`` and ``importance``.
@@ -385,10 +386,10 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
         result.model = None
         return result
 
-    # the window's days, as assemble_training_window reads them, and which of
-    # them each task's asset trades on: its training window's row dates
+    # which of the window's days each task's asset trades on: its training
+    # window's row dates
     cfg = tasks[0][1]
-    days = calendar.days_in_quarters(quarter_range(train_quarter, cfg.window_quarters))
+    days = window_days(calendar, train_quarter, cfg.window_quarters)
     returns = assets.rows(days, [asset for asset, _ in tasks])
     observed = ~np.isnan(returns)
     row_date_sets: dict[bytes, list[int]] = {}
@@ -417,7 +418,7 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
         else:
             fits = [None] * len(members)
         for i, target, fit in zip(members, targets, fits):
-            results[i] = run_task(i, (replace(window, target=target), fit))
+            results[i] = run_task(i, (replace(window, asset=tasks[i][0], target=target), fit))
     return results
 
 

@@ -34,7 +34,9 @@ def stars(pvalue: float) -> str:
 
 
 def cell(coef: float, t: float, pvalue: float, digits: int = 4) -> str:
-    return f"{coef:.{digits}f}{stars(pvalue)} ({t:.2f})"
+    """``coef`` with its stars, then ``(t)`` when the t-statistic is finite."""
+    text = f"{coef:.{digits}f}{stars(pvalue)}"
+    return f"{text} ({t:.2f})" if math.isfinite(t) else text
 
 
 def _mean_tstat(values: np.ndarray) -> tuple[float, float]:
@@ -42,7 +44,8 @@ def _mean_tstat(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     sd = float(values.std(ddof=1)) if n > 1 else 0.0
     if negligible_sd(sd, values):
-        return mean, math.inf * np.sign(mean)
+        # no spread: an infinite t, or 0/0 when the mean is 0 too
+        return mean, math.copysign(math.inf, mean) if mean else math.nan
     return mean, mean / (sd / math.sqrt(n))
 
 
@@ -165,7 +168,7 @@ def _decile_cell(series, rf, factors) -> str:
     if factors:
         return _alpha_cell(series, rf, factors)
     mean, t = _mean_tstat(np.asarray(series.returns) - em.rf_vector(rf, series.dates))
-    return f"{mean * 1e4:.2f} ({t:.2f})" if not math.isinf(t) else f"{mean * 1e4:.2f}"
+    return f"{mean * 1e4:.2f} ({t:.2f})" if math.isfinite(t) else f"{mean * 1e4:.2f}"
 
 
 def _forecast_cells(

@@ -126,14 +126,13 @@ def brute_force_shapley(
     f: Predictor,
     x: np.ndarray,
     background: np.ndarray,
-    max_features: int = MAX_BRUTE_FORCE_FEATURES,
 ) -> Attribution:
     """Exact Shapley values by coalition enumeration (p <= 12)."""
     x = np.asarray(x, dtype=np.float64)
     Z = _as_background(background)
     p = len(x)
-    if p > max_features:
-        raise ValueError(f"{p} features: use the sampled method beyond {max_features}")
+    if p > MAX_BRUTE_FORCE_FEATURES:
+        raise ValueError(f"{p} features: use the sampled method beyond {MAX_BRUTE_FORCE_FEATURES}")
 
     v = np.empty(1 << p)
     for mask in range(1 << p):

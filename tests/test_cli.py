@@ -225,6 +225,32 @@ class TestRadarCommand:
             assert capsys.readouterr().err == "error: threads must be >= 1\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize("algos", ["lasso,lasso", ","])
+    def test_repeated_or_no_algorithm_exits_one(self, tmp_path, synth_dir, capsys, algos):
+        cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
+        out = tmp_path / "run"
+        assert main(["radar", "--config", cfg, "--out", str(out), "--algos", algos]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: algorithms must be non-empty and distinct")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_run_without_importance_leaves_no_stale_importance(self, tmp_path, synth_dir):
+        # a gb run, then a lasso run without importance, into one directory:
+        # the report must not read the gb run's importance
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
+        assert main(["radar", "--config", cfg, "--out", str(out), "--algos", "gb"]) == 0
+        assert ",gb," in (out / "importance.csv").read_text()
+        text = RADAR_CFG.replace("radar.importance = true", "radar.importance = false")
+        cfg = write_cfg(tmp_path, text, data_dir=synth_dir, name="off.txt")
+        assert main(["radar", "--config", cfg, "--out", str(out), "--algos", "lasso"]) == 0
+        assert (out / "importance.csv").read_text() == (
+            "asset,quarter,algo,source,lag_week,importance\n"
+        )
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+        assert "importance" not in (out / "tables.txt").read_text()
+
     def test_underdetermined_ols_is_failed_task(self, tmp_path):
         # 70 markets x 4 lags = 280 features against 252 training rows: every
         # ols fit is underdetermined, and the lasso tasks must still run

@@ -96,14 +96,14 @@ class TestBuildSignalBlock:
         start = D(2020, 1, 1)
         markets = self._markets(47, start, 40)
         assets = panel_from([(D(2020, 2, 17), "AAA", 0.01)])
-        block = build_signal_block(markets, assets, [D(2020, 2, 17)], 4)
+        block = build_signal_block(markets, assets, [D(2020, 2, 17)], 4, "AAA")
         assert len(block.columns) == 188
         assert block.values.shape == (1, 188)
 
     def test_minimal_block(self):
         markets = self._markets(1, D(2020, 1, 1), 20)
         assets = panel_from([(D(2020, 1, 20), "AAA", 0.02)])
-        block = build_signal_block(markets, assets, [D(2020, 1, 20)], 1)
+        block = build_signal_block(markets, assets, [D(2020, 1, 20)], 1, "AAA")
         assert block.values.shape == (1, 1)
         assert block.target[0] == pytest.approx(0.02)
         assert block.rows == [("AAA", D(2020, 1, 20))]
@@ -112,7 +112,7 @@ class TestBuildSignalBlock:
         assets = panel_from([(D(2020, 1, 20), "AAA", 0.02)])
         empty = ReturnPanel({}, check_returns=True)
         with pytest.raises(PanelError, match="no signals"):
-            build_signal_block(empty, assets, [D(2020, 1, 20)], 1)
+            build_signal_block(empty, assets, [D(2020, 1, 20)], 1, "AAA")
 
     def test_no_look_ahead(self):
         # perturbing the market on the prediction date must not move signals
@@ -122,18 +122,18 @@ class TestBuildSignalBlock:
             (start + dt.timedelta(days=i), "M00", 0.001) for i in range(60)
         ]
         assets = panel_from([(date, "AAA", 0.01)])
-        block_a = build_signal_block(panel_from(base_rows), assets, [date], 4)
+        block_a = build_signal_block(panel_from(base_rows), assets, [date], 4, "AAA")
         bumped = [
             (d, e, 0.5 if d >= date else r) for d, e, r in base_rows
         ]
-        block_b = build_signal_block(panel_from(bumped), assets, [date], 4)
+        block_b = build_signal_block(panel_from(bumped), assets, [date], 4, "AAA")
         np.testing.assert_array_equal(block_a.values, block_b.values)
 
     def test_empty_windows_flagged_not_dropped(self):
         # source went dark before the prediction date: row kept, flag raised
         markets = self._markets(1, D(2020, 1, 1), 5)
         assets = panel_from([(D(2020, 3, 2), "AAA", 0.01)])
-        block = build_signal_block(markets, assets, [D(2020, 3, 2)], 2)
+        block = build_signal_block(markets, assets, [D(2020, 3, 2)], 2, "AAA")
         assert block.n_rows == 1
         assert block.empty_windows == 2
         np.testing.assert_array_equal(block.values, np.zeros((1, 2)))
@@ -288,7 +288,8 @@ class TestStandardize:
         matrix = np.asarray(matrix, dtype=np.float64)
         n = matrix.shape[0]
         return SignalBlock(
-            rows=[("A", D(2020, 1, 1) + dt.timedelta(days=i)) for i in range(n)],
+            asset="A",
+            dates=[D(2020, 1, 1) + dt.timedelta(days=i) for i in range(n)],
             columns=[SignalId(f"M{j}", 1) for j in range(matrix.shape[1])],
             values=matrix,
             target=np.zeros(n) if target is None else np.asarray(target, dtype=np.float64),

@@ -4,6 +4,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,29 @@ class TestWorkerPool:
         assert "tasks.failed = 8\n" in outputs[0][2]
         assert "fail A000 2017Q1 nn: non-finite loss" in outputs[0][2]
 
+    def test_non_finite_forecast_fails_its_task(self, small_scenario):
+        # a huge but valid market return in the last forecast quarter
+        # overflows the forecasts whose signals read it: those tasks fail,
+        # without numpy warnings, and the others still land
+        sc = small_scenario
+        huge_day = [d for d in sc.markets.dates() if quarter_of(d) == (2017, 2)][5]
+        rows = []
+        for e in sc.markets.entity_ids:
+            s = sc.markets.series(e)
+            rows.extend(
+                (d, e, 1e307 if (d, e) == (huge_day, "M00") else float(v))
+                for d, v in zip(map(dt.date.fromordinal, s.ordinals.tolist()), s.values)
+            )
+        markets = ReturnPanel.from_records(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table, _, report = run_radar(sc.assets, markets, small_config())
+        assert report.failures == [
+            (asset, "2017Q2", "lasso", "non-finite forecast") for asset in sc.assets.entity_ids
+        ]
+        assert report.n_completed == 4
+        assert {quarter_of(r.date) for r in table.rows} == {(2017, 1)}
+
     def test_every_task_failed_names_first_reason(self, small_scenario):
         sc = small_scenario
         cfg = small_config(
@@ -437,6 +461,37 @@ class TestQuarterGroups:
         quarters = sorted({q for _, q, _ in enumerate_tasks(missing_day, sc.calendar(), cfg)})
         # each set's window is its first member's
         assert sorted(calls) == [(a, q) for a in ("A000", "A001") for q in quarters]
+
+    def test_every_member_reads_its_own_block(self, monkeypatch, small_scenario):
+        # the four assets trade on the same days: a gb unit over them is one
+        # row-date set with one window, and each task's block names its asset
+        sc = small_scenario
+        cal = sc.calendar()
+        real = radar.train_predict_stock_quarter
+        blocks = {}
+
+        def recording(*args, prefit=None):
+            blocks[args[3]] = prefit[0]
+            return real(*args, prefit=prefit)
+
+        monkeypatch.setattr(radar, "train_predict_stock_quarter", recording)
+        cfg = small_config(
+            algorithms=("gb",), importance=False,
+            hyperparameters={"gb": BoostParams(n_estimators=5, max_depth=2)},
+        )
+        quarter = enumerate_tasks(sc.assets, cal, cfg)[0][1]
+        unit = (quarter, "gb", [(asset, cfg) for asset in sc.assets.entity_ids])
+        results = radar._run_unit(unit, (sc.assets, sc.markets, cal))
+        assert not any(r.skipped or r.failed for r in results)
+        assert list(blocks) == sc.assets.entity_ids
+        for asset, block in blocks.items():
+            own = radar.assemble_training_window(
+                sc.assets, sc.markets, cal, asset, quarter, cfg.lags, cfg.window_quarters,
+                cfg.min_train_rows,
+            )
+            assert block.rows == own.rows
+            np.testing.assert_array_equal(block.values, own.values)
+            np.testing.assert_array_equal(block.target, own.target)
 
     def test_set_below_the_minimum_skips_each_member(self, small_scenario):
         # A001 and A002 keep only their last training quarter: they form one

@@ -1,6 +1,7 @@
 import datetime as dt
 
 import numpy as np
+import pytest
 
 from marketradar import report as rp
 from marketradar.panel import ReturnPanel, SignalId
@@ -83,6 +84,23 @@ class TestDecileTable:
         )
         high_low = rp.decile_table(table, panel, 0.0, None).splitlines()[-1]
         assert high_low.split() == ["High", "-", "Low", "180.00"]
+
+    @pytest.mark.parametrize(
+        "factors", [None, {"MKT": dict(zip(DAYS, (0.01, -0.02, 0.005, 0.03)))}]
+    )
+    def test_a_decile_without_spread_prints_no_nan_t_statistic(self, factors):
+        # A0, the Low decile, earns exactly 0 every day: its mean (or alpha)
+        # and its standard error are 0, and the t-statistic 0/0
+        panel = ReturnPanel.from_records(
+            [
+                (day, asset, (0.001 + 0.0001 * k * k) * i)
+                for k, day in enumerate(DAYS[:4])
+                for i, asset in enumerate(ASSETS)
+            ]
+        )
+        table = rp.decile_table(forecasts({d: 10 for d in DAYS[:4]}), panel, 0.0, factors)
+        assert "nan" not in table
+        assert table.splitlines()[-2].split() == ["Low", "(1)", "0.00"]
 
     def test_high_low_is_na_when_the_deciles_share_no_dates(self):
         table = rp.decile_table(forecasts({d: 9 for d in DAYS[:4]}), returns(), 0.0, None)

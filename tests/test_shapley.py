@@ -460,7 +460,8 @@ def toy_block(values, target=None):
     values = np.asarray(values, dtype=np.float64)
     n, p = values.shape
     return SignalBlock(
-        rows=[("AAA", D(2020, 1, 1) + dt.timedelta(days=i)) for i in range(n)],
+        asset="AAA",
+        dates=[D(2020, 1, 1) + dt.timedelta(days=i) for i in range(n)],
         columns=[SignalId(f"M{j:02d}", 1) for j in range(p)],
         values=values,
         target=np.zeros(n) if target is None else np.asarray(target, dtype=np.float64),

@@ -86,7 +86,7 @@ class TestGenerate:
         sc = generate(spec)
         asset = sc.truth.exposed_assets()[0]
         dates = [d for d in sc.assets.dates()]
-        block = build_signal_block(sc.markets, sc.assets, dates, spec.lags, asset_ids=[asset])
+        block = build_signal_block(sc.markets, sc.assets, dates, spec.lags, asset)
         model = fit_ols(block.values, block.target)
         for sig, loading in sc.truth.loadings[asset].items():
             j = block.columns.index(sig)
@@ -99,7 +99,7 @@ class TestGenerate:
         sc = generate(spec)
         asset = sc.truth.exposed_assets()[0]
         dates = list(sc.assets.dates())[:10]
-        block = build_signal_block(sc.markets, sc.assets, dates, spec.lags, asset_ids=[asset])
+        block = build_signal_block(sc.markets, sc.assets, dates, spec.lags, asset)
         weights = np.zeros(len(block.columns))
         for sig, loading in sc.truth.loadings[asset].items():
             weights[block.columns.index(sig)] = loading
