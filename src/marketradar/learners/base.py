@@ -2,9 +2,10 @@
 
 All learners produce one of three container types.  Standardization stats
 travel with the model when the learner was trained on scaled inputs, so
-``predict`` can always be fed raw feature rows.  Tree models keep their full
-node structure (feature, threshold, children, leaf value, sample count) to
-support exact attribution downstream.
+``predict`` can always be fed raw feature rows.  Tree models keep each tree
+as one preorder node table (feature, threshold, children, leaf value, sample
+count), the node list of the model JSON, to support exact attribution
+downstream.
 """
 from __future__ import annotations
 
@@ -24,33 +25,59 @@ class ModelError(MarketRadarError, ValueError):
     pass
 
 
-@dataclass(eq=False)
+# A tree is a node table: a row per node in preorder, with the columns of the
+# model JSON's node list; a leaf has feature, left and right -1.
+NODE_DTYPE = np.dtype([
+    ("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
+    ("right", np.intp), ("value", np.float64), ("n", np.int64),
+])
+
+
+def stack_tables(tables: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The node tables as one, the row of each table's root in it, and the
+    left and right child rows of each row, a leaf being both of its own."""
+    sizes = np.array([len(table) for table in tables])
+    roots = np.cumsum(sizes) - sizes
+    nodes = np.concatenate(tables)
+    offset = roots.repeat(sizes)
+    left, right = nodes["left"] + offset, nodes["right"] + offset
+    leaf = np.flatnonzero(nodes["feature"] < 0)
+    left[leaf] = right[leaf] = leaf
+    return nodes, roots, left, right
+
+
+def leaf_values(tables: list[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """(rows, trees): each tree's leaf value for each row of X.  All rows
+    descend all trees at once, one level per step, going left where x <=
+    threshold; a leaf is its own child, so the walk ends when every row is
+    at a leaf of every tree."""
+    nodes, roots, left, right = stack_tables(tables)
+    leaf = nodes["feature"] < 0
+    feature, threshold = np.where(leaf, 0, nodes["feature"]), nodes["threshold"]
+    rows, node = np.arange(X.shape[0])[:, None], roots + np.zeros((X.shape[0], 1), dtype=np.intp)
+    while not leaf[node].all():
+        node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
+    return nodes["value"][node]
+
+
+@dataclass(frozen=True, eq=False)
 class TreeNode:
-    """Binary regression tree node; feature == -1 marks a leaf."""
+    """Read-only view of one row of a node table: feature (-1 marks a leaf),
+    threshold, value, n_samples, and child views (None below a leaf)."""
 
-    feature: int
-    threshold: float
-    left: Optional["TreeNode"]
-    right: Optional["TreeNode"]
-    value: float
-    n_samples: int
+    table: np.ndarray
+    row: int = 0
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    feature = property(lambda node: int(node.table["feature"][node.row]))
+    threshold = property(lambda node: float(node.table["threshold"][node.row]))
+    value = property(lambda node: float(node.table["value"][node.row]))
+    n_samples = property(lambda node: int(node.table["n"][node.row]))
+    is_leaf = property(lambda node: node.feature < 0)
+    left = property(lambda node: node._child("left"))
+    right = property(lambda node: node._child("right"))
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        self._fill(X, np.arange(X.shape[0]), out)
-        return out
-
-    def _fill(self, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-        if self.is_leaf:
-            out[idx] = self.value
-            return
-        go_left = X[idx, self.feature] <= self.threshold
-        self.left._fill(X, idx[go_left], out)
-        self.right._fill(X, idx[~go_left], out)
+    def _child(self, side: str) -> Optional["TreeNode"]:
+        return None if self.is_leaf else TreeNode(self.table, int(self.table[side][self.row]))
 
 
 @dataclass(eq=False)
@@ -87,11 +114,14 @@ class TreeEnsembleModel(TrainedModel):
     tree_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
     base: float = 0.0
 
+    def stages(self, X: np.ndarray) -> np.ndarray:
+        """(rows, 1 + trees): the base, then the prediction after each tree,
+        its weighted value added in tree order."""
+        terms = leaf_values([tree.table for tree in self.trees], X) * self.tree_weights
+        return np.cumsum(np.column_stack([np.full(X.shape[0], self.base), terms]), axis=1)
+
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.full(X.shape[0], self.base)
-        for w, tree in zip(self.tree_weights, self.trees):
-            out += w * tree.predict(X)
-        return out
+        return self.stages(X)[:, -1]
 
 
 @dataclass(eq=False)
@@ -137,43 +167,6 @@ def _stats_from_obj(obj) -> StandardizationStats | None:
     )
 
 
-def _tree_to_nodes(root: TreeNode) -> list[dict]:
-    nodes: list[dict] = []
-
-    def walk(node: TreeNode) -> int:
-        my_id = len(nodes)
-        nodes.append({})
-        left = walk(node.left) if node.left is not None else -1
-        right = walk(node.right) if node.right is not None else -1
-        nodes[my_id] = {
-            "feature": node.feature,
-            "threshold": node.threshold,
-            "left": left,
-            "right": right,
-            "value": node.value,
-            "n": node.n_samples,
-        }
-        return my_id
-
-    walk(root)
-    return nodes
-
-
-def _tree_from_nodes(nodes: list[dict]) -> TreeNode:
-    def build(i: int) -> TreeNode:
-        rec = nodes[i]
-        return TreeNode(
-            feature=int(rec["feature"]),
-            threshold=float(rec["threshold"]),
-            left=build(rec["left"]) if rec["left"] >= 0 else None,
-            right=build(rec["right"]) if rec["right"] >= 0 else None,
-            value=float(rec["value"]),
-            n_samples=int(rec["n"]),
-        )
-
-    return build(0)
-
-
 def _hyper_to_obj(hyper) -> dict | None:
     if hyper is None:
         return None
@@ -198,7 +191,7 @@ def model_to_json(model: TrainedModel) -> str:
         doc["kind"] = "trees"
         doc["base"] = model.base
         doc["tree_weights"] = model.tree_weights.tolist()
-        doc["trees"] = [_tree_to_nodes(t) for t in model.trees]
+        doc["trees"] = [[dict(zip(NODE_DTYPE.names, r)) for r in t.table.tolist()] for t in model.trees]
     elif isinstance(model, NeuralNetModel):
         doc["kind"] = "nn"
         doc["activation"] = model.activation
@@ -232,10 +225,21 @@ def model_from_json(text: str) -> TrainedModel:
             **common,
         )
     if kind == "trees":
+        trees = []
+        for nodes in doc["trees"]:
+            table = np.array([tuple(n[c] for c in NODE_DTYPE.names) for n in nodes], NODE_DTYPE)
+            # every row but the root must be the child of one earlier row
+            inner = np.flatnonzero(table["feature"] >= 0)
+            children = np.concatenate([table["left"][inner], table["right"][inner]])
+            if not len(table) or np.any(children <= np.tile(inner, 2)) or not np.array_equal(
+                np.sort(children), np.arange(1, len(table))
+            ):
+                raise ModelError("tree nodes must have one parent each, in an earlier row")
+            trees.append(TreeNode(table))
         return TreeEnsembleModel(
             base=float(doc["base"]),
             tree_weights=np.array(doc["tree_weights"], dtype=np.float64),
-            trees=[_tree_from_nodes(nodes) for nodes in doc["trees"]],
+            trees=trees,
             **common,
         )
     if kind == "nn":

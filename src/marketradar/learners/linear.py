@@ -127,7 +127,6 @@ def _coordinate_descent(
 
 def _penalties(params: LassoParams | ElasticNetParams) -> tuple[str, float, float]:
     """Algorithm name, l1 and l2 weights; lasso is the elastic net with l2 = 0."""
-    params.validate()
     if isinstance(params, ElasticNetParams):
         return "enet", params.alpha * params.l1_ratio, params.alpha * (1.0 - params.l1_ratio)
     return "lasso", params.alpha, 0.0

@@ -80,7 +80,6 @@ def fit_nn(
     seed: int,
     stats: StandardizationStats | None = None,
 ) -> NeuralNetModel:
-    params.validate()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y):

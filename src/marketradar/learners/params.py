@@ -2,8 +2,8 @@
 
 Field names follow the common library conventions.  Fractional fields
 (`max_samples`, `subsample`, `max_features`) are fractions of rows/features,
-all in (0, 1].  Defaults here are package defaults; tuned values are meant
-to come from config files produced by the tuning protocol.
+all in (0, 1]; a set checks its ranges when it is built.  Defaults here are
+package defaults; tuned values come from the tuning protocol's config files.
 """
 from __future__ import annotations
 
@@ -24,15 +24,14 @@ def _check(cond: bool, msg: str) -> None:
 
 @dataclass(frozen=True)
 class OlsParams:
-    def validate(self) -> None:
-        pass
+    pass
 
 
 @dataclass(frozen=True)
 class LassoParams:
     alpha: float = 1e-4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check(self.alpha >= 0, "alpha must be >= 0")
 
 
@@ -41,7 +40,7 @@ class ElasticNetParams:
     alpha: float = 1e-4
     l1_ratio: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check(self.alpha >= 0, "alpha must be >= 0")
         _check(0.0 <= self.l1_ratio <= 1.0, "l1_ratio must be in [0, 1]")
 
@@ -54,7 +53,7 @@ class ForestParams:
     max_samples: float = 0.5
     max_features: float = 0.34
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check(self.n_estimators >= 1, "n_estimators must be >= 1")
         _check(self.max_depth >= 1, "max_depth must be >= 1")
         _check(self.min_samples_leaf >= 1, "min_samples_leaf must be >= 1")
@@ -71,7 +70,7 @@ class BoostParams:
     subsample: float = 0.8
     max_features: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check(self.n_estimators >= 1, "n_estimators must be >= 1")
         _check(self.max_depth >= 1, "max_depth must be >= 1")
         _check(self.min_samples_leaf >= 1, "min_samples_leaf must be >= 1")
@@ -89,7 +88,7 @@ class NetParams:
     learning_rate: float = 1e-3
     l1: float = 1e-5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check(self.epochs >= 1, "epochs must be >= 1")
         _check(self.batch_size >= 1, "batch_size must be >= 1")
         _check(self.n_layers >= 1, "n_layers must be >= 1")
@@ -129,6 +128,4 @@ def params_from_mapping(algo: str, mapping: dict):
         if f is None:
             raise HyperparameterError(f"{algo} has no hyperparameter {key!r}")
         kwargs[key] = int(round(float(value))) if f.type == "int" else float(value)
-    params = cls(**kwargs)
-    params.validate()
-    return params
+    return cls(**kwargs)

@@ -321,12 +321,17 @@ def standardize(block: SignalBlock) -> tuple[SignalBlock, StandardizationStats]:
     When the spread is tiny against the level, the float mean's last bit
     can be a visible fraction of an sd; a scaled column whose mean exceeds
     ``CENTRE_ATOL`` is centred and scaled again and its stored sd corrected.
-    Prediction rows are centred by the stored mean alone.
+    Prediction rows are centred by the stored mean alone.  A column whose
+    mean or sd overflows raises PanelError.
     """
     if block.n_rows < 2:
         raise PanelError("standardize needs at least 2 rows")
-    mean = block.values.mean(axis=0)
-    sd = block.values.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = block.values.mean(axis=0)
+        sd = block.values.std(axis=0, ddof=1)
+    for col, finite in zip(block.columns, np.isfinite(mean) & np.isfinite(sd)):
+        if not finite:
+            raise PanelError(f"signal {col.source} lag {col.lag_week}: mean or sd is not finite")
     sd[negligible_sd(sd, block.values)] = 0.0
     values = StandardizationStats(mean=mean, sd=sd).transform(block.values)
     off = np.abs(values.mean(axis=0)) > CENTRE_ATOL

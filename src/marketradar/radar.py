@@ -108,10 +108,7 @@ class RadarConfig:
 
     def params_for(self, algo: str):
         given = self.hyperparameters.get(algo)
-        if given is None:
-            return hp.default_params(algo)
-        given.validate()
-        return given
+        return hp.default_params(algo) if given is None else given
 
 
 @dataclass(frozen=True)
@@ -610,8 +607,9 @@ def tune_hyperparameters(
     configurations of one stock-quarter are one unit of work, with one
     window, so lasso and elastic-net configurations are fitted jointly.  The
     units run on ``config.threads`` workers, as a radar run's do.  The
-    tuning sample must predate the evaluation period; restrict it with
-    ``quarters`` when tuning and evaluation share a panel.
+    sample draws from the training quarters in ``quarters``, by default
+    only those before the run's first forecast quarter; any later quarter
+    must be asked for.
     """
     if n_tasks < 1 or budget < 1:
         raise RadarError("n_tasks and budget must be >= 1")
@@ -620,10 +618,10 @@ def tune_hyperparameters(
     base = config if config is not None else RadarConfig(algorithms=(algo,))
     cal = calendar if calendar is not None else assets.calendar()
 
-    candidates = []
-    for asset, q, a in enumerate_tasks(assets, cal, replace(base, algorithms=(algo,))):
-        if quarters is None or q in quarters:
-            candidates.append((asset, q))
+    tasks = enumerate_tasks(assets, cal, replace(base, algorithms=(algo,)))
+    if quarters is None:  # the only training quarter before the first forecast one
+        quarters = [min((q for _, q, _ in tasks), default=None)]
+    candidates = [(asset, q) for asset, q, _ in tasks if q in quarters]
     if not candidates:
         raise RadarError("empty tuning sample")
 

@@ -57,8 +57,8 @@ from .learners.base import (
     ModelError,
     NeuralNetModel,
     TreeEnsembleModel,
-    TreeNode,
     predict,
+    stack_tables,
 )
 from .panel import SignalBlock, SignalId
 from .trading_calendar import Quarter
@@ -153,30 +153,6 @@ def brute_force_shapley(
     return Attribution(phi=phi, base_value=float(v[0]))
 
 
-def _leaf_paths(
-    root: TreeNode,
-) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-    """(value, features, lower, upper) per leaf; pass means lo < v <= hi."""
-    leaves: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def walk(node: TreeNode, bounds: dict[int, tuple[float, float]]) -> None:
-        if node.is_leaf:
-            feats = np.array(sorted(bounds), dtype=np.intp)
-            lows = np.array([bounds[f][0] for f in feats])
-            highs = np.array([bounds[f][1] for f in feats])
-            leaves.append((node.value, feats, lows, highs))
-            return
-        f, t = node.feature, node.threshold
-        lo, hi = bounds.get(f, (-np.inf, np.inf))
-        if t > lo:  # left region (lo, min(hi, t)] nonempty
-            walk(node.left, {**bounds, f: (lo, min(hi, t))})
-        if t < hi:  # right region (max(lo, t), hi] nonempty
-            walk(node.right, {**bounds, f: (max(lo, t), hi)})
-
-    walk(root, {})
-    return leaves
-
-
 def _shapley_weight_tables(max_count: int) -> tuple[np.ndarray, np.ndarray]:
     size = max_count + 1
     only_x = np.zeros((size, size))
@@ -235,27 +211,46 @@ def _leaf_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(feature, low, high) as L x K slot arrays, plus weight x value per leaf.
 
-    Only leaves that constrain a feature are kept; K is the longest path.
-    Shorter paths are padded with (-inf, inf] slots on feature 0.
+    A walk down the stacked node tables gives each child its parent's
+    bounds with the split feature narrowed to its side, and skips a child
+    whose region is empty.  Leaves that constrain a feature are kept in tree
+    order, then preorder, features ascending; K is the longest path, and
+    shorter ones are padded with (-inf, inf] slots on feature 0.
     """
-    paths = [
-        (weight * value, feats, lows, highs)
-        for weight, tree in zip(model.tree_weights, model.trees)
-        for value, feats, lows, highs in _leaf_paths(tree)
-        if len(feats)
-    ]
-    lengths = np.array([len(path[1]) for path in paths], dtype=np.intp)
-    n_leaves, k = len(paths), int(lengths.max(initial=0))
-    feature = np.zeros((n_leaves, k), dtype=np.intp)
-    low = np.full((n_leaves, k), -np.inf)
-    high = np.full((n_leaves, k), np.inf)
-    if n_leaves:
-        leaf = np.repeat(np.arange(n_leaves), lengths)
-        slot = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        for column, target in enumerate((feature, low, high), start=1):
-            target[leaf, slot] = np.concatenate([path[column] for path in paths])
-    scale = np.array([path[0] for path in paths], dtype=np.float64)
-    return feature, low, high, scale
+    nodes, roots, left, right = stack_tables([tree.table for tree in model.trees])
+    feature, threshold = nodes["feature"], nodes["threshold"]
+    low = np.full((len(nodes), model.n_features), -np.inf)
+    high = np.full_like(low, np.inf)
+    used = np.zeros(low.shape, dtype=bool)
+    level = roots
+    while len(level := level[feature[level] >= 0]):
+        f, t = feature[level], threshold[level]
+        lo, hi = low[level, f], high[level, f]
+        entered = []
+        for side, keep, child_lo, child_hi in (
+            (left, t > lo, lo, np.where(t < hi, t, hi)),  # (lo, min(hi, t)]
+            (right, t < hi, np.where(t > lo, t, lo), hi),  # (max(lo, t), hi]
+        ):
+            parent, child, split = level[keep], side[level[keep]], f[keep]
+            low[child], high[child], used[child] = low[parent], high[parent], used[parent]
+            low[child, split], high[child, split] = child_lo[keep], child_hi[keep]
+            used[child, split] = True
+            entered.append(child)
+        level = np.concatenate(entered)
+
+    # a node never reached constrains nothing, like a lone root leaf
+    leaf = np.flatnonzero((feature < 0) & used.any(axis=1))
+    # each leaf's constrained features first, in ascending order, then padding
+    slots = np.argsort(~used[leaf], axis=1, kind="stable")
+    slots = slots[:, : used[leaf].sum(axis=1).max(initial=0)]
+    pad = ~np.take_along_axis(used[leaf], slots, axis=1)
+    return (
+        np.where(pad, 0, slots),
+        np.where(pad, -np.inf, np.take_along_axis(low[leaf], slots, axis=1)),
+        np.where(pad, np.inf, np.take_along_axis(high[leaf], slots, axis=1)),
+        np.repeat(model.tree_weights, np.diff(roots, append=len(nodes)))[leaf]
+        * nodes["value"][leaf],
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -150,6 +150,13 @@ class TestRadarCommand:
         assert capsys.readouterr().err == f"error: input {calendar} not found\n"
         assert not (out / "forecasts.csv").exists()
 
+    def test_out_of_range_hyperparameter_exits_one(self, tmp_path, synth_dir, capsys):
+        cfg = write_cfg(tmp_path, RADAR_CFG + "\nhp.rf.n_estimators = 0", data_dir=synth_dir)
+        out = tmp_path / "run"
+        assert main(["radar", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n_estimators must be >= 1\n"
+        assert not (out / "forecasts.csv").exists()
+
     def test_run_writes_outputs(self, tmp_path, synth_dir, capsys):
         cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
         out = tmp_path / "run"

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -8,11 +9,14 @@ from hypothesis.extra import numpy as hnp
 
 from marketradar.learners import (
     BoostParams,
+    ElasticNetParams,
     ForestParams,
+    HyperparameterError,
     LassoParams,
     LinearModel,
     ModelError,
     NetParams,
+    NODE_DTYPE,
     NeuralNetModel,
     TreeEnsembleModel,
     TreeNode,
@@ -65,6 +69,58 @@ class TestPredict:
             predict(model, np.zeros((4, 2)))
 
 
+# A gb model's document as written before trees were node tables, and its
+# predictions on the first 8 rows of ``gb_model_data``.
+GB_MODEL_V1 = (
+    '{"algo": "gb", "base": -0.8550995, "format": "marketradar-model-v1", '
+    '"hyper": {"algo_params": {"learning_rate": 0.1, "max_depth": 2, "max_features": 0.5, '
+    '"min_samples_leaf": 3, "n_estimators": 3, "subsample": 0.8}}, "kind": "trees", '
+    '"n_features": 3, "seed": 1, "stats": null, "tree_weights": [0.1, 0.1, 0.1], '
+    '"trees": [[{"feature": 0, "left": 1, "n": 20, "right": 4, "threshold": -0.7155, '
+    '"value": 0.07900622499999999}, {"feature": 2, "left": 2, "n": 6, "right": 3, '
+    '"threshold": -0.022499999999999992, "value": -1.1303955833333335}, {"feature": -1, '
+    '"left": -1, "n": 3, "right": -1, "threshold": 0.0, "value": -1.0404365}, '
+    '{"feature": -1, "left": -1, "n": 3, "right": -1, "threshold": 0.0, '
+    '"value": -1.2203546666666667}, {"feature": 0, "left": 5, "n": 14, "right": 6, '
+    '"threshold": 0.48650000000000004, "value": 0.5973212857142858}, {"feature": -1, '
+    '"left": -1, "n": 11, "right": -1, "threshold": 0.0, "value": 0.30678990909090903}, '
+    '{"feature": -1, "left": -1, "n": 3, "right": -1, "threshold": 0.0, '
+    '"value": 1.662603}], [{"feature": 0, "left": 1, "n": 20, "right": 4, '
+    '"threshold": -0.6775, "value": -0.03827676545454542}, {"feature": 2, "left": 2, '
+    '"n": 7, "right": 3, "threshold": 0.0825, "value": -0.8193205000000001}, '
+    '{"feature": -1, "left": -1, "n": 4, "right": -1, "threshold": 0.0, '
+    '"value": -0.610071475}, {"feature": -1, "left": -1, "n": 3, "right": -1, '
+    '"threshold": 0.0, "value": -1.0983192000000002}, {"feature": 2, "left": 5, "n": 13, '
+    '"right": 6, "threshold": -0.493, "value": 0.3822852454545455}, {"feature": -1, '
+    '"left": -1, "n": 4, "right": -1, "threshold": 0.0, "value": 1.2444131045454547}, '
+    '{"feature": -1, "left": -1, "n": 9, "right": -1, "threshold": 0.0, '
+    '"value": -0.0008826919191918803}], [{"feature": 2, "left": 1, "n": 20, "right": 2, '
+    '"threshold": -1.198, "value": 0.022334968104798004}, {"feature": -1, "left": -1, '
+    '"n": 3, "right": -1, "threshold": 0.0, "value": 1.1335245956060607}, {"feature": 2, '
+    '"left": 3, "n": 17, "right": 4, "threshold": 0.417, "value": -0.17375731910130715}, '
+    '{"feature": -1, "left": -1, "n": 13, "right": -1, "threshold": 0.0, '
+    '"value": -0.3484468106041181}, {"feature": -1, "left": -1, "n": 4, "right": -1, '
+    '"threshold": 0.0, "value": 0.39398352828282834}]]}'
+)
+GB_PREDICTIONS = [
+    -1.0549949785604118,
+    -0.8593534593432401,
+    -0.7851104254545455,
+    -0.45104542998484837,
+    -1.1218115677270784,
+    -1.0549949785604118,
+    -0.7348238796967755,
+    -0.5992425706058663,
+]
+
+
+def gb_model_data():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(24, 3)).round(3)
+    y = X[:, 0] - 0.5 * X[:, 1] ** 2 + rng.normal(size=24).round(3) * 0.1
+    return X, y
+
+
 class TestSerialization:
     def _round_trip(self, model, X):
         text = model_to_json(model)
@@ -87,6 +143,22 @@ class TestSerialization:
         )
         self._round_trip(model, X)
 
+    def test_earlier_document_loads_and_predicts_the_same_bits(self):
+        X, y = gb_model_data()
+        model = model_from_json(GB_MODEL_V1)
+        assert model_to_json(model) == GB_MODEL_V1
+        assert predict(model, X[:8]).tolist() == GB_PREDICTIONS
+        params = BoostParams(n_estimators=3, max_depth=2, min_samples_leaf=3)
+        assert model_to_json(fit_gradient_boosting(X, y, params, seed=1)) == GB_MODEL_V1
+
+    @pytest.mark.parametrize("left, right", [(0, 2), (1, 1), (1, 9)])
+    def test_tree_that_is_not_a_preorder_table_is_rejected(self, left, right):
+        # a child before its parent, two parents, a child past the table
+        doc = json.loads(GB_MODEL_V1)
+        doc["trees"][2][0].update(left=left, right=right)
+        with pytest.raises(ModelError, match="one parent each"):
+            model_from_json(json.dumps(doc))
+
     def test_nn_round_trip_exact(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
@@ -107,6 +179,21 @@ class TestSerialization:
         back = model_from_json(model_to_json(model))
         np.testing.assert_array_equal(back.stats.mean, stats.mean)
         np.testing.assert_array_equal(back.stats.sd, stats.sd)
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (LassoParams, "alpha", -1.0),
+        (ElasticNetParams, "l1_ratio", 1.5),
+        (ForestParams, "max_samples", 0.0),
+        (BoostParams, "min_samples_leaf", 0),
+        (NetParams, "learning_rate", 0.0),
+    ],
+)
+def test_out_of_range_hyperparameter_fails_at_construction(cls, field, value):
+    with pytest.raises(HyperparameterError, match=f"^{field} must be"):
+        cls(**{field: value})
 
 
 # Every finite double, with signed zero and subnormals drawn on purpose.
@@ -157,18 +244,28 @@ def linear_models(draw):
     )
 
 
+def split_rows(feature, threshold, left, right, value, n):
+    """Preorder node rows of a split over two subtrees' rows."""
+    def shift(rows, by):
+        return [(f, t, l + by if l >= 0 else -1, r + by if r >= 0 else -1, v, k)
+                for f, t, l, r, v, k in rows]
+
+    head = (feature, threshold, 1, 1 + len(left), value, n)
+    return [head] + shift(left, 1) + shift(right, 1 + len(left))
+
+
 def trees(n_features):
     leaf = st.builds(
-        lambda t, v, n: TreeNode(-1, t, None, None, v, n), finite, finite, st.integers(0, 10**6)
+        lambda t, v, n: [(-1, t, -1, -1, v, n)], finite, finite, st.integers(0, 10**6)
     )
     return st.recursive(
         leaf,
         lambda kids: st.builds(
-            TreeNode,
+            split_rows,
             st.integers(0, n_features - 1), finite, kids, kids, finite, st.integers(0, 10**6),
         ),
         max_leaves=8,
-    )
+    ).map(lambda rows: TreeNode(np.array(rows, dtype=NODE_DTYPE)))
 
 
 @st.composite

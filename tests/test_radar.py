@@ -330,6 +330,35 @@ class TestWorkerPool:
         assert report.n_completed == 4
         assert {quarter_of(r.date) for r in table.rows} == {(2017, 1)}
 
+    def test_overflowing_signal_sd_fails_its_tasks(self):
+        # one huge but valid market return in 2016Q2: the sd of its signal
+        # column overflows in every window that holds it, so the tasks that
+        # standardize that window fail without numpy warnings, and gb, which
+        # splits raw values, completes
+        sc = generate(ScenarioSpec(n_assets=12, n_markets=2, n_quarters=6, seed=1))
+        huge_day = [d for d in sc.markets.dates() if quarter_of(d) == (2016, 2)][5]
+        rows = []
+        for e in sc.markets.entity_ids:
+            s = sc.markets.series(e)
+            rows.extend(
+                (d, e, 1e307 if (d, e) == (huge_day, "M00") else float(v))
+                for d, v in zip(map(dt.date.fromordinal, s.ordinals.tolist()), s.values)
+            )
+        markets = ReturnPanel.from_records(rows)
+        cfg = RadarConfig(algorithms=("lasso", "gb", "nn"), min_train_rows=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table, _, report = run_radar(sc.assets, markets, cfg)
+        reason = "signal M00 lag 1: mean or sd is not finite"
+        assert sorted(report.failures) == sorted(
+            (asset, q, algo, reason)
+            for asset in sc.assets.entity_ids
+            for q in ("2017Q1", "2017Q2")
+            for algo in ("lasso", "nn")
+        )
+        assert report.n_completed == 24
+        assert table.algos() == ["gb"]
+
     def test_every_task_failed_names_first_reason(self, small_scenario):
         sc = small_scenario
         cfg = small_config(
@@ -887,6 +916,30 @@ class TestTuning:
             config=small_config(algorithms=(algo,), hyperparameters={}),
         )
         assert len(calls) == 3
+
+    def test_sample_defaults_to_quarters_before_the_first_forecast(
+        self, monkeypatch, small_scenario
+    ):
+        # the earliest training quarter is the only one before the first
+        # forecast quarter; later ones are sampled only when asked for
+        sc = small_scenario
+        real = radar._run_units
+        quarters = []
+
+        def recording(units, inputs, threads):
+            quarters.append({format_quarter(unit[0]) for unit in units})
+            return real(units, inputs, threads)
+
+        monkeypatch.setattr(radar, "_run_units", recording)
+        algo, space = self.SKIP_CASES[0]
+        cfg = small_config(algorithms=(algo,), hyperparameters={})
+        usable = sorted({q for _, q, _ in enumerate_tasks(sc.assets, sc.calendar(), cfg)})
+        for given in (None, usable):
+            tune_hyperparameters(
+                sc.assets, sc.markets, algo, space, n_tasks=8, budget=2, seed=2,
+                config=cfg, quarters=given,
+            )
+        assert quarters == [{"2016Q4"}, {"2016Q4", "2017Q1"}]
 
     def test_no_valid_draw_errors(self, small_scenario):
         sc = small_scenario

@@ -13,6 +13,7 @@ from marketradar.learners import (
     BoostParams,
     ForestParams,
     ModelError,
+    NODE_DTYPE,
     NetParams,
     TreeEnsembleModel,
     TreeNode,
@@ -33,11 +34,34 @@ from marketradar.shapley import (
     tree_shap,
     tree_shap_batch,
     _as_background,
-    _leaf_paths,
+    _leaf_table,
     _shapley_weight_tables,
 )
 
 D = dt.date
+
+
+def reference_leaf_paths(root):
+    """(value, features, lower, upper) per leaf by a recursive walk of the
+    node views; pass means lo < v <= hi."""
+    leaves = []
+
+    def walk(node, bounds):
+        if node.is_leaf:
+            feats = np.array(sorted(bounds), dtype=np.intp)
+            lows = np.array([bounds[f][0] for f in feats])
+            highs = np.array([bounds[f][1] for f in feats])
+            leaves.append((node.value, feats, lows, highs))
+            return
+        f, t = node.feature, node.threshold
+        lo, hi = bounds.get(f, (-np.inf, np.inf))
+        if t > lo:  # left region (lo, min(hi, t)] nonempty
+            walk(node.left, {**bounds, f: (lo, min(hi, t))})
+        if t < hi:  # right region (max(lo, t), hi] nonempty
+            walk(node.right, {**bounds, f: (max(lo, t), hi)})
+
+    walk(root, {})
+    return leaves
 
 
 def reference_tree_shap_batch(model, X, background):
@@ -48,7 +72,7 @@ def reference_tree_shap_batch(model, X, background):
     m = Z.shape[0]
     phi = np.zeros((n, p))
 
-    per_tree = [_leaf_paths(t) for t in model.trees]
+    per_tree = [reference_leaf_paths(t) for t in model.trees]
     max_depth = max(
         (len(feats) for leaves in per_tree for _, feats, _, _ in leaves), default=0
     )
@@ -76,6 +100,28 @@ def reference_tree_shap_batch(model, X, background):
 
     base = float(np.mean(predict(model, Z)))
     return phi, base
+
+
+def assert_same_leaf_table(model):
+    """``_leaf_table`` equals, bit for bit, the slot table of the leaves the
+    recursive walk finds, in the same order."""
+    paths = [
+        (weight * value, feats, lows, highs)
+        for weight, t in zip(model.tree_weights, model.trees)
+        for value, feats, lows, highs in reference_leaf_paths(t)
+        if len(feats)
+    ]
+    k = max((len(feats) for _, feats, _, _ in paths), default=0)
+    feature = np.zeros((len(paths), k), dtype=np.intp)
+    low = np.full((len(paths), k), -np.inf)
+    high = np.full((len(paths), k), np.inf)
+    for i, (_, feats, lows, highs) in enumerate(paths):
+        feature[i, : len(feats)], low[i, : len(feats)], high[i, : len(feats)] = feats, lows, highs
+    scale = np.array([path[0] for path in paths], dtype=np.float64)
+    for got, want in zip(_leaf_table(model), (feature, low, high, scale)):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def assert_matches_reference(model, X, Z):
@@ -129,18 +175,29 @@ def fitted_scaled_nn(seed, n=64, p=5):
 
 
 def leaf(value, n=1):
-    return TreeNode(-1, 0.0, None, None, float(value), n)
+    """The node rows of a one-leaf tree."""
+    return [(-1, 0.0, -1, -1, float(value), n)]
 
 
 def split(feature, threshold, left, right, value=0.0, n=2):
-    return TreeNode(feature, float(threshold), left, right, float(value), n)
+    """Preorder node rows of a split over two subtrees' rows."""
+    def shift(rows, by):
+        return [(f, t, l + by if l >= 0 else -1, r + by if r >= 0 else -1, v, k)
+                for f, t, l, r, v, k in rows]
+
+    head = (feature, float(threshold), 1, 1 + len(left), float(value), n)
+    return [head] + shift(left, 1) + shift(right, 1 + len(left))
 
 
-def single_tree_model(root, n_features, weight=1.0, base=0.0):
+def tree(rows):
+    return TreeNode(np.array(rows, dtype=NODE_DTYPE))
+
+
+def single_tree_model(rows, n_features, weight=1.0, base=0.0):
     return TreeEnsembleModel(
         algo="gb",
         n_features=n_features,
-        trees=[root],
+        trees=[tree(rows)],
         tree_weights=np.array([weight]),
         base=base,
     )
@@ -249,7 +306,7 @@ class TestTreeShap:
         t1 = split(0, 0.0, leaf(-1.0), leaf(1.0))
         t2 = split(1, 0.0, leaf(2.0), leaf(-2.0))
         both = TreeEnsembleModel(
-            algo="gb", n_features=2, trees=[t1, t2],
+            algo="gb", n_features=2, trees=[tree(t1), tree(t2)],
             tree_weights=np.array([0.3, 0.7]), base=0.5,
         )
         m1 = single_tree_model(t1, 2, weight=0.3)
@@ -301,12 +358,30 @@ class TestTreeShapKernel:
     def test_matches_reference_on_fitted_ensembles(self, case):
         assert_matches_reference(*case)
 
+    @settings(max_examples=20, deadline=None)
+    @given(case=fitted_tree_cases())
+    def test_leaf_table_matches_the_recursive_walk(self, case):
+        assert_same_leaf_table(case[0])
+
+    def test_leaf_table_drops_empty_regions_and_keeps_repeated_features(self):
+        # the splits under the root re-split feature 0 with one empty side,
+        # one of them at the bound itself, an infinite threshold constrains
+        # feature 1 without narrowing it, and a lone leaf constrains nothing
+        last = split(0, 0.0, leaf(6.0), split(1, np.inf, leaf(4.0), leaf(5.0)))
+        inner = split(0, -1.0, leaf(3.0), last)
+        root = split(0, 0.0, split(0, 1.0, leaf(1.0), leaf(2.0)), inner)
+        model = TreeEnsembleModel(
+            algo="gb", n_features=3, trees=[tree(leaf(7.0)), tree(root), tree(chain([2, 0]))],
+            tree_weights=np.array([1.0, 0.5, 0.25]),
+        )
+        assert_same_leaf_table(model)
+
     def test_mixed_depths_pad_to_the_deepest_path(self):
         stump = split(1, 0.2, leaf(-1.0), leaf(0.5))
         deep = split(0, 0.0, split(2, -0.5, leaf(1.0), leaf(2.0)),
                      split(1, 0.3, leaf(-2.0), split(3, 0.1, leaf(0.7), leaf(-0.4))))
         model = TreeEnsembleModel(
-            algo="gb", n_features=4, trees=[stump, deep, leaf(3.0)],
+            algo="gb", n_features=4, trees=[tree(stump), tree(deep), tree(leaf(3.0))],
             tree_weights=np.array([0.5, 0.25, 1.0]), base=0.1,
         )
         rng = np.random.default_rng(22)
