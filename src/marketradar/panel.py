@@ -202,8 +202,12 @@ class SignalBlock:
         n, p = self.values.shape
         if len(self.dates) != n or len(self.columns) != p or len(self.target) != n:
             raise PanelError("signal block shape mismatch")
-        if not np.all(np.isfinite(self.values)) or not np.all(np.isfinite(self.target)):
-            raise PanelError("non-finite cell in signal block")
+        if not np.all(np.isfinite(self.target)):
+            raise PanelError("non-finite target in signal block")
+        bad = np.argwhere(~np.isfinite(self.values))
+        if len(bad):
+            signal, date = self.columns[bad[0, 1]], self.dates[bad[0, 0]]
+            raise PanelError(f"signal {signal.source} lag {signal.lag_week}: not finite on {date}")
 
     @property
     def n_rows(self) -> int:
@@ -271,7 +275,8 @@ def lagged_signals(
         growth = np.full((len(ords), _WINDOW_DAYS, n_sources), np.nan)
         growth[inside] = 1.0 + sources.values[index[inside]]
         observed = ~np.isnan(growth)
-        out[:, :, k - 1] = np.where(observed, growth, 1.0).prod(axis=1) - 1.0
+        with np.errstate(over="ignore"):  # an overflow is left to the block to report
+            out[:, :, k - 1] = np.where(observed, growth, 1.0).prod(axis=1) - 1.0
         empties += int(np.count_nonzero(~observed.any(axis=1)))
     return out.reshape(len(ords), n_sources * lags), empties
 

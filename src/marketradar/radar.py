@@ -6,15 +6,15 @@ Tasks run in units of work, one ``_run_unit`` call each: a list of
 ``(asset, config)`` tasks that share a training quarter and an algorithm.
 A run's unit is every asset of one training quarter for lasso and elastic
 net (``GROUPED_ALGOS``) and one task otherwise; a tuning unit is every trial
-of one sampled stock-quarter.  Signals depend only on the date, so every
-task with the same trading days in the window has the same design matrix.
-A unit groups its tasks by the days their asset trades in the window and
-assembles one window per such set of row dates, for every algorithm.  Only
-the fit differs: lasso and elastic net standardize the window once and
-solve all of the set's targets in one multi-target coordinate descent (one
-row per task, bit for bit the fit the task would get alone), and any other
-algorithm fits each task's own model on the window.  Each task then
-finishes on its own: prediction block, forecast, sparsity and importance.
+of one sampled stock-quarter.  Signals depend only on the date, so tasks
+with the same trading days have the same design matrix.  A unit groups its
+tasks by the days their asset trades in the window and in the forecast
+quarter, and builds one window and one forecast block per such set of row
+dates, for every algorithm.  Only the fit differs: lasso and elastic net
+standardize the window once and solve all of the set's targets in one
+multi-target coordinate descent (one row per task, bit for bit the fit the
+task would get alone), and any other algorithm fits each task's own model
+on the window.  Each task then forecasts and attributes on its own.
 
 Each task derives its own seed from a stable hash of (base seed, asset,
 training quarter, algorithm), so partial re-runs and any worker count
@@ -23,7 +23,7 @@ same way: in this process, or with more than one worker, one unit per pool
 item on forked worker processes (POSIX only), which inherit the panels
 instead of receiving them pickled; a unit is never split across workers.
 Stock-quarters whose window is too small are recorded as skips, and tasks
-whose fit, prediction or attribution raises a library error as failures,
+whose blocks, fit, prediction or attribution raise a library error as failures,
 never silently dropped: downstream summary denominators need them, and one
 degenerate task, such as one target of a joint solve at the sweep cap, does
 not end the run or its unit.  Tasks are labeled by the quarter they
@@ -249,24 +249,21 @@ def _fit_model(algo: str, block: SignalBlock, params, seed: int):
     return learners.fit_nn(X, y, params, seed, stats=stats)
 
 
-def _training_window(
+def _task_blocks(
     assets: ReturnPanel,
     sources: ReturnPanel,
     calendar: TradingCalendar,
     asset: str,
     train_quarter: Quarter,
     config: RadarConfig,
-) -> SignalBlock:
-    return assemble_training_window(
-        assets,
-        sources,
-        calendar,
-        asset,
-        train_quarter,
-        lags=config.lags,
-        window_quarters=config.window_quarters,
-        min_rows=config.min_train_rows,
+) -> tuple[SignalBlock, SignalBlock]:
+    """The training window ending at ``train_quarter`` and the next quarter's forecast block."""
+    window = assemble_training_window(
+        assets, sources, calendar, asset, train_quarter, config.lags, config.window_quarters,
+        config.min_train_rows,
     )
+    forecast_days = calendar.days_in_quarter(shift_quarter(train_quarter, 1))
+    return window, build_signal_block(sources, assets, forecast_days, config.lags, asset)
 
 
 def train_predict_stock_quarter(
@@ -278,43 +275,36 @@ def train_predict_stock_quarter(
     algo: str,
     config: RadarConfig,
     *,
-    prefit: tuple[SignalBlock, learners.LinearModel | MarketRadarError | None] | None = None,
+    prefit: tuple[SignalBlock, learners.LinearModel | MarketRadarError | None, SignalBlock]
+    | None = None,
 ) -> TaskResult:
     """Fit on the trailing window ending at ``train_quarter`` and forecast
     every trading day of the asset in the next quarter.
 
     A window below ``min_train_rows`` comes back as a skip.  A library error
-    from the fit, the prediction block, the prediction or the attribution
-    comes back as a failure that carries only its reason.  ``prefit`` is the
-    task's training window, assembled by its unit, and its fit: None to fit
-    here, or the task's fit, or the error of its fit, from the unit's joint
-    solve, and the task then only predicts and attributes.  A forecast
-    that is not finite fails the task.
+    from the blocks, the fit, the prediction or the attribution comes back
+    as a failure that carries only its reason.  ``prefit`` is the task's
+    training window, its fit and its forecast block, from its unit: the fit
+    is None to fit here, or the task's fit, or the error of its fit, from the
+    unit's joint solve, and the task then only predicts and attributes.  A
+    forecast that is not finite fails the task.
     """
     forecast_quarter = shift_quarter(train_quarter, 1)
     result = TaskResult(asset, train_quarter, forecast_quarter, algo)
-    if prefit is not None:
-        block, fit = prefit
-    else:
-        try:
-            block = _training_window(assets, sources, calendar, asset, train_quarter, config)
-        except WindowTooSmall as exc:
-            result.skip_reason = str(exc)
-            return result
-        fit = None
-
     seed = task_seed(config.seed, asset, train_quarter, algo)
     params = config.params_for(algo)
     try:
+        if prefit is None:
+            block, pred_block = _task_blocks(assets, sources, calendar, asset, train_quarter, config)
+            fit = None
+        else:
+            block, fit, pred_block = prefit
         if isinstance(fit, MarketRadarError):
             raise fit
         model = fit if fit is not None else _fit_model(algo, block, params, seed)
         result.model = model
         result.window_dates = (block.dates[0], block.dates[-1])
 
-        pred_block = build_signal_block(
-            sources, assets, calendar.days_in_quarter(forecast_quarter), config.lags, asset
-        )
         with np.errstate(over="ignore", invalid="ignore"):
             yhat = learners.predict(model, pred_block.values)
         if not np.all(np.isfinite(yhat)):
@@ -332,6 +322,8 @@ def train_predict_stock_quarter(
             result.importances = mean_abs_importance(
                 model, block, asset, forecast_quarter, config.nn_importance_permutations, seed
             )
+    except WindowTooSmall as exc:
+        return TaskResult(asset, train_quarter, forecast_quarter, algo, skip_reason=str(exc))
     except MarketRadarError as exc:
         return TaskResult(asset, train_quarter, forecast_quarter, algo, fail_reason=str(exc))
     return result
@@ -360,17 +352,20 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
     inputs its initializer set.  Fitted models are dropped: nothing after
     the merge reads them, and a worker would pickle them back.
 
-    The tasks are grouped by the ``window_days`` their asset trades on, and
-    each set assembles one window (its first member's) that every member
-    reads as its own block, with its own asset and target; a set below
-    ``min_train_rows`` runs each member alone, which records its skip.
-    Only the fit differs by algorithm: in ``GROUPED_ALGOS`` the set's
-    window is standardized once and the set solved in one multi-target fit
-    with one row per task, under that task's own ``config.params_for(algo)``;
-    any other algorithm fits each task's own model.  The tasks of a unit must therefore share ``lags``,
-    ``window_quarters`` and ``min_train_rows``; a radar run's tasks share
-    one config, and a tuning trial's config differs from the base only in
-    ``algorithms``, ``hyperparameters`` and ``importance``.
+    The tasks are grouped by the days their asset trades on in the window
+    (``window_days``) and in the forecast quarter, and each set builds one
+    window and one forecast block (its first member's) that every member
+    reads as its own, with its own asset and returns; a set whose blocks
+    raise a library error, such as a window below ``min_train_rows``, runs
+    each member alone, which records its skip or failure.  Only the fit
+    differs by algorithm: in ``GROUPED_ALGOS`` the set's window is
+    standardized once and the set solved in one multi-target fit with one
+    row per task, under that task's own ``config.params_for(algo)``; any
+    other algorithm fits each task's own model.  The tasks of a unit must
+    therefore share ``lags``, ``window_quarters`` and ``min_train_rows``; a
+    radar run's tasks share one config, and a tuning trial's config differs
+    from the base only in ``algorithms``, ``hyperparameters`` and
+    ``importance``.
     """
     assets, sources, calendar = inputs or _worker_inputs
     train_quarter, algo, tasks = unit
@@ -383,10 +378,11 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
         result.model = None
         return result
 
-    # which of the window's days each task's asset trades on: its training
-    # window's row dates
+    # which of the window's and the forecast quarter's days each task's
+    # asset trades on: the row dates of its two blocks
     cfg = tasks[0][1]
-    days = window_days(calendar, train_quarter, cfg.window_quarters)
+    forecast_days = calendar.days_in_quarter(shift_quarter(train_quarter, 1))
+    days = window_days(calendar, train_quarter, cfg.window_quarters) + forecast_days
     returns = assets.rows(days, [asset for asset, _ in tasks])
     observed = ~np.isnan(returns)
     row_date_sets: dict[bytes, list[int]] = {}
@@ -396,15 +392,16 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
     results: list[TaskResult | None] = [None] * len(tasks)
     for members in row_date_sets.values():
         try:
-            window = _training_window(
+            window, forecast = _task_blocks(
                 assets, sources, calendar, tasks[members[0]][0], train_quarter, cfg
             )
-        except WindowTooSmall:
-            # each member assembles its window again and records its own skip
+        except MarketRadarError:
+            # each member builds its blocks again and records its own outcome
             for i in members:
                 results[i] = run_task(i)
             continue
-        targets = np.ascontiguousarray(returns[observed[:, members[0]]][:, members].T)
+        rows = returns[observed[:, members[0]]][:, members].T
+        targets, realized = np.ascontiguousarray(rows[:, :window.n_rows]), rows[:, window.n_rows:]
         if algo in GROUPED_ALGOS:
             params = [tasks[i][1].params_for(algo) for i in members]
             try:
@@ -414,8 +411,9 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
                 fits = [exc] * len(members)
         else:
             fits = [None] * len(members)
-        for i, target, fit in zip(members, targets, fits):
-            results[i] = run_task(i, (replace(window, asset=tasks[i][0], target=target), fit))
+        for i, fit, target, real in zip(members, fits, targets, realized):
+            own = functools.partial(replace, asset=tasks[i][0])
+            results[i] = run_task(i, (own(window, target=target), fit, own(forecast, target=real)))
     return results
 
 
@@ -607,9 +605,9 @@ def tune_hyperparameters(
     configurations of one stock-quarter are one unit of work, with one
     window, so lasso and elastic-net configurations are fitted jointly.  The
     units run on ``config.threads`` workers, as a radar run's do.  The
-    sample draws from the training quarters in ``quarters``, by default
-    only those before the run's first forecast quarter; any later quarter
-    must be asked for.
+    sample draws from the training quarters in ``quarters``, by default the
+    earliest alone, whose draws are scored on the returns of the run's first
+    forecast quarter.
     """
     if n_tasks < 1 or budget < 1:
         raise RadarError("n_tasks and budget must be >= 1")

@@ -244,8 +244,9 @@ def importance_table(
 def _decay_cell(records: Sequence[ImportanceRecord], form: str) -> str:
     reg = em.importance_lag_regression(records, form=form, scale=IMPORTANCE_REPORT_SCALE)
     const, slope = (cell(reg.coef[i], reg.t[i], reg.pvalues[i]) for i in (0, 1))
-    window = _na(em.dissemination_window, float(reg.coef[0]), float(reg.coef[1]), form, reason=False)
-    return f"slope {slope} const {const} window {window}w"
+    weeks = lambda *args: f"{em.dissemination_window(*args)}w"
+    window = _na(weeks, float(reg.coef[0]), float(reg.coef[1]), form, reason=False)
+    return f"slope {slope} const {const} window {window}"
 
 
 def timing_table(

@@ -117,7 +117,7 @@ def test_tracer_reads_gb_trees(tmp_path):
 def test_tracer_counts_tuning_trials(tmp_path):
     # the tune_gb checks read radar.trial_calls from the radar.task spans
     # under radar.tune; a sampled stock-quarter assembles and standardizes
-    # one window for all of its lasso trials
+    # one window and builds one forecast block for all of its lasso trials
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         RADAR_CFG
@@ -140,4 +140,5 @@ def test_tracer_counts_tuning_trials(tmp_path):
     tasks = [span for span in recorded if span[2] == "radar.task"]
     assert len(tasks) == 6 and all(span[5]["algo"] == "lasso" for span in tasks)
     assert sum(span[2] == "panel.window" for span in recorded) == 2
+    assert sum(span[2] == "panel.pred_block" for span in recorded) == 2
     assert sum(span[2] == "panel.standardize" for span in recorded) == 2

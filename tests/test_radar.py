@@ -359,6 +359,35 @@ class TestWorkerPool:
         assert report.n_completed == 24
         assert table.algos() == ["gb"]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_signal_fails_its_tasks(self, threads):
+        # two huge but valid market returns in one lag week overflow the
+        # signals of the days after them: every window that holds those
+        # days fails its tasks, without numpy warnings, and the run goes on
+        sc = generate(ScenarioSpec(n_assets=4, n_markets=2, n_quarters=7, seed=1))
+        huge_days = [D(2016, 1, 11), D(2016, 1, 12)]
+        assert set(huge_days) <= set(sc.markets.dates())
+        rows = []
+        for e in sc.markets.entity_ids:
+            s = sc.markets.series(e)
+            rows.extend(
+                (d, e, 1e200 if e == "M00" and d in huge_days else float(v))
+                for d, v in zip(map(dt.date.fromordinal, s.ordinals.tolist()), s.values)
+            )
+        markets = ReturnPanel.from_records(rows)
+        cfg = RadarConfig(algorithms=("lasso", "gb"), min_train_rows=10, threads=threads)
+        table, _, report = run_radar(sc.assets, markets, cfg)
+        reason = "signal M00 lag 1: not finite on 2016-01-13"
+        assert sorted(report.failures) == sorted(
+            (asset, "2017Q1", algo, reason)
+            for asset in sc.assets.entity_ids
+            for algo in ("lasso", "gb")
+        )
+        assert report.n_completed == 16
+        # the windows of the later quarters do not hold those days
+        clean, _, _ = run_radar(sc.assets, sc.markets, cfg)
+        assert table.rows == [r for r in clean.rows if quarter_of(r.date) != (2017, 1)]
+
     def test_every_task_failed_names_first_reason(self, small_scenario):
         sc = small_scenario
         cfg = small_config(
@@ -521,6 +550,94 @@ class TestQuarterGroups:
             assert block.rows == own.rows
             np.testing.assert_array_equal(block.values, own.values)
             np.testing.assert_array_equal(block.target, own.target)
+
+    @staticmethod
+    def missing_forecast_day(sc) -> ReturnPanel:
+        """A001 misses one day of the last quarter, which only the last
+        training quarter forecasts and no window holds."""
+        gap = [d for d in sc.assets.dates() if quarter_of(d) == sc.calendar().quarters()[-1]][3]
+        return without_records(sc.assets, lambda d, e: e == "A001" and d == gap)
+
+    def test_one_forecast_block_per_row_date_set(self, monkeypatch, small_scenario):
+        # A001 forms a set of its own in the last training quarter only
+        sc = small_scenario
+        missing_day = self.missing_forecast_day(sc)
+        calls = []
+
+        def count(name, asset_at):
+            real = getattr(radar, name)
+
+            def counting(*args):
+                calls.append((name, args[asset_at]))
+                return real(*args)
+
+            monkeypatch.setattr(radar, name, counting)
+
+        count("assemble_training_window", 3)
+        count("build_signal_block", 4)
+        _, _, report = run_radar(missing_day, sc.markets, small_config())
+        assert report.n_completed == 8
+        # one set in the first training quarter, two in the second
+        assert calls == [
+            (name, asset)
+            for asset in ("A000", "A000", "A001")
+            for name in ("assemble_training_window", "build_signal_block")
+        ]
+
+    def test_own_forecast_days_leave_the_others_unchanged(self, tmp_path, small_scenario):
+        sc = small_scenario
+        missing_day = self.missing_forecast_day(sc)
+        without_a001 = without_records(sc.assets, lambda d, e: e == "A001")
+        cfg = small_config()
+        alone = [
+            train_predict_stock_quarter(missing_day, sc.markets, sc.calendar(), "A001", q, a, cfg)
+            for _, q, a in enumerate_tasks(missing_day, sc.calendar(), cfg)[:2]
+        ]
+        alone_rows = [ForecastRow(d, "A001", r.algo, v) for r in alone for d, v in r.forecasts]
+        others, others_imps, _ = run_radar(without_a001, sc.markets, cfg)
+        for threads in (1, 2):
+            table, imps, report = run_radar(missing_day, sc.markets, small_config(threads=threads))
+            assert report.n_completed == 8
+            assert [r for r in table.rows if r.asset == "A001"] == ForecastTable(alone_rows).rows
+            assert [r for r in imps if r.asset == "A001"] == [
+                i for r in alone for i in r.importances
+            ]
+            lines = forecast_lines(table, tmp_path, f"f{threads}.csv")
+            assert [line for line in lines if ",A001," not in line] == forecast_lines(
+                others, tmp_path, "others.csv"
+            )
+            assert [r for r in imps if r.asset != "A001"] == others_imps
+
+    def test_every_member_reads_its_own_forecast_block(self, monkeypatch, small_scenario):
+        # the lasso unit of the last training quarter: two sets, and each
+        # member's forecast block is the one its lone task builds
+        sc = small_scenario
+        cal = sc.calendar()
+        missing_day = self.missing_forecast_day(sc)
+        real = radar.train_predict_stock_quarter
+        blocks = {}
+
+        def recording(*args, prefit=None):
+            blocks[args[3]] = prefit[2]
+            return real(*args, prefit=prefit)
+
+        monkeypatch.setattr(radar, "train_predict_stock_quarter", recording)
+        cfg = small_config()
+        quarter = cal.quarters()[-2]
+        unit = (quarter, "lasso", [(asset, cfg) for asset in sc.assets.entity_ids])
+        results = radar._run_unit(unit, (missing_day, sc.markets, cal))
+        assert not any(r.skipped or r.failed for r in results)
+        assert sorted(blocks) == sc.assets.entity_ids
+        forecast_days = cal.days_in_quarter(shift_quarter(quarter, 1))
+        for asset, block in blocks.items():
+            own = radar.build_signal_block(sc.markets, missing_day, forecast_days, cfg.lags, asset)
+            assert block.asset == asset
+            assert block.dates == own.dates
+            np.testing.assert_array_equal(block.values, own.values)
+            np.testing.assert_array_equal(
+                block.target, missing_day.rows(own.dates, [asset])[:, 0]
+            )
+        assert len(blocks["A001"].dates) == len(blocks["A000"].dates) - 1
 
     def test_set_below_the_minimum_skips_each_member(self, small_scenario):
         # A001 and A002 keep only their last training quarter: they form one

@@ -143,3 +143,17 @@ class TestImportanceTable:
         assert table != rp.importance_table(records, every)
         empty = rp.importance_table(records, set()).splitlines()
         assert empty[1].split() == ["lasso", "linear:", "n/a", "exp:", "n/a"]
+
+    def test_rising_importance_has_no_window(self):
+        # importance grows with the lag: a positive slope implies no
+        # dissemination window, in either form
+        rng = np.random.default_rng(11)
+        records = [
+            ImportanceRecord(
+                asset, (2020, 1), "lasso", SignalId(src, k), 0.1 * k + rng.normal(0, 0.01)
+            )
+            for asset in ("A", "B", "C") for src in ("M1", "M2") for k in range(1, 5)
+        ]
+        table = rp.importance_table(records, {(r.asset, r.quarter, r.algo) for r in records})
+        row = table.splitlines()[1]
+        assert row.count("window n/a") == 2 and "n/aw" not in row
