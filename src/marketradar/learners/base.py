@@ -33,6 +33,13 @@ NODE_DTYPE = np.dtype([
 ])
 
 
+# Tree prediction walks rows in blocks of at most this many (row, tree)
+# pairs, so its temporaries stay bounded whatever the number of rows.  An
+# ensemble of up to 130 trees predicts 500 rows, the most the radar asks
+# for (``shapley.BACKGROUND_CAP``), in one block.
+_TREE_BLOCK_ELEMENTS = 1 << 16
+
+
 def stack_tables(tables: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """The node tables as one, the row of each table's root in it, and the
     left and right child rows of each row, a leaf being both of its own."""
@@ -46,18 +53,30 @@ def stack_tables(tables: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     return nodes, roots, left, right
 
 
+def _row_blocks(n_rows: int, n_trees: int) -> list[slice]:
+    """Consecutive row slices of at most ``_TREE_BLOCK_ELEMENTS`` (row, tree)
+    pairs each, at least one row."""
+    step = max(1, _TREE_BLOCK_ELEMENTS // max(n_trees, 1))
+    return [slice(r, r + step) for r in range(0, n_rows, step)]
+
+
 def leaf_values(tables: list[np.ndarray], X: np.ndarray) -> np.ndarray:
-    """(rows, trees): each tree's leaf value for each row of X.  All rows
-    descend all trees at once, one level per step, going left where x <=
-    threshold; a leaf is its own child, so the walk ends when every row is
-    at a leaf of every tree."""
+    """(rows, trees): each tree's leaf value for each row of X.  The rows of
+    a block descend all trees at once, one level per step, going left where
+    x <= threshold; a leaf is its own child, so the walk ends when every row
+    of the block is at a leaf of every tree."""
     nodes, roots, left, right = stack_tables(tables)
     leaf = nodes["feature"] < 0
     feature, threshold = np.where(leaf, 0, nodes["feature"]), nodes["threshold"]
-    rows, node = np.arange(X.shape[0])[:, None], roots + np.zeros((X.shape[0], 1), dtype=np.intp)
-    while not leaf[node].all():
-        node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
-    return nodes["value"][node]
+    values = np.empty((X.shape[0], len(tables)))
+    for rows in _row_blocks(X.shape[0], len(tables)):
+        block = X[rows]
+        at = np.arange(len(block))[:, None]
+        node = roots + np.zeros((len(block), 1), dtype=np.intp)
+        while not leaf[node].all():
+            node = np.where(block[at, feature[node]] <= threshold[node], left[node], right[node])
+        values[rows] = nodes["value"][node]
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +140,10 @@ class TreeEnsembleModel(TrainedModel):
         return np.cumsum(np.column_stack([np.full(X.shape[0], self.base), terms]), axis=1)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        return self.stages(X)[:, -1]
+        out = np.empty(X.shape[0])
+        for rows in _row_blocks(X.shape[0], len(self.trees) + 1):
+            out[rows] = self.stages(X[rows])[:, -1]
+        return out
 
 
 @dataclass(eq=False)

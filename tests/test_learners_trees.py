@@ -12,7 +12,7 @@ from marketradar.learners import (
     predict,
     staged_training_mse,
 )
-from marketradar.learners import tree
+from marketradar.learners import base, tree
 
 
 def exhaustive_best_split(x, y, min_leaf=1):
@@ -131,6 +131,19 @@ class TestGradientBoosting:
         model = fit_gradient_boosting(x[:, None], y, params, seed=0)
         mse = float(np.mean((predict(model, x[:, None]) - y) ** 2))
         assert mse < 1e-3
+
+    @pytest.mark.parametrize("budget", [1, 1000])
+    def test_row_blocks_give_the_same_bits(self, budget, monkeypatch):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(300, 5))
+        y = X[:, 0] * X[:, 1] + rng.normal(size=300)
+        model = fit_gradient_boosting(X, y, BoostParams(n_estimators=30), seed=3)
+        tables = [t.table for t in model.trees]
+        whole = predict(model, X), base.leaf_values(tables, X), model.stages(X)
+        monkeypatch.setattr(base, "_TREE_BLOCK_ELEMENTS", budget)
+        blocked = predict(model, X), base.leaf_values(tables, X), model.stages(X)
+        for got, want in zip(blocked, whole):
+            assert got.tobytes() == want.tobytes()
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)

@@ -67,7 +67,7 @@ def reference_leaf_paths(root):
 def reference_tree_shap_batch(model, X, background):
     """The leaf-by-leaf kernel with three n x m matrices per leaf."""
     X = np.asarray(X, dtype=np.float64)
-    Z = _as_background(background)
+    Z = _as_background(background, X.shape[1])
     n, p = X.shape
     m = Z.shape[0]
     phi = np.zeros((n, p))
@@ -156,6 +156,30 @@ def reference_sampled_shapley(f, x, background, n_permutations, seed):
     return Attribution(phi=draws.mean(axis=0), base_value=base, stderr=stderr)
 
 
+def stacked_sampled_shapley(f, x, background, n_permutations, seed):
+    """The permutation estimator with one splice of all p*m coalition rows
+    and one f call per permutation."""
+    x = np.asarray(x, dtype=np.float64)
+    Z = np.asarray(background, dtype=np.float64)
+    p = len(x)
+    rng = np.random.default_rng(seed)
+    m = Z.shape[0]
+    base = float(np.mean(f(Z)))
+    draws = np.empty((n_permutations, p))
+    for t in range(n_permutations):
+        order = rng.permutation(p)
+        # row k marks order[: k + 1]: feature j joins at step argsort(order)[j]
+        members = np.tri(p, dtype=bool)[:, np.argsort(order)]
+        spliced = np.where(members[:, None, :], x, Z).reshape(p * m, p)
+        v = f(spliced).reshape(p, m).mean(axis=1)
+        draws[t, order] = np.diff(v, prepend=base)
+    if n_permutations > 1:
+        stderr = draws.std(axis=0, ddof=1) / math.sqrt(n_permutations)
+    else:
+        stderr = np.zeros(p)
+    return Attribution(phi=draws.mean(axis=0), base_value=base, stderr=stderr)
+
+
 def assert_same_attribution(got, want):
     np.testing.assert_array_equal(got.phi, want.phi)
     np.testing.assert_array_equal(got.stderr, want.stderr)
@@ -204,6 +228,11 @@ def single_tree_model(rows, n_features, weight=1.0, base=0.0):
 
 
 class TestBruteForce:
+    def test_background_width_must_match_x(self):
+        # a (4, 1) background broadcasts against 3 features
+        with pytest.raises(ValueError, match="background has 1 feature columns.* 3"):
+            brute_force_shapley(lambda M: M.sum(axis=1), np.array([1.0, 2.0, 3.0]), np.zeros((4, 1)))
+
     def test_linear_model_closed_form(self):
         rng = np.random.default_rng(0)
         beta = np.array([1.0, -2.0, 0.5])
@@ -317,6 +346,11 @@ class TestTreeShap:
         combined = tree_shap(both, x, Z)
         parts = tree_shap(m1, x, Z).phi + tree_shap(m2, x, Z).phi
         np.testing.assert_allclose(combined.phi, parts, atol=1e-12)
+
+    def test_background_width_must_match_the_rows(self):
+        model = single_tree_model(split(0, 0.0, leaf(-1.0), leaf(1.0)), n_features=3)
+        with pytest.raises(ValueError, match="background has 2 feature columns.* 3"):
+            tree_shap_batch(model, np.zeros((5, 3)), np.zeros((4, 2)))
 
     def test_empty_background_errors(self):
         model = single_tree_model(leaf(1.0), 2)
@@ -458,8 +492,28 @@ class TestTreeShapKernel:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
+    def test_peak_memory_of_predict_on_many_rows(self):
+        # rows are walked in blocks, so the peak does not grow with the rows
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(20_000, 20))
+        y = X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=20_000)
+        model = fit_gradient_boosting(X[:252], y[:252], BoostParams(), seed=6)
+        tracemalloc.start()
+        try:
+            predict(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
 
 class TestSampledShapley:
+    def test_background_width_must_match_x(self):
+        # a (4, 1) background broadcasts against 3 features
+        f = lambda M: M.sum(axis=1)
+        with pytest.raises(ValueError, match="background has 1 feature columns.* 3"):
+            sampled_shapley(f, np.array([1.0, 2.0, 3.0]), np.zeros((4, 1)), 4, seed=0)
+
     def test_linear_within_three_stderr(self):
         rng = np.random.default_rng(6)
         beta = np.array([0.7, -1.2, 0.3, 0.0])
@@ -529,6 +583,56 @@ class TestSampledShapley:
             got, reference_sampled_shapley(f, raw[3], raw[:20], n_permutations=1, seed=4)
         )
         np.testing.assert_array_equal(got.stderr, 0.0)
+
+
+class TestSampledBlocks:
+    """The row-blocked estimator against the one-splice stacked body."""
+
+    @pytest.fixture(scope="class")
+    def nn23(self):
+        model, raw, _ = fitted_scaled_nn(27, n=300, p=23)
+        return model, model._inputs(raw)
+
+    def test_one_block_when_the_whole_matrix_fits(self):
+        # attrib size: 20 features x 64 background rows x 20 steps
+        assert 20 * 64 * 20 <= shapley._SAMPLED_BLOCK_ELEMENTS
+        model, raw, _ = fitted_scaled_nn(28, n=64, p=20)
+        X = model._inputs(raw)
+        for i in (0, 9):
+            assert_same_attribution(
+                sampled_shapley(model._predict, X[i], X, 8, i),
+                stacked_sampled_shapley(model._predict, X[i], X, 8, i),
+            )
+
+    @pytest.mark.parametrize("budget", [shapley._SAMPLED_BLOCK_ELEMENTS, 1 << 12, 1])
+    @pytest.mark.parametrize("m", [1, 2, 33, 63, 252])
+    @pytest.mark.parametrize("n_permutations", [1, 8])
+    def test_blocks_match_the_stacked_call(self, nn23, budget, m, n_permutations, monkeypatch):
+        monkeypatch.setattr(shapley, "_SAMPLED_BLOCK_ELEMENTS", budget)
+        model, X = nn23
+        Z = X[-m:]
+        for i in (0, 5):
+            got = sampled_shapley(model._predict, X[i], Z, n_permutations, i)
+            assert_same_attribution(
+                got, stacked_sampled_shapley(model._predict, X[i], Z, n_permutations, i)
+            )
+            if n_permutations == 1:
+                np.testing.assert_array_equal(got.stderr, 0.0)
+
+    def test_peak_memory_at_80_features_and_a_full_background(self):
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(600, 80))
+        y = X[:, 0] - X[:, 1] * X[:, 2] + rng.normal(size=600)
+        model = fit_nn(X, y, NetParams(epochs=2), seed=3)
+        Z = X[: shapley.BACKGROUND_CAP]
+        tracemalloc.start()
+        try:
+            sampled_shapley(model._predict, X[0], Z, shapley.SAMPLED_PERMUTATIONS, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one splice of all 80 x 500 coalition rows alone is 25.6 MB
+        assert peak <= 4 * 2**20
 
 
 def toy_block(values, target=None):
