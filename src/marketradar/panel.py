@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MarketRadarError
-from .trading_calendar import Quarter, TradingCalendar, quarter_range
+from .trading_calendar import Quarter, TradingCalendar, format_quarter, quarter_range
 
 
 class PanelError(MarketRadarError, ValueError):
@@ -374,7 +374,7 @@ def assemble_training_window(
     days = window_days(calendar, last_quarter, window_quarters)
     block = build_signal_block(sources, assets, days, lags, asset)
     if block.n_rows < min_rows:
-        window = quarter_range(last_quarter, window_quarters)
+        window = [format_quarter(q) for q in quarter_range(last_quarter, window_quarters)]
         raise WindowTooSmall(
             f"{asset} {window[0]}..{window[-1]}: {block.n_rows} rows < minimum {min_rows}"
         )

@@ -9,12 +9,13 @@ net (``GROUPED_ALGOS``) and one task otherwise; a tuning unit is every trial
 of one sampled stock-quarter.  Signals depend only on the date, so tasks
 with the same trading days have the same design matrix.  A unit groups its
 tasks by the days their asset trades in the window and in the forecast
-quarter, and builds one window and one forecast block per such set of row
-dates, for every algorithm.  Only the fit differs: lasso and elastic net
-standardize the window once and solve all of the set's targets in one
-multi-target coordinate descent (one row per task, bit for bit the fit the
-task would get alone), and any other algorithm fits each task's own model
-on the window.  Each task then forecasts and attributes on its own.
+quarter, and builds one window and one forecast block per such row-date
+set, for every algorithm; a lone ``train_predict_stock_quarter`` call is a
+set of one.  Only the fit differs: lasso and elastic net standardize the
+window once and solve all of the set's targets in one multi-target
+coordinate descent (one row per task, bit for bit a set of one's fit), and
+any other algorithm fits each task's own model on the window.  Each task
+then forecasts and attributes on its own.
 
 Each task derives its own seed from a stable hash of (base seed, asset,
 training quarter, algorithm), so partial re-runs and any worker count
@@ -100,6 +101,8 @@ class RadarConfig:
             raise RadarError("nn_importance_permutations must be >= 1")
         if self.threads < 1:
             raise RadarError("threads must be >= 1")
+        if self.min_train_rows < 1:
+            raise RadarError("min_train_rows must be >= 1")
         if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
             raise RadarError(f"algorithms must be non-empty and distinct, got {self.algorithms}")
         for algo in self.algorithms:
@@ -230,8 +233,8 @@ def task_seed(base_seed: int, asset: str, train_quarter: Quarter, algo: str) -> 
 
 
 def _fit_model(algo: str, block: SignalBlock, params, seed: int):
-    # Trees split on order statistics, so they fit on raw values; every
-    # other learner fits on standardized inputs and carries their stats.
+    # Trees split on order statistics, so they fit on raw values; ols and nn
+    # fit on standardized inputs and carry their stats (lasso and enet: _set_prefits).
     if algo == "rf":
         return learners.fit_random_forest(block.values, block.target, params, seed)
     if algo == "gb":
@@ -240,30 +243,53 @@ def _fit_model(algo: str, block: SignalBlock, params, seed: int):
     X, y = scaled.values, scaled.target
     if algo == "ols":
         return learners.fit_ols(X, y, stats=stats)
-    if algo == "lasso":
-        return learners.fit_lasso(X, y, alpha=params.alpha, stats=stats)
-    if algo == "enet":
-        return learners.fit_elastic_net(
-            X, y, alpha=params.alpha, l1_ratio=params.l1_ratio, stats=stats
-        )
-    return learners.fit_nn(X, y, params, seed, stats=stats)
+    if algo == "nn":
+        return learners.fit_nn(X, y, params, seed, stats=stats)
+    raise RadarError(f"{algo} is fitted jointly by its row-date set, not per task")
 
 
-def _task_blocks(
+# A task's training window, its fit (None when the task fits its own model,
+# or the error of its fit) and its forecast block.
+Prefit = tuple[SignalBlock, learners.LinearModel | MarketRadarError | None, SignalBlock]
+
+
+def _set_prefits(
     assets: ReturnPanel,
     sources: ReturnPanel,
     calendar: TradingCalendar,
-    asset: str,
     train_quarter: Quarter,
-    config: RadarConfig,
-) -> tuple[SignalBlock, SignalBlock]:
-    """The training window ending at ``train_quarter`` and the next quarter's forecast block."""
+    algo: str,
+    tasks: Sequence[tuple[str, RadarConfig]],
+) -> list[Prefit]:
+    """The ``Prefit`` of each ``(asset, config)`` task of one row-date set,
+    whose configs share ``lags``, ``window_quarters`` and ``min_train_rows``:
+    one window and one forecast block, the first task's, that each task
+    reads with its own asset and returns, and in ``GROUPED_ALGOS`` one joint
+    fit of the standardized window under each task's ``params_for(algo)``.
+    A library error of the blocks raises; one of the fit is every task's."""
+    asset, cfg = tasks[0]
     window = assemble_training_window(
-        assets, sources, calendar, asset, train_quarter, config.lags, config.window_quarters,
-        config.min_train_rows,
+        assets, sources, calendar, asset, train_quarter, cfg.lags, cfg.window_quarters,
+        cfg.min_train_rows,
     )
     forecast_days = calendar.days_in_quarter(shift_quarter(train_quarter, 1))
-    return window, build_signal_block(sources, assets, forecast_days, config.lags, asset)
+    forecast = build_signal_block(sources, assets, forecast_days, cfg.lags, asset)
+    # each task's returns on the set's row dates: its targets, then the
+    # realized returns it forecasts
+    rows = assets.rows(window.dates + forecast.dates, [a for a, _ in tasks]).T
+    targets, realized = np.ascontiguousarray(rows[:, :window.n_rows]), rows[:, window.n_rows:]
+    fits = [None] * len(tasks)
+    if algo in GROUPED_ALGOS:
+        try:
+            scaled, stats = standardize(window)
+            params = [c.params_for(algo) for _, c in tasks]
+            fits = learners.fit_penalized_targets(scaled.values, targets, params, stats=stats)
+        except MarketRadarError as exc:
+            fits = [exc] * len(tasks)
+    return [
+        (replace(window, asset=a, target=target), fit, replace(forecast, asset=a, target=real))
+        for (a, _), fit, target, real in zip(tasks, fits, targets, realized)
+    ]
 
 
 def train_predict_stock_quarter(
@@ -275,8 +301,7 @@ def train_predict_stock_quarter(
     algo: str,
     config: RadarConfig,
     *,
-    prefit: tuple[SignalBlock, learners.LinearModel | MarketRadarError | None, SignalBlock]
-    | None = None,
+    prefit: Prefit | None = None,
 ) -> TaskResult:
     """Fit on the trailing window ending at ``train_quarter`` and forecast
     every trading day of the asset in the next quarter.
@@ -284,10 +309,10 @@ def train_predict_stock_quarter(
     A window below ``min_train_rows`` comes back as a skip.  A library error
     from the blocks, the fit, the prediction or the attribution comes back
     as a failure that carries only its reason.  ``prefit`` is the task's
-    training window, its fit and its forecast block, from its unit: the fit
-    is None to fit here, or the task's fit, or the error of its fit, from the
-    unit's joint solve, and the task then only predicts and attributes.  A
-    forecast that is not finite fails the task.
+    ``Prefit`` from its unit's row-date set; without one the task is a set
+    of one.  A fit of None (ols, rf, gb and nn) is fitted here; given a fit,
+    the task only predicts and attributes, and a ``GROUPED_ALGOS`` prefit
+    always carries its fit.  A forecast that is not finite fails the task.
     """
     forecast_quarter = shift_quarter(train_quarter, 1)
     result = TaskResult(asset, train_quarter, forecast_quarter, algo)
@@ -295,10 +320,10 @@ def train_predict_stock_quarter(
     params = config.params_for(algo)
     try:
         if prefit is None:
-            block, pred_block = _task_blocks(assets, sources, calendar, asset, train_quarter, config)
-            fit = None
-        else:
-            block, fit, pred_block = prefit
+            (prefit,) = _set_prefits(
+                assets, sources, calendar, train_quarter, algo, [(asset, config)]
+            )
+        block, fit, pred_block = prefit
         if isinstance(fit, MarketRadarError):
             raise fit
         model = fit if fit is not None else _fit_model(algo, block, params, seed)
@@ -353,38 +378,22 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
     the merge reads them, and a worker would pickle them back.
 
     The tasks are grouped by the days their asset trades on in the window
-    (``window_days``) and in the forecast quarter, and each set builds one
-    window and one forecast block (its first member's) that every member
-    reads as its own, with its own asset and returns; a set whose blocks
-    raise a library error, such as a window below ``min_train_rows``, runs
-    each member alone, which records its skip or failure.  Only the fit
-    differs by algorithm: in ``GROUPED_ALGOS`` the set's window is
-    standardized once and the set solved in one multi-target fit with one
-    row per task, under that task's own ``config.params_for(algo)``; any
-    other algorithm fits each task's own model.  The tasks of a unit must
-    therefore share ``lags``, ``window_quarters`` and ``min_train_rows``; a
-    radar run's tasks share one config, and a tuning trial's config differs
-    from the base only in ``algorithms``, ``hyperparameters`` and
-    ``importance``.
+    (``window_days``) and in the forecast quarter; each such row-date set
+    gets its blocks and fits from one ``_set_prefits`` call, as a lone task
+    does for its set of one.  A set whose blocks raise a library error, such
+    as a window below ``min_train_rows``, runs each member alone, which
+    records its skip or failure.  A unit's tasks must therefore share
+    ``lags``, ``window_quarters`` and ``min_train_rows``: a radar run's
+    tasks share one config, and a tuning trial's config differs from the
+    base only in ``algorithms``, ``hyperparameters`` and ``importance``.
     """
     assets, sources, calendar = inputs or _worker_inputs
     train_quarter, algo, tasks = unit
-
-    def run_task(i: int, prefit=None) -> TaskResult:
-        asset, cfg = tasks[i]
-        result = train_predict_stock_quarter(
-            assets, sources, calendar, asset, train_quarter, algo, cfg, prefit=prefit
-        )
-        result.model = None
-        return result
-
     # which of the window's and the forecast quarter's days each task's
     # asset trades on: the row dates of its two blocks
-    cfg = tasks[0][1]
     forecast_days = calendar.days_in_quarter(shift_quarter(train_quarter, 1))
-    days = window_days(calendar, train_quarter, cfg.window_quarters) + forecast_days
-    returns = assets.rows(days, [asset for asset, _ in tasks])
-    observed = ~np.isnan(returns)
+    days = window_days(calendar, train_quarter, tasks[0][1].window_quarters) + forecast_days
+    observed = ~np.isnan(assets.rows(days, [asset for asset, _ in tasks]))
     row_date_sets: dict[bytes, list[int]] = {}
     for i in range(len(tasks)):
         row_date_sets.setdefault(observed[:, i].tobytes(), []).append(i)
@@ -392,28 +401,18 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
     results: list[TaskResult | None] = [None] * len(tasks)
     for members in row_date_sets.values():
         try:
-            window, forecast = _task_blocks(
-                assets, sources, calendar, tasks[members[0]][0], train_quarter, cfg
+            prefits = _set_prefits(
+                assets, sources, calendar, train_quarter, algo, [tasks[i] for i in members]
             )
         except MarketRadarError:
-            # each member builds its blocks again and records its own outcome
-            for i in members:
-                results[i] = run_task(i)
-            continue
-        rows = returns[observed[:, members[0]]][:, members].T
-        targets, realized = np.ascontiguousarray(rows[:, :window.n_rows]), rows[:, window.n_rows:]
-        if algo in GROUPED_ALGOS:
-            params = [tasks[i][1].params_for(algo) for i in members]
-            try:
-                scaled, stats = standardize(window)
-                fits = learners.fit_penalized_targets(scaled.values, targets, params, stats=stats)
-            except MarketRadarError as exc:
-                fits = [exc] * len(members)
-        else:
-            fits = [None] * len(members)
-        for i, fit, target, real in zip(members, fits, targets, realized):
-            own = functools.partial(replace, asset=tasks[i][0])
-            results[i] = run_task(i, (own(window, target=target), fit, own(forecast, target=real)))
+            # each member runs alone and records its own skip or failure
+            prefits = [None] * len(members)
+        for i, prefit in zip(members, prefits):
+            asset, cfg = tasks[i]
+            results[i] = train_predict_stock_quarter(
+                assets, sources, calendar, asset, train_quarter, algo, cfg, prefit=prefit
+            )
+            results[i].model = None
     return results
 
 

@@ -223,6 +223,14 @@ class TestRadarCommand:
         assert capsys.readouterr().err == "error: nn_importance_permutations must be >= 1\n"
         assert not out.exists()
 
+    def test_min_train_rows_below_one_exits_one(self, tmp_path, synth_dir, capsys):
+        text = RADAR_CFG.replace("min_train_rows = 40", "min_train_rows = 0")
+        cfg = write_cfg(tmp_path, text, data_dir=synth_dir)
+        out = tmp_path / "run"
+        assert main(["radar", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: min_train_rows must be >= 1\n"
+        assert not out.exists()
+
     def test_nonpositive_threads_exits_one(self, tmp_path, synth_dir, capsys):
         cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
         for threads in ("0", "-5"):

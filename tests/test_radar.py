@@ -16,9 +16,12 @@ from marketradar import radar
 from marketradar.learners import (
     BoostParams,
     ElasticNetParams,
+    ForestParams,
     LassoParams,
     LinearModel,
     NetParams,
+    fit_elastic_net,
+    fit_lasso,
     fit_penalized_targets,
     linear,
 )
@@ -148,6 +151,20 @@ class TestTrainPredict:
         assert result.skipped
         assert "minimum" in result.skip_reason
 
+    def test_grouped_prefit_without_fit_fails_the_task(self, small_scenario):
+        # a lasso task's fit comes from its row-date set, never from the task
+        sc = small_scenario
+        cal = sc.calendar()
+        window, _, forecast = radar._set_prefits(
+            sc.assets, sc.markets, cal, (2016, 4), "lasso", [("A000", small_config())]
+        )[0]
+        result = train_predict_stock_quarter(
+            sc.assets, sc.markets, cal, "A000", (2016, 4), "lasso", small_config(),
+            prefit=(window, None, forecast),
+        )
+        assert result.failed
+        assert "fitted jointly by its row-date set" in result.fail_reason
+
     def test_planted_linear_recovery(self):
         spec = ScenarioSpec(
             n_assets=2, n_markets=2, days_per_quarter=40, n_quarters=5,
@@ -239,6 +256,46 @@ class TestRunRadar:
         # 2017Q2 is the last quarter so nothing trains on it: no drift at all
         assert changed == set()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "algo, params",
+        [("lasso", LassoParams(alpha=1e-5)), ("gb", BoostParams(n_estimators=5, max_depth=2))],
+    )
+    def test_forecast_returns_never_reach_their_fit(self, small_scenario, algo, params, threads):
+        # every asset return from the first forecast day on moves: the
+        # tasks that forecast that quarter (joint sets for lasso, one-task
+        # units for gb) keep their bits, and the tasks trained on it move
+        sc = small_scenario
+        cfg = small_config(algorithms=(algo,), hyperparameters={algo: params}, threads=threads)
+        first_quarter = enumerate_tasks(sc.assets, sc.calendar(), cfg)[0][1]
+        first_day = sc.calendar().days_in_quarter(shift_quarter(first_quarter, 1))[0]
+        rows = []
+        for e in sc.assets.entity_ids:
+            s = sc.assets.series(e)
+            for o, v in zip(s.ordinals, s.values):
+                d = dt.date.fromordinal(int(o))
+                rows.append((d, e, v + 0.01 if d >= first_day else v))
+        bumped_assets = ReturnPanel.from_records(rows)
+
+        def split(panel):
+            """The run's (forecast, bits) and (importance, bits) of the first
+            forecast quarter, and its later forecasts."""
+            table, imps, report = run_radar(panel, sc.markets, cfg)
+            assert report.n_completed == 8
+            first = shift_quarter(first_quarter, 1)
+            forecasts = [(r, r.yhat.hex()) for r in table.rows if quarter_of(r.date) == first]
+            importances = [(i, i.value.hex()) for i in imps if i.quarter == first]
+            later = [r for r in table.rows if quarter_of(r.date) != first]
+            return forecasts, importances, later
+
+        base_f, base_i, base_later = split(sc.assets)
+        bumped_f, bumped_i, bumped_later = split(bumped_assets)
+        assert base_f and base_i
+        assert bumped_f == base_f
+        assert bumped_i == base_i
+        assert [r.date for r in bumped_later] == [r.date for r in base_later]
+        assert bumped_later != base_later
+
     def test_importance_round_trip(self, tmp_path, small_scenario):
         sc = small_scenario
         _, imps, _ = run_radar(sc.assets, sc.markets, small_config())
@@ -267,6 +324,37 @@ class TestRunRadar:
         assert report.n_tasks == report.n_completed + len(report.skips)
         assert "skip LATE" in report.to_text()
         assert not any(r.asset == "LATE" for r in table.rows)
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_min_train_rows_below_one_rejected(self, rows):
+        # an empty window would reach the learners instead of being a skip
+        with pytest.raises(RadarError, match="min_train_rows must be >= 1"):
+            RadarConfig(min_train_rows=rows)
+
+    @pytest.mark.parametrize(
+        "algo, params", [("rf", ForestParams(n_estimators=3)), ("gb", BoostParams(n_estimators=3))]
+    )
+    def test_empty_window_skip_names_its_quarters(self, algo, params):
+        sc = generate(ScenarioSpec(n_assets=4, n_markets=2, days_per_quarter=20, n_quarters=6))
+        late = without_records(sc.assets, lambda d, e: e == "A001" and d < D(2017, 4, 1))
+        cfg = RadarConfig(algorithms=(algo,), min_train_rows=1, hyperparameters={algo: params})
+        _, _, report = run_radar(late, sc.markets, cfg)
+        assert report.skips == [
+            ("A001", "2017Q1", algo, "A001 2016Q1..2016Q4: 0 rows < minimum 1"),
+            ("A001", "2017Q2", algo, "A001 2016Q2..2017Q1: 0 rows < minimum 1"),
+        ]
+        assert f"skip A001 2017Q1 {algo}: A001 2016Q1..2016Q4: 0 rows" in report.to_text()
+        assert report.n_completed == 6
+
+    def test_one_quarter_window_skip_names_its_quarter(self):
+        sc = generate(ScenarioSpec(n_assets=4, n_markets=2, days_per_quarter=20, n_quarters=6))
+        late = without_records(sc.assets, lambda d, e: e == "A001" and d < D(2017, 4, 1))
+        cfg = RadarConfig(
+            algorithms=("gb",), window_quarters=1, min_train_rows=1,
+            hyperparameters={"gb": BoostParams(n_estimators=3)},
+        )
+        _, _, report = run_radar(late, sc.markets, cfg)
+        assert ("A001", "2017Q1", "gb", "A001 2016Q4..2016Q4: 0 rows < minimum 1") in report.skips
 
 
 def report_text_without_timing(report) -> str:
@@ -901,24 +989,34 @@ class TestTuning:
         self, monkeypatch, small_scenario, algo, space
     ):
         # every trial still runs as one task, with the fit its own
-        # parameters give alone
+        # parameters give alone: its own one-target fit on its window
         sc = small_scenario
         real = radar.train_predict_stock_quarter
+
+        def lone_fit(window, params):
+            scaled, stats = standardize(window)
+            X, y = scaled.values, scaled.target
+            if algo == "lasso":
+                return fit_lasso(X, y, params.alpha, stats=stats)
+            return fit_elastic_net(X, y, params.alpha, params.l1_ratio, stats=stats)
 
         def trials(grouped):
             seen = []
 
             # a unit drops each task's model once the task returns
-            def recording(*args, **kw):
-                result = real(*args, **kw)
-                fitted = kw["prefit"][1] is not None
-                seen.append((fitted, args[6].params_for(algo), result, result.model))
+            def recording(*args, prefit):
+                window, fit, forecast = prefit
+                params = args[6].params_for(algo)
+                if not grouped:
+                    fit = lone_fit(window, params)
+                result = real(*args, prefit=(window, fit, forecast))
+                # (the unit gave a fit, the lone arm fitted its own, ...)
+                own = fit is not prefit[1]
+                seen.append((prefit[1] is not None, own, params, result, result.model))
                 return result
 
             with monkeypatch.context() as patch:
                 patch.setattr(radar, "train_predict_stock_quarter", recording)
-                if not grouped:
-                    patch.setattr(radar, "GROUPED_ALGOS", ())
                 tuned = tune_hyperparameters(
                     sc.assets, sc.markets, algo, space, n_tasks=3, budget=5, seed=4,
                     config=small_config(algorithms=(algo,)),
@@ -929,9 +1027,9 @@ class TestTuning:
         alone_tuned, alone = trials(grouped=False)
         assert tuned == alone_tuned
         assert len(joint) == len(alone) == 15
-        assert all(fitted for fitted, _, _, _ in joint)
-        assert not any(fitted for fitted, _, _, _ in alone)
-        for (_, params, a, a_model), (_, alone_params, b, b_model) in zip(joint, alone):
+        assert all(fitted and not own for fitted, own, _, _, _ in joint)
+        assert all(fitted and own for fitted, own, _, _, _ in alone)
+        for (_, _, params, a, a_model), (_, _, alone_params, b, b_model) in zip(joint, alone):
             assert params == alone_params
             assert a.forecasts == b.forecasts and a.forecasts
             assert a_model.hyper == params
