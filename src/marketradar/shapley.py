@@ -3,9 +3,9 @@
 All methods share one value function: v(S) is the mean model output over a
 background sample with the explained point's values spliced in on the
 coalition S.  That makes the subset-enumeration brute force an oracle for
-both the exact tree algorithm and the Monte-Carlo permutation estimator.
+both the exact tree algorithm and the Monte-Carlo sampled estimator.
 Per-signal importance takes its method from the fitted model: the tree
-algorithm for tree ensembles, the permutation estimator for networks, and
+algorithm for tree ensembles, the sampled estimator for networks, and
 |coefficient| for sparse linear fits, whose inputs are standardized.
 
 The tree method works on all leaves at once.  For an explained point x and
@@ -29,39 +29,25 @@ on the model alone, so a row gets the same bits in any batch.  The table
 grows as 4^K, so an ensemble with paths over ``_MAX_TABLE_SLOTS`` features
 is attributed leaf by leaf over all (x, z) row pairs instead.
 
-The permutation estimator evaluates in batches.  All orders are drawn
-first, from the seed's stream in the same order as one at a time.  Step k
-of an order splices x in on its first k+1 features (k = 0..p-1), and the p
-spliced copies of the background stack into one (p*m, p) matrix, so a row
-costs one forward pass per permutation rather than p.  That matrix is never
-formed whole: one reused buffer takes it in row blocks of at most
-``_SAMPLED_BLOCK_ELEMENTS`` input elements (the last up to ``_ROW_ALIGN``
-rows more), copied from a running coalition (the background with x written
-in on each feature as it joins), and the model is called once per block.
-The bound comes from the network's cost per row, which depends on how many
-rows one call gets.  At 20 features, on a 2-core Xeon with OpenBLAS 0.3.31
-and one BLAS thread, it is about 90 ns a row at 640 to 1,600 rows, 190 ns
-at 1,920 to 2,560 rows and 250 ns at 5,040 rows; at 80 features the least
-is about 140 ns, at 320 to 640 rows.  With OpenBLAS's own threads and the
-other core busy, a 5,040-row call at 20 features cost 675 ns a row and a
-2,560-row call at 80 features 3.1 us.  25,600 elements is 1,280 rows at 20
-features (the whole p*m matrix of a 64-row background) and 320 rows at 80,
-and it bounds the buffer: one call at 80 features and 500 background rows
-holds about 1 MB rather than a 25.6 MB splice.  The step means of every
-order are differenced into the draws at once.
+The sampled estimator draws (order, background row) pairs, as Strumbelj
+and Kononenko sample them (KAIS 2014), and runs each pair forwards and with
+its order reversed (Mitchell et al., JMLR 2022).  Along a path, x joins one
+feature at a time, and a feature's draw is the output after it joins minus
+the output before; the output before the first joins is f(z), read from the
+one f call over the background that also gives the base value.  A draw
+costs p forward rows, against p*m for a coalition averaged over all m
+background rows, and the same budget spent on independent pairs gives far
+less error.  A pair and its reverse are dependent, so the stderr is taken
+over the pair means.  A block of paths goes to the model in one call of at
+most ``_SAMPLED_BLOCK_ELEMENTS`` input elements (64 paths of 20 rows at 20
+features), where a network's forward pass costs least per row; row k of a
+path is one gather from a lower-triangular table at the path's ranks.
 
 Importance scales the explained rows and the background once through the
 model's standardization and then calls the fitted map on scaled inputs
-directly.  Neither the blocks nor the scaling change a bit of the result.
-The model maps each row independently of its neighbours, except that BLAS
-takes a call's last rows (the row count mod 4, for OpenBLAS's gemv) through
-narrower kernels that round differently, and numpy takes a one-row call
-through a vector product.  Every block but the last therefore holds a
-multiple of ``_ROW_ALIGN`` rows and the last more than that, so each row
-meets the kernel it meets in one call over all p*m rows.  Each coalition
-mean is then the same contiguous reduction over the same m values, and
-standardization acts elementwise per column, so scaling then splicing
-equals splicing then scaling.
+directly; standardization acts elementwise per column, so scaling then
+splicing equals splicing then scaling.  A task runs in one process, so its
+rows meet the same blocks at any worker count.
 """
 from __future__ import annotations
 
@@ -94,23 +80,20 @@ IMPORTANCE_REPORT_SCALE = 1e4
 # the attribution background.
 BACKGROUND_CAP = 500
 
-# Permutations per explained row of the sampled estimator, unless the run
-# configures another count.
-SAMPLED_PERMUTATIONS = 8
+# Draws per explained row of the sampled estimator, unless the run
+# configures another count: each is one order and one background row, in
+# antithetic pairs, so an odd count runs one draw more.
+SAMPLED_PERMUTATIONS = 128
 
 # The exact tree kernel works on blocks of leaves and rows whose temporaries
 # (rows x leaves x path slots, or leaves x patterns x slots) hold at most
 # this many elements each.
 _BLOCK_ELEMENTS = 1 << 18
 
-# The permutation estimator hands the model its stacked coalition rows in
-# blocks of at most this many input elements (rows x features), where a
-# network's forward pass costs least per row, and of a multiple of
-# _ROW_ALIGN rows, so that every row takes the BLAS kernel it takes in one
-# call over all rows; the last block takes the rest, up to _ROW_ALIGN rows
-# more (see the module docstring).
+# The sampled estimator hands the model its paths' rows in blocks of at most
+# this many input elements (rows x features), where a network's forward
+# pass costs least per row; a path of more rows goes alone.
 _SAMPLED_BLOCK_ELEMENTS = 25_600
-_ROW_ALIGN = 64
 
 # Longest leaf path (in constrained features) served by the pass-pattern
 # tables, which hold 4^K * K weights; longer paths use the pairwise kernel.
@@ -382,56 +365,37 @@ def sampled_shapley(
     n_permutations: int,
     seed: int,
 ) -> Attribution:
-    """Unbiased Monte-Carlo permutation estimator with per-feature stderr."""
+    """Monte-Carlo Shapley values from ``n_permutations`` draws, in
+    antithetic (order, background row) pairs, with per-feature stderr."""
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     p = len(x)
     Z = _as_background(background, p)
-    m = Z.shape[0]
+    n = -(-n_permutations // 2)
     rng = np.random.default_rng(seed)
-    orders = np.array([rng.permutation(p) for _ in range(n_permutations)])
+    # feature j joins order t at step ranks[t, j]; path n + t is its reverse
+    ranks = rng.permuted(np.tile(np.arange(p), (n, 1)), axis=1)
+    ranks = np.concatenate([ranks, p - 1 - ranks])
+    rows = np.tile(rng.integers(len(Z), size=n), 2)
 
-    base = float(np.mean(f(Z)))
-    # Row r of the stacked (p*m, p) matrix is background row r % m with x
-    # spliced in on order[: r // m + 1].  Blocks start at the multiples of
-    # `rows`, itself a multiple of _ROW_ALIGN; the last block takes the rest,
-    # more than _ROW_ALIGN rows unless it is the whole matrix.  Each block is
-    # planned once as pieces of steps: (step, whether the step starts in the
-    # block, its rows in the block, its rows of the background).
-    n = p * m
-    rows = max(_ROW_ALIGN, _SAMPLED_BLOCK_ELEMENTS // p // _ROW_ALIGN * _ROW_ALIGN)
-    edges = [*range(0, max(n - _ROW_ALIGN, 1), rows), n]
-    plan = []
-    for r0, r1 in zip(edges, edges[1:]):
-        pieces = []
-        for k in range(r0 // m, (r1 - 1) // m + 1):
-            lo, hi = max(r0, k * m), min(r1, (k + 1) * m)
-            pieces.append((k, k * m >= r0, slice(lo - r0, hi - r0), slice(lo - k * m, hi - k * m)))
-        plan.append((slice(r0, r1), pieces))
-    splice = np.empty((max(np.diff(edges)), p))
-    coalition = np.empty_like(Z)
-    out = np.empty(n)
-    v = np.empty((n_permutations, p))
-    for t, order in enumerate(orders.tolist()):
-        coalition[...] = Z
-        for block, pieces in plan:
-            for k, joins, to, background_rows in pieces:
-                if joins:
-                    coalition[:, order[k]] = x[order[k]]
-                splice[to] = coalition[background_rows]
-            out[block] = f(splice[: block.stop - block.start])
-        v[t] = out.reshape(p, m).mean(axis=1)
-    # feature j of order t joins at step argsort(order)[j]
-    draws = np.take_along_axis(
-        np.diff(v, axis=1, prepend=base), np.argsort(orders, axis=1), axis=1
-    )
-    phi = draws.mean(axis=0)
-    if n_permutations > 1:
-        stderr = draws.std(axis=0, ddof=1) / math.sqrt(n_permutations)
+    fz = f(Z)
+    base = float(np.mean(fz))
+    tri = np.tri(p, dtype=bool)
+    draws = np.empty((2 * n, p))
+    step = max(1, _SAMPLED_BLOCK_ELEMENTS // (p * p))
+    for t in range(0, 2 * n, step):
+        r, z = ranks[t : t + step], rows[t : t + step]
+        # (k, path) row: x on the features of rank <= k, the path's z elsewhere
+        out = f(np.where(tri[:, r], x, Z[z]).reshape(-1, p)).reshape(p, -1)
+        gain = np.diff(out, axis=0, prepend=fz[None, z])
+        draws[t : t + step] = gain[r, np.arange(len(r))[:, None]]
+    pairs = (draws[:n] + draws[n:]) / 2
+    if n > 1:
+        stderr = pairs.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         stderr = np.zeros(p)
-    return Attribution(phi=phi, base_value=base, stderr=stderr)
+    return Attribution(phi=pairs.mean(axis=0), base_value=base, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +438,8 @@ def mean_abs_importance(
     """Mean |attribution| per signal over all training rows of a block.
 
     The fitted model picks the method: exact interventional values for a
-    tree ensemble, the permutation estimator (``n_permutations`` orders per
-    row) for a network.  The background is the training block itself,
+    tree ensemble, the sampled estimator (``n_permutations`` draws per row)
+    for a network.  The background is the training block itself,
     subsampled (seeded) past ``BACKGROUND_CAP`` rows.
     """
     if block.n_rows == 0:

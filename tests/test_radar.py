@@ -1,5 +1,6 @@
 import concurrent.futures.process
 import datetime as dt
+import hashlib
 import os
 import struct
 import tempfile
@@ -324,6 +325,40 @@ class TestRunRadar:
         assert report.n_tasks == report.n_completed + len(report.skips)
         assert "skip LATE" in report.to_text()
         assert not any(r.asset == "LATE" for r in table.rows)
+
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_nn_importance_draws_below_one_rejected(self, draws):
+        with pytest.raises(RadarError, match="nn_importance_permutations must be >= 1"):
+            RadarConfig(nn_importance_permutations=draws)
+        assert RadarConfig(nn_importance_permutations=1).nn_importance_permutations == 1
+
+    def test_nn_importance_alone_changed_with_the_estimator(self, small_scenario, tmp_path):
+        # sha256 of forecasts.csv and of the gb and lasso rows of
+        # importance.csv, taken before the sampled estimator drew
+        # antithetic pairs; like any pinned float output they hold for one
+        # BLAS build (README, item 3)
+        sc = small_scenario
+        written = []
+        for threads in (1, 2):
+            cfg = small_config(algorithms=("lasso", "gb", "nn"), threads=threads)
+            table, imps, report = run_radar(sc.assets, sc.markets, cfg)
+            assert report.n_completed == 24
+            table.to_csv(tmp_path / "forecasts.csv")
+            write_importance_csv(tmp_path / "importance.csv", imps)
+            written.append(
+                ((tmp_path / "forecasts.csv").read_bytes(), (tmp_path / "importance.csv").read_bytes())
+            )
+        assert written[0] == written[1]
+        forecasts, importance = written[0]
+        lines = importance.splitlines(keepends=True)[1:]
+        assert {line.split(b",")[2] for line in lines} == {b"lasso", b"gb", b"nn"}
+        gb_lasso = b"".join(line for line in lines if line.split(b",")[2] != b"nn")
+        assert hashlib.sha256(forecasts).hexdigest() == (
+            "5ca7fdc46766966f72c2434344c886fb046f424e66655eccf53aa8e0758b97bd"
+        )
+        assert hashlib.sha256(gb_lasso).hexdigest() == (
+            "f4946d5d51d223f7cae317c0ea96ae4bb5c18db80cf5ea4ca364ab6950f20f56"
+        )
 
     @pytest.mark.parametrize("rows", [0, -1])
     def test_min_train_rows_below_one_rejected(self, rows):

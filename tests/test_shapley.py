@@ -133,63 +133,46 @@ def assert_matches_reference(model, X, Z):
 
 
 def reference_sampled_shapley(f, x, background, n_permutations, seed):
-    """The permutation estimator with one f call per coalition.
-
-    On a fitted nn it equals the stacked estimator bit for bit only when
-    the background row count is a multiple of 4, as the 20, 24 and 64 rows
-    of the nn tests are: OpenBLAS rounds a call's last (rows mod 4) rows
-    through narrower kernels, so each m-row call here has tail rows of its
-    own where one stacked call has one.
-    """
+    """The pair estimator as a plain loop, with one f call per path: the
+    same seeded draws of orders and background rows, each order run
+    forwards and reversed."""
     x = np.asarray(x, dtype=np.float64)
     Z = np.asarray(background, dtype=np.float64)
     p = len(x)
+    n = math.ceil(n_permutations / 2)
     rng = np.random.default_rng(seed)
-    base = float(np.mean(f(Z)))
-    draws = np.empty((n_permutations, p))
-    for t in range(n_permutations):
-        order = rng.permutation(p)
-        spliced = Z.copy()
-        prev = base
-        for j in order:
-            spliced[:, j] = x[j]
-            cur = float(np.mean(f(spliced)))
-            draws[t, j] = cur - prev
-            prev = cur
-    if n_permutations > 1:
-        stderr = draws.std(axis=0, ddof=1) / math.sqrt(n_permutations)
+    ranks = rng.permuted(np.tile(np.arange(p), (n, 1)), axis=1)
+    rows = rng.integers(len(Z), size=n)
+    fz = f(Z)
+    pair_means = np.zeros((n, p))
+    for t in range(n):
+        order = np.argsort(ranks[t])
+        for path in (order, order[::-1]):
+            # row k: x on the first k + 1 features of the path
+            spliced = np.tile(Z[rows[t]], (p, 1))
+            for k, j in enumerate(path):
+                spliced[k:, j] = x[j]
+            out = f(spliced)
+            prev = fz[rows[t]]
+            for k, j in enumerate(path):
+                pair_means[t, j] += (out[k] - prev) / 2
+                prev = out[k]
+    if n > 1:
+        stderr = pair_means.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         stderr = np.zeros(p)
-    return Attribution(phi=draws.mean(axis=0), base_value=base, stderr=stderr)
-
-
-def stacked_sampled_shapley(f, x, background, n_permutations, seed):
-    """The permutation estimator with one splice of all p*m coalition rows
-    and one f call per permutation."""
-    x = np.asarray(x, dtype=np.float64)
-    Z = np.asarray(background, dtype=np.float64)
-    p = len(x)
-    rng = np.random.default_rng(seed)
-    m = Z.shape[0]
-    base = float(np.mean(f(Z)))
-    draws = np.empty((n_permutations, p))
-    for t in range(n_permutations):
-        order = rng.permutation(p)
-        # row k marks order[: k + 1]: feature j joins at step argsort(order)[j]
-        members = np.tri(p, dtype=bool)[:, np.argsort(order)]
-        spliced = np.where(members[:, None, :], x, Z).reshape(p * m, p)
-        v = f(spliced).reshape(p, m).mean(axis=1)
-        draws[t, order] = np.diff(v, prepend=base)
-    if n_permutations > 1:
-        stderr = draws.std(axis=0, ddof=1) / math.sqrt(n_permutations)
-    else:
-        stderr = np.zeros(p)
-    return Attribution(phi=draws.mean(axis=0), base_value=base, stderr=stderr)
+    return Attribution(phi=pair_means.mean(axis=0), base_value=float(np.mean(fz)), stderr=stderr)
 
 
 def assert_same_attribution(got, want):
     np.testing.assert_array_equal(got.phi, want.phi)
     np.testing.assert_array_equal(got.stderr, want.stderr)
+    assert got.base_value == want.base_value
+
+
+def assert_close_attribution(got, want):
+    np.testing.assert_allclose(got.phi, want.phi, rtol=1e-12)
+    np.testing.assert_allclose(got.stderr, want.stderr, rtol=1e-12)
     assert got.base_value == want.base_value
 
 
@@ -568,7 +551,7 @@ class TestSampledShapley:
         f = lambda M: M @ beta
         Z = rng.normal(size=(30, 5))
         x = rng.normal(size=5)
-        assert_same_attribution(
+        assert_close_attribution(
             sampled_shapley(f, x, Z, n_permutations=40, seed=18),
             reference_sampled_shapley(f, x, Z, n_permutations=40, seed=18),
         )
@@ -577,7 +560,7 @@ class TestSampledShapley:
         model, raw, _ = fitted_scaled_nn(19)
         f = lambda M: predict(model, M)
         for i in (0, 7):
-            assert_same_attribution(
+            assert_close_attribution(
                 sampled_shapley(f, raw[i], raw, n_permutations=16, seed=i),
                 reference_sampled_shapley(f, raw[i], raw, n_permutations=16, seed=i),
             )
@@ -586,42 +569,83 @@ class TestSampledShapley:
         model, raw, _ = fitted_scaled_nn(20)
         f = lambda M: predict(model, M)
         got = sampled_shapley(f, raw[3], raw[:20], n_permutations=1, seed=4)
-        assert_same_attribution(
+        assert_close_attribution(
             got, reference_sampled_shapley(f, raw[3], raw[:20], n_permutations=1, seed=4)
         )
         np.testing.assert_array_equal(got.stderr, 0.0)
 
+    @pytest.mark.parametrize("n_permutations", [1, 3, 7])
+    def test_odd_counts_run_whole_antithetic_pairs(self, n_permutations):
+        model, raw, _ = fitted_scaled_nn(22)
+        X = model._inputs(raw)
+        odd = sampled_shapley(model._predict, X[2], X, n_permutations, 5)
+        assert_same_attribution(odd, sampled_shapley(model._predict, X[2], X, n_permutations + 1, 5))
+        assert np.all(odd.stderr > 0) == (n_permutations > 1)
+
+    def test_stderr_is_honest_against_brute_force(self):
+        # over 200 rows x 6 features of a fitted network, the exact values
+        # lie within 2 reported stderr about as often as a t with 31
+        # degrees of freedom says (0.946)
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(232, 6))
+        y = X[:, 0] - X[:, 1] * X[:, 2] + np.maximum(X[:, 3], 0) + 0.1 * rng.normal(size=232)
+        params = NetParams(epochs=20, batch_size=32, n_layers=2, n_neurons=8)
+        model = fit_nn(X, y, params, seed=24)
+        Z = X[:32]
+        covered = []
+        for i, x in enumerate(X[32:]):
+            exact = brute_force_shapley(model._predict, x, Z).phi
+            sampled = sampled_shapley(model._predict, x, Z, n_permutations=64, seed=i)
+            covered.append(np.abs(sampled.phi - exact) <= 2 * sampled.stderr)
+        assert 0.90 <= np.mean(covered) <= 0.99
+
 
 class TestSampledBlocks:
-    """The row-blocked estimator against the one-splice stacked body."""
+    """The row-blocked estimator against one call over all of a row's paths
+    and against the one-call-per-path loop."""
 
     @pytest.fixture(scope="class")
     def nn23(self):
         model, raw, _ = fitted_scaled_nn(27, n=300, p=23)
         return model, model._inputs(raw)
 
+    @staticmethod
+    def calls(model, x, Z, n_permutations, seed):
+        shapes = []
+        f = lambda M: shapes.append(M.shape) or model._predict(M)
+        return sampled_shapley(f, x, Z, n_permutations, seed), shapes
+
     def test_one_block_when_the_whole_matrix_fits(self):
-        # attrib size: 20 features x 64 background rows x 20 steps
-        assert 20 * 64 * 20 <= shapley._SAMPLED_BLOCK_ELEMENTS
+        # attrib size, 20 features and 64 background rows: 8 paths of 20 rows
         model, raw, _ = fitted_scaled_nn(28, n=64, p=20)
         X = model._inputs(raw)
         for i in (0, 9):
-            assert_same_attribution(
-                sampled_shapley(model._predict, X[i], X, 8, i),
-                stacked_sampled_shapley(model._predict, X[i], X, 8, i),
-            )
+            got, shapes = self.calls(model, X[i], X, 8, i)
+            assert shapes == [(64, 20), (8 * 20, 20)]
+            assert_close_attribution(got, reference_sampled_shapley(model._predict, X[i], X, 8, i))
+
+    def test_an_attrib_row_is_two_calls_of_64_paths(self):
+        model, raw, _ = fitted_scaled_nn(28, n=64, p=20)
+        X = model._inputs(raw)
+        _, shapes = self.calls(model, X[9], X, shapley.SAMPLED_PERMUTATIONS, 9)
+        assert shapley.SAMPLED_PERMUTATIONS == 128
+        assert shapes == [(64, 20), (64 * 20, 20), (64 * 20, 20)]
 
     @pytest.mark.parametrize("budget", [shapley._SAMPLED_BLOCK_ELEMENTS, 1 << 12, 1])
     @pytest.mark.parametrize("m", [1, 2, 33, 63, 252])
     @pytest.mark.parametrize("n_permutations", [1, 8])
     def test_blocks_match_the_stacked_call(self, nn23, budget, m, n_permutations, monkeypatch):
-        monkeypatch.setattr(shapley, "_SAMPLED_BLOCK_ELEMENTS", budget)
         model, X = nn23
         Z = X[-m:]
         for i in (0, 5):
-            got = sampled_shapley(model._predict, X[i], Z, n_permutations, i)
-            assert_same_attribution(
-                got, stacked_sampled_shapley(model._predict, X[i], Z, n_permutations, i)
+            stacked, shapes = self.calls(model, X[i], Z, n_permutations, i)
+            assert len(shapes) == 2
+            with monkeypatch.context() as patch:
+                patch.setattr(shapley, "_SAMPLED_BLOCK_ELEMENTS", budget)
+                got = sampled_shapley(model._predict, X[i], Z, n_permutations, i)
+            assert_close_attribution(got, stacked)
+            assert_close_attribution(
+                got, reference_sampled_shapley(model._predict, X[i], Z, n_permutations, i)
             )
             if n_permutations == 1:
                 np.testing.assert_array_equal(got.stderr, 0.0)
@@ -727,6 +751,21 @@ class TestImportance:
         f = lambda M: predict(model, M)
         phi = np.array(
             [reference_sampled_shapley(f, raw[i], raw, 8, 5 + i).phi for i in range(len(raw))]
+        )
+        np.testing.assert_allclose([r.value for r in records], np.abs(phi).mean(axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("n_permutations", [1, 5, shapley.SAMPLED_PERMUTATIONS])
+    def test_sampled_importance_is_the_mean_of_per_row_calls(self, n_permutations):
+        model, raw, y = fitted_scaled_nn(21, n=24)
+        records = mean_abs_importance(
+            model, toy_block(raw, target=y), "AAA", (2020, 1), n_permutations, seed=5
+        )
+        X = model._inputs(raw)
+        phi = np.array(
+            [
+                sampled_shapley(model._predict, X[i], X, n_permutations, 5 + i).phi
+                for i in range(len(raw))
+            ]
         )
         assert [r.value for r in records] == [float(v) for v in np.abs(phi).mean(axis=0)]
 
