@@ -184,7 +184,7 @@ def config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
                 values[target][name] = parse(value)
             elif key.startswith("data."):
                 cfg.data[key[5:]] = Path(value)
-            elif key.startswith("hp."):
+            elif key.startswith("hp.") and key.count(".") >= 2:
                 _, algo, name = key.split(".", 2)
                 hp_values.setdefault(algo, {})[name] = value
             elif key == "synth.regime_breaks":
@@ -218,13 +218,18 @@ def config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
     return cfg
 
 
+def _file(path: Path, what: str) -> Path:
+    """``path`` if it is a regular file, else FileNotFoundError (exit 2)."""
+    if not path.is_file():
+        reason = "is not a file" if path.exists() else "not found"
+        raise FileNotFoundError(f"{what} {path} {reason}")
+    return path
+
+
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file {path} not found")
-    return config_from_mapping(parse_config_text(p.read_text()))
+    return config_from_mapping(parse_config_text(_file(Path(path), "config file").read_text()))
 
 
 def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -246,19 +251,17 @@ def _require(cfg: RunConfig, key: str, default_name: str | None = None) -> Path:
     path = cfg.data.get(key)
     if path is None and default_name is not None:
         candidate = cfg.out / default_name
-        if candidate.exists():
+        if candidate.is_file():
             return candidate
     if path is None:
         raise FileNotFoundError(f"no data.{key} input configured")
-    if not path.exists():
-        raise FileNotFoundError(f"input {path} not found")
-    return path
+    return _file(path, "input")
 
 
 def _optional(cfg: RunConfig, key: str, default_name: str | None = None) -> Path | None:
     """Like ``_require``, but None when ``data.<key>`` is not configured and
-    no ``out/<default_name>`` exists; a configured input must exist."""
-    if key not in cfg.data and not (default_name and (cfg.out / default_name).exists()):
+    no ``out/<default_name>`` file exists; a configured input must be a file."""
+    if key not in cfg.data and not (default_name and (cfg.out / default_name).is_file()):
         return None
     return _require(cfg, key, default_name)
 

@@ -53,30 +53,19 @@ def stack_tables(tables: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     return nodes, roots, left, right
 
 
-def _row_blocks(n_rows: int, n_trees: int) -> list[slice]:
-    """Consecutive row slices of at most ``_TREE_BLOCK_ELEMENTS`` (row, tree)
-    pairs each, at least one row."""
-    step = max(1, _TREE_BLOCK_ELEMENTS // max(n_trees, 1))
-    return [slice(r, r + step) for r in range(0, n_rows, step)]
-
-
 def leaf_values(tables: list[np.ndarray], X: np.ndarray) -> np.ndarray:
-    """(rows, trees): each tree's leaf value for each row of X.  The rows of
-    a block descend all trees at once, one level per step, going left where
+    """(rows, trees): each tree's leaf value for each row of X.  The rows
+    descend all trees at once, one level per step, going left where
     x <= threshold; a leaf is its own child, so the walk ends when every row
-    of the block is at a leaf of every tree."""
+    is at a leaf of every tree."""
     nodes, roots, left, right = stack_tables(tables)
     leaf = nodes["feature"] < 0
     feature, threshold = np.where(leaf, 0, nodes["feature"]), nodes["threshold"]
-    values = np.empty((X.shape[0], len(tables)))
-    for rows in _row_blocks(X.shape[0], len(tables)):
-        block = X[rows]
-        at = np.arange(len(block))[:, None]
-        node = roots + np.zeros((len(block), 1), dtype=np.intp)
-        while not leaf[node].all():
-            node = np.where(block[at, feature[node]] <= threshold[node], left[node], right[node])
-        values[rows] = nodes["value"][node]
-    return values
+    at = np.arange(X.shape[0])[:, None]
+    node = roots + np.zeros((X.shape[0], 1), dtype=np.intp)
+    while not leaf[node].all():
+        node = np.where(X[at, feature[node]] <= threshold[node], left[node], right[node])
+    return nodes["value"][node]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +129,10 @@ class TreeEnsembleModel(TrainedModel):
         return np.cumsum(np.column_stack([np.full(X.shape[0], self.base), terms]), axis=1)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
+        step = max(1, _TREE_BLOCK_ELEMENTS // (len(self.trees) + 1))
         out = np.empty(X.shape[0])
-        for rows in _row_blocks(X.shape[0], len(self.trees) + 1):
-            out[rows] = self.stages(X[rows])[:, -1]
+        for r in range(0, X.shape[0], step):
+            out[r : r + step] = self.stages(X[r : r + step])[:, -1]
         return out
 
 

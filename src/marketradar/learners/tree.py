@@ -11,6 +11,10 @@ rule: lowest feature index, then lowest threshold.  So a fit is a pure
 function of (X, y, params, seed).  Row subsampling draws from row indices
 of the given order, which makes the whole ensemble deterministic and
 reproducible from the seed alone.
+
+A tree grows on row positions of X: it fits on the leading ones and routes
+every one to its leaf as prediction does, so a boosting stage, grown on its
+sample and then the rows left out, takes every row's value from its growth.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import math
 
 import numpy as np
 
-from .base import NODE_DTYPE, TreeEnsembleModel, TreeNode, leaf_values
+from .base import NODE_DTYPE, TreeEnsembleModel, TreeNode
 from .params import BoostParams, ForestParams
 
 
@@ -55,32 +59,38 @@ def _best_split(
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
+    rows: np.ndarray,
+    n_fit: int,
     rng: np.random.Generator,
     params: ForestParams | BoostParams,
-) -> np.ndarray:
-    """A CART tree on (X, y) as a node table, its rows appended in preorder."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """A CART tree fitted on the first ``n_fit`` of the positions ``rows`` of
+    (X, y), as a node table, its rows appended in preorder, and each row's
+    leaf value (NaN off ``rows``); a split keeps the fitted positions first."""
     nodes: list[tuple] = []
+    fitted = np.full(len(X), np.nan)
+    p = X.shape[1]
 
-    def grow(X: np.ndarray, y: np.ndarray, depth: int) -> None:
-        row = len(nodes)
-        n, p = X.shape
-        nodes.append((-1, 0.0, -1, -1, float(y.sum() / n), n))
-        if depth >= params.max_depth or n < 2 * params.min_samples_leaf or np.all(y == y[0]):
-            return
-        k = max(1, math.ceil(params.max_features * p))
-        features = np.sort(rng.choice(p, size=k, replace=False)) if k < p else np.arange(p)
-        split = _best_split(X, y, features, params.min_samples_leaf)
+    def grow(at: np.ndarray, n: int, depth: int) -> None:
+        row, y_fit, split = len(nodes), y[at[:n]], None
+        nodes.append((-1, 0.0, -1, -1, float(y_fit.sum() / n), n))
+        if depth < params.max_depth and n >= 2 * params.min_samples_leaf and np.any(y_fit != y_fit[0]):
+            k = max(1, math.ceil(params.max_features * p))
+            features = np.sort(rng.choice(p, size=k, replace=False)) if k < p else np.arange(p)
+            split = _best_split(X.take(at[:n], axis=0), y_fit, features, params.min_samples_leaf)
         if split is None:
+            fitted[at] = nodes[row][4]  # a leaf: its value for all its positions
             return
         f, threshold = split
-        go_left = X[:, f] <= threshold
-        grow(X[go_left], y[go_left], depth + 1)
+        go_left = X[:, f][at] <= threshold
+        n_left = int(np.count_nonzero(go_left[:n]))
+        grow(at[go_left], n_left, depth + 1)
         right = len(nodes)
-        grow(X[~go_left], y[~go_left], depth + 1)
+        grow(at[~go_left], n - n_left, depth + 1)
         nodes[row] = (f, threshold, row + 1, right) + nodes[row][4:]
 
-    grow(X, y, 0)
-    return np.array(nodes, dtype=NODE_DTYPE)
+    grow(rows, n_fit, 0)
+    return np.array(nodes, dtype=NODE_DTYPE), fitted
 
 
 def fit_random_forest(
@@ -98,7 +108,7 @@ def fit_random_forest(
     trees = []
     for _ in range(params.n_estimators):
         idx = rng.integers(0, n, size=n_draw)
-        trees.append(TreeNode(_grow_tree(X[idx], y[idx], rng, params)))
+        trees.append(TreeNode(_grow_tree(X, y, idx, n_draw, rng, params)[0]))
     weights = np.full(len(trees), 1.0 / len(trees))
     return TreeEnsembleModel(
         algo="rf",
@@ -127,14 +137,11 @@ def fit_gradient_boosting(
     n_draw = max(1, math.ceil(params.subsample * n))
     trees = []
     for _ in range(params.n_estimators):
-        if n_draw < n:
-            idx = rng.choice(n, size=n_draw, replace=False)
-        else:
-            idx = np.arange(n)
-        resid = y[idx] - current[idx]
-        tree = _grow_tree(X[idx], resid, rng, params)
+        idx = rng.choice(n, size=n_draw, replace=False) if n_draw < n else np.arange(n)
+        rows = np.concatenate([idx, np.flatnonzero(np.bincount(idx, minlength=n) == 0)])
+        tree, fitted = _grow_tree(X, y - current, rows, n_draw, rng, params)
         trees.append(TreeNode(tree))
-        current += params.learning_rate * leaf_values([tree], X)[:, 0]
+        current += params.learning_rate * fitted
     weights = np.full(len(trees), params.learning_rate)
     return TreeEnsembleModel(
         algo="gb",

@@ -37,7 +37,7 @@ import functools
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -606,12 +606,16 @@ def tune_hyperparameters(
     units run on ``config.threads`` workers, as a radar run's do.  The
     sample draws from the training quarters in ``quarters``, by default the
     earliest alone, whose draws are scored on the returns of the run's first
-    forecast quarter.
+    forecast quarter.  A draw the algorithm's params reject is skipped; a
+    space name they lack, or a space with no valid draw, is a RadarError.
     """
     if n_tasks < 1 or budget < 1:
         raise RadarError("n_tasks and budget must be >= 1")
     if not space:
         raise RadarError("empty search space")
+    unknown = sorted(set(space) - {f.name for f in fields(hp.default_params(algo))})
+    if unknown:
+        raise RadarError(f"{algo} has no hyperparameter {unknown[0]!r}")
     base = config if config is not None else RadarConfig(algorithms=(algo,))
     cal = calendar if calendar is not None else assets.calendar()
 
@@ -633,6 +637,7 @@ def tune_hyperparameters(
     # draw order
     units: list[WorkUnit] = []
     draws: list[list[dict[str, float]]] = []
+    invalid: hp.HyperparameterError | None = None  # the error of the first invalid draw
     for task_no, ci in enumerate(chosen_idx):
         asset, q = candidates[int(ci)]
         rng = np.random.default_rng(task_seed(seed, asset, q, f"tune-{algo}-{task_no}"))
@@ -641,13 +646,16 @@ def tune_hyperparameters(
             cfg = {d: space[d].sample(rng) for d in dims}
             try:
                 params = hp.params_from_mapping(algo, cfg)
-            except hp.HyperparameterError:
+            except hp.HyperparameterError as exc:
+                invalid = invalid or exc
                 continue
             unit_draws.append(cfg)
             trials.append((asset, replace(trial_base, hyperparameters={algo: params})))
         if trials:
             units.append((q, algo, trials))
             draws.append(unit_draws)
+    if not units:
+        raise RadarError(f"no valid draw in the search space: {invalid}")
 
     winners: dict[str, list[float]] = {d: [] for d in dims}
     done = _run_units(units, (assets, sources, cal), base.threads)

@@ -92,6 +92,10 @@ class TestConfigParsing:
         assert cfg.radar.hyperparameters["lasso"].alpha == 0.5
         assert cfg.radar.hyperparameters["rf"].n_estimators == 7
 
+    def test_hp_key_without_a_name_is_unknown(self):
+        with pytest.raises(ConfigError, match="^unknown config key 'hp.gb'$"):
+            config_from_mapping({"hp.gb": "3"})
+
     def test_space_entries(self):
         cfg = config_from_mapping({"space.alpha": "loguniform 1e-6 1e-1"})
         assert cfg.space["alpha"].kind == "loguniform"
@@ -148,6 +152,17 @@ class TestRadarCommand:
         out = tmp_path / "run"
         assert main(["radar", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: input {calendar} not found\n"
+        assert not (out / "forecasts.csv").exists()
+
+    def test_directory_as_config_exits_two(self, tmp_path, capsys):
+        assert main(["radar", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: config file {tmp_path} is not a file\n"
+
+    def test_directory_as_input_exits_two(self, tmp_path, synth_dir, capsys):
+        text = RADAR_CFG + f"\ndata.returns = {synth_dir}\ndata.markets = {synth_dir}/markets.csv\n"
+        out = tmp_path / "run"
+        assert main(["radar", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: input {synth_dir} is not a file\n"
         assert not (out / "forecasts.csv").exists()
 
     def test_out_of_range_hyperparameter_exits_one(self, tmp_path, synth_dir, capsys):
@@ -527,6 +542,21 @@ class TestTuneCommand:
         assert main(["tune", "--config", cfg, "--out", str(out1), "--seed", "5"]) == 0
         assert main(["tune", "--config", cfg, "--out", str(out2), "--seed", "5"]) == 0
         assert (out1 / "tuned.cfg").read_bytes() == (out2 / "tuned.cfg").read_bytes()
+
+    @pytest.mark.parametrize("algo, space, message", [
+        ("lasso", "space.max_depth = int 2 3", "lasso has no hyperparameter 'max_depth'"),
+        ("gb", "space.learning_rate = uniform -1 -0.5",
+         "no valid draw in the search space: learning_rate must be >= 0"),
+    ], ids=["unknown-name", "no-valid-draw"])
+    def test_space_without_a_valid_draw_exits_one(
+        self, tmp_path, synth_dir, capsys, algo, space, message
+    ):
+        text = RADAR_CFG + f"\ntune.algo = {algo}\ntune.n_tasks = 2\ntune.budget = 3\n{space}\n"
+        out = tmp_path / "tuned"
+        assert main(["tune", "--config", write_cfg(tmp_path, text, data_dir=synth_dir),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "tuned.cfg").exists()
 
     def test_requires_space(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path, RADAR_CFG + "\ntune.algo = lasso\n", data_dir=synth_dir)

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marketradar.learners import (
     BoostParams,
+    TreeEnsembleModel,
     ForestParams,
     fit_gradient_boosting,
     fit_random_forest,
@@ -13,6 +16,7 @@ from marketradar.learners import (
     staged_training_mse,
 )
 from marketradar.learners import base, tree
+from marketradar.learners.base import NODE_DTYPE, TreeNode
 
 
 def exhaustive_best_split(x, y, min_leaf=1):
@@ -261,3 +265,158 @@ class TestBestSplit:
         table = [model_to_json(fit()) for fit in fits]
         monkeypatch.setattr(tree, "_best_split", reference_best_split)
         assert [model_to_json(fit()) for fit in fits] == table
+
+
+def reference_grow_tree(X, y, rng, params):
+    """The copy-based recursion that growing on row positions replaced: a
+    node table for (X, y), each split copying its rows into the children."""
+    nodes = []
+
+    def grow(X, y, depth):
+        row = len(nodes)
+        n, p = X.shape
+        nodes.append((-1, 0.0, -1, -1, float(y.sum() / n), n))
+        if depth >= params.max_depth or n < 2 * params.min_samples_leaf or np.all(y == y[0]):
+            return
+        k = max(1, math.ceil(params.max_features * p))
+        features = np.sort(rng.choice(p, size=k, replace=False)) if k < p else np.arange(p)
+        split = tree._best_split(X, y, features, params.min_samples_leaf)
+        if split is None:
+            return
+        f, threshold = split
+        go_left = X[:, f] <= threshold
+        grow(X[go_left], y[go_left], depth + 1)
+        right = len(nodes)
+        grow(X[~go_left], y[~go_left], depth + 1)
+        nodes[row] = (f, threshold, row + 1, right) + nodes[row][4:]
+
+    grow(X, y, 0)
+    return np.array(nodes, dtype=NODE_DTYPE)
+
+
+def reference_random_forest(X, y, params, seed):
+    n, rng = len(y), np.random.default_rng(seed)
+    n_draw = max(1, math.ceil(params.max_samples * n))
+    trees = []
+    for _ in range(params.n_estimators):
+        idx = rng.integers(0, n, size=n_draw)
+        trees.append(TreeNode(reference_grow_tree(X[idx], y[idx], rng, params)))
+    return TreeEnsembleModel(
+        algo="rf", n_features=X.shape[1], seed=seed, hyper=params, trees=trees,
+        tree_weights=np.full(len(trees), 1.0 / len(trees)), base=0.0,
+    )
+
+
+def reference_gradient_boosting(X, y, params, seed):
+    """Each stage grown on its sample alone, then every row of X walked
+    through the new tree by ``leaf_values``."""
+    n, rng = len(y), np.random.default_rng(seed)
+    base_value = float(y.mean())
+    current = np.full(n, base_value)
+    n_draw = max(1, math.ceil(params.subsample * n))
+    trees = []
+    for _ in range(params.n_estimators):
+        idx = rng.choice(n, size=n_draw, replace=False) if n_draw < n else np.arange(n)
+        table = reference_grow_tree(X[idx], y[idx] - current[idx], rng, params)
+        trees.append(TreeNode(table))
+        current += params.learning_rate * base.leaf_values([table], X)[:, 0]
+    return TreeEnsembleModel(
+        algo="gb", n_features=X.shape[1], seed=seed, hyper=params, trees=trees,
+        tree_weights=np.full(len(trees), params.learning_rate), base=base_value,
+    )
+
+
+@st.composite
+def panels(draw):
+    """Small (X, y) with tied, copied and constant columns and tied targets."""
+    n = draw(st.integers(2, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["integer", "copy", "constant", "float"]))
+        if kind == "integer":
+            col = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        elif kind == "copy" and columns:
+            col = columns[draw(st.integers(0, len(columns) - 1))]
+        elif kind == "constant":
+            col = [draw(finite)] * n
+        else:
+            col = draw(st.lists(finite, min_size=n, max_size=n))
+        columns.append(col)
+    y = draw(st.lists(st.integers(-3, 3).map(float) | finite, min_size=n, max_size=n))
+    return np.array(columns, dtype=np.float64).T, np.array(y)
+
+
+tree_shapes = dict(
+    n_estimators=st.integers(1, 6),
+    max_depth=st.integers(1, 4),
+    min_samples_leaf=st.sampled_from([1, 5]),
+    max_features=st.sampled_from([0.34, 0.5, 1.0]),
+)
+
+
+# Two adjacent floats whose midpoint rounds onto the upper one: a split there
+# sends every fitted row left and leaves an empty leaf valued 0/0 = NaN, in
+# the reference as in the program, so the oracle tests compare under errstate.
+ADJACENT = (
+    np.array([[np.nextafter(1000.0, 0.0)], [1000.0]] * 4), np.array([0.0, 1.0] * 4)
+)
+
+
+class TestGrowthOracle:
+    @settings(deadline=None)
+    @given(
+        panel=panels(),
+        params=st.builds(ForestParams, max_samples=st.sampled_from([0.5, 1.0]), **tree_shapes),
+        seed=st.integers(0, 2**16),
+    )
+    @example(panel=ADJACENT, params=ForestParams(n_estimators=2, min_samples_leaf=1), seed=0)
+    def test_forest_equals_copying_reference(self, panel, params, seed):
+        X, y = panel
+        with np.errstate(invalid="ignore"):
+            want = model_to_json(reference_random_forest(X, y, params, seed))
+            assert model_to_json(fit_random_forest(X, y, params, seed)) == want
+
+    @settings(deadline=None)
+    @given(
+        panel=panels(),
+        params=st.builds(
+            BoostParams,
+            learning_rate=st.sampled_from([0.1, 0.3]),
+            subsample=st.sampled_from([0.5, 0.8, 1.0]),
+            **tree_shapes,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(panel=ADJACENT, params=BoostParams(n_estimators=2, min_samples_leaf=1), seed=0)
+    def test_boosting_equals_per_stage_walk_reference(self, panel, params, seed):
+        X, y = panel
+        with np.errstate(invalid="ignore"):
+            want = model_to_json(reference_gradient_boosting(X, y, params, seed))
+            assert model_to_json(fit_gradient_boosting(X, y, params, seed)) == want
+
+    @settings(deadline=None)
+    @given(
+        panel=panels(),
+        share=st.sampled_from([0.5, 0.8, 1.0]),
+        bootstrap=st.booleans(),
+        min_samples_leaf=st.sampled_from([1, 5]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(panel=ADJACENT, share=0.8, bootstrap=False, min_samples_leaf=1, seed=0)
+    def test_fitted_is_each_rows_leaf_value(self, panel, share, bootstrap, min_samples_leaf, seed):
+        # gb's rows (a sample, then the rows it left out) or an rf bootstrap
+        X, y = panel
+        n, rng = len(y), np.random.default_rng(seed)
+        n_fit = max(1, math.ceil(share * n))
+        if bootstrap:
+            rows = rng.integers(0, n, size=n_fit)
+        else:
+            idx = rng.choice(n, size=n_fit, replace=False)
+            rows = np.concatenate([idx, np.setdiff1d(np.arange(n), idx)])
+        params = BoostParams(max_depth=4, min_samples_leaf=min_samples_leaf, max_features=0.5)
+        with np.errstate(invalid="ignore"):
+            table, fitted = tree._grow_tree(X, y, rows, n_fit, rng, params)
+        walked = base.leaf_values([table], X)[:, 0]
+        seen = np.isin(np.arange(n), rows)
+        assert fitted[seen].tobytes() == walked[seen].tobytes()
+        assert np.isnan(fitted[~seen]).all()

@@ -1191,14 +1191,51 @@ class TestTuning:
             )
         assert quarters == [{"2016Q4"}, {"2016Q4", "2017Q1"}]
 
-    def test_no_valid_draw_errors(self, small_scenario):
+    def test_no_valid_draw_errors(self, monkeypatch, small_scenario):
+        # the error names why no trial ran, and none does
+        monkeypatch.setattr(radar, "_run_units", lambda *a: pytest.fail("a trial ran"))
         sc = small_scenario
         space = {"alpha": SearchDim(kind="choice", values=(-1.0,))}
-        with pytest.raises(RadarError, match="no stock-quarter produced forecasts"):
+        with pytest.raises(RadarError, match="^no valid draw in the search space: alpha must be >= 0$"):
             tune_hyperparameters(
                 sc.assets, sc.markets, "lasso", space, n_tasks=2, budget=2, seed=0,
                 config=small_config(),
             )
+
+    @pytest.mark.parametrize("algo, space, name", [
+        ("lasso", {"max_depth": SearchDim(kind="int", lo=2, hi=3)}, "max_depth"),
+        ("gb", {"max_depth": SearchDim(kind="int", lo=2, hi=3),
+                "alpha": SearchDim(kind="choice", values=(0.1,))}, "alpha"),
+    ], ids=["lasso", "gb"])
+    def test_space_name_the_algorithm_lacks_errors_before_drawing(
+        self, monkeypatch, small_scenario, algo, space, name
+    ):
+        monkeypatch.setattr(SearchDim, "sample", lambda *a: pytest.fail("a draw was made"))
+        sc = small_scenario
+        with pytest.raises(RadarError, match=f"^{algo} has no hyperparameter '{name}'$"):
+            tune_hyperparameters(
+                sc.assets, sc.markets, algo, space, n_tasks=2, budget=2, seed=0,
+                config=small_config(algorithms=(algo,)),
+            )
+
+    def test_partly_invalid_space_skips_its_invalid_draws(self, monkeypatch, small_scenario):
+        trials = []
+        real = radar._run_units
+
+        def counting(units, *args):
+            trials.extend(t for _, _, unit in units for t in unit)
+            return real(units, *args)
+
+        monkeypatch.setattr(radar, "_run_units", counting)
+        sc = small_scenario
+        space = {"alpha": SearchDim(kind="choice", values=(-1.0, 1e-3))}
+        tuned = tune_hyperparameters(
+            sc.assets, sc.markets, "lasso", space, n_tasks=3, budget=4, seed=0,
+            config=small_config(),
+        )
+        assert tuned.alpha == 1e-3
+        assert 0 < len(trials) < 12
+        assert all(cfg.hyperparameters["lasso"].alpha == 1e-3 for _, cfg in trials)
 
     def test_median_snaps_to_valid_int(self):
         dim = SearchDim(kind="int", lo=1, hi=9)
