@@ -5,17 +5,22 @@ The lasso/elastic-net solver minimizes, for each target y,
     (1/2n) * ||y - b - X beta||^2 + alpha * (r*||beta||_1 + (1-r)/2*||beta||^2)
 
 with an unpenalized intercept b, by cyclic coordinate descent on centered
-data.  Targets that share a design matrix are solved together as the rows of
-one (targets x n) block, each row under its own penalties: each coordinate
-step is one array operation over the rows still moving, and every reduction
-runs along a row with the dot product a lone target takes, so a target's fit
-is bit for bit the same whichever other targets share its block.  A target
-freezes once none of its coefficients moves by more than ``CD_TOL`` in a full
-sweep.  A target still
-moving at the sweep cap fails alone: its slot holds a ConvergenceError and
-the other targets keep their fits.  ``fit_lasso`` and ``fit_elastic_net``
-are the one-target case and raise that error instead of returning a silent
-partial fit.
+data with covariance updates (Friedman, Hastie & Tibshirani, J. Stat. Softw.
+33(1), 2010, section 2.2): the centered Gram matrix G = Xc'Xc/n is computed
+once per design, each target keeps its gradient g = Xc'r/n, and a coordinate
+step reads rho = g_j + ss_j*beta_j and, when beta_j moves, subtracts
+G[:, j] * step from g.  A moving coordinate costs O(p) per target and an idle
+one O(1); no residual is kept.  Targets that share a design matrix are
+solved together as the columns of one (p x targets) gradient block, each
+under its own penalties, so each coordinate step is one array operation over
+the targets still moving.  A target's gradient starts as one dot product per
+column along that target's own row and then changes only elementwise, so a
+target's fit is bit for bit the same whichever other targets share its
+block.  A target freezes once none of its coefficients moves by more than
+``CD_TOL`` in a full sweep.  A target still moving at the sweep cap fails
+alone: its slot holds a ConvergenceError and the other targets keep their
+fits.  ``fit_lasso`` and ``fit_elastic_net`` are the one-target case and
+raise that error instead of returning a silent partial fit.
 """
 from __future__ import annotations
 
@@ -86,40 +91,41 @@ def _coordinate_descent(
     y_mean = Y.mean(axis=1)
     Xc = X - x_mean
     col_ss = (Xc * Xc).sum(axis=0) / n
-    # Per nonconstant column: the column itself, whose strides give the dot
-    # product a lone target's 1-D ``xj @ resid`` takes, and a contiguous copy
-    # for the residual update, whose elementwise products are the same.
-    columns = [(j, Xc[:, j], Xc[:, j].copy(), col_ss[j]) for j in np.flatnonzero(col_ss)]
+    gram = Xc.T @ Xc / n
+    # per nonconstant column: its index, its Gram column and ss_j
+    columns = [(j, gram[:, j, None], col_ss[j]) for j in np.flatnonzero(col_ss)]
 
     coef = np.zeros((len(Y), p))
     converged = np.zeros(len(Y), dtype=bool)
-    # the rows still moving: their target indices, residuals (rows x n),
-    # coefficients (p x rows, so one coordinate of every row is contiguous),
-    # l1 thresholds and per-column denominators ss_j + l2 (columns x rows)
+    # the rows still moving: their target indices, gradients x_j'r/n (one
+    # dot product along each row of the centered targets per column) and
+    # coefficients (both p x rows, so one coordinate of every row is
+    # contiguous), l1 thresholds and per-column denominators ss_j + l2
+    # (columns x rows)
     todo = np.arange(len(Y))
-    resid = Y - y_mean[:, None]
+    grad = np.vecdot(Y - y_mean[:, None], Xc.T[:, None, :]) / n
     beta = np.zeros((p, len(Y)))
     denom = np.array([ss + l2 for *_, ss in columns]).reshape(len(columns), len(Y))
     for _ in range(max_sweeps):
         if not len(todo):
             break
         steps = np.zeros((len(columns), len(todo)))
-        for (j, xj, xj_dense, ss), step, ss_l2 in zip(columns, steps, denom):
+        for (j, gram_j, ss), step, ss_l2 in zip(columns, steps, denom):
             bj = beta[j]
-            rho = np.vecdot(resid, xj) / n + ss * bj
+            rho = grad[j] + ss * bj
             # soft threshold: m >= 0 is 0 whenever rho is, so copysign(m, rho)
             # is sign(rho) * m bit for bit, signed zeros included
             new = np.copysign(np.maximum(np.abs(rho) - l1, 0.0), rho) / ss_l2
             np.subtract(new, bj, out=step)
             if step.any():
-                resid -= step[:, None] * xj_dense
+                grad -= gram_j * step
                 np.copyto(bj, new, where=step != 0.0)
         done = np.abs(steps).max(axis=0, initial=0.0) < CD_TOL
         if done.any():
             coef[todo[done]] = beta[:, done].T
             converged[todo[done]] = True
             moving = ~done
-            todo, resid, beta = todo[moving], resid[moving], beta[:, moving]
+            todo, grad, beta = todo[moving], grad[:, moving], beta[:, moving]
             l1, denom = l1[moving], denom[:, moving]
     intercept = y_mean - np.vecdot(coef, x_mean)
     return intercept, coef, converged

@@ -1,8 +1,9 @@
 """CART regression trees, random forests, and gradient boosting.
 
 Split search is an exact scan over midpoints of sorted unique feature
-values.  Each node builds one score table with a row per candidate feature
-and a column per cut position: all candidate columns are sorted (stably)
+values (the lower value where the midpoint rounds onto the upper one).  Each
+node builds one score table with a row per candidate feature and a column
+per cut position: all candidate columns are sorted (stably)
 at once, the targets are cumulated in each sorted order, and every cut
 that leaves ``min_samples_leaf`` rows on both sides is scored, a cut
 between equal values as -inf.  One argmax over this
@@ -53,7 +54,11 @@ def _best_split(
     f, j = divmod(int(np.argmax(score)), score.shape[1])
     if score[f, j] == -np.inf:
         return None
-    return int(features[f]), float((xs[f, m - 1 + j] + xs[f, m + j]) / 2.0)
+    # the midpoint of adjacent floats can round onto the upper value, which
+    # would send every row left; the lower value keeps the partition
+    a, b = xs[f, m - 1 + j], xs[f, m + j]
+    mid = (a + b) / 2.0
+    return int(features[f]), float(mid if mid < b else a)
 
 
 def _grow_tree(

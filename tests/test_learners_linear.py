@@ -278,6 +278,26 @@ class TestMultiTargetSolver:
         for t, fit in zip(subset, fit_penalized_targets(X, Y[subset], [params[t] for t in subset])):
             assert same_fit(fit, fits[t])
 
+    def test_gradient_does_not_drift_over_thousands_of_sweeps(self, monkeypatch):
+        # columns that share one factor take coordinate descent thousands of
+        # sweeps, over which the updated gradient never meets a recomputed one
+        rng = np.random.default_rng(0)
+        factor = rng.normal(size=(60, 1))
+        X = factor + 0.2 * rng.normal(size=(60, 20))
+        Y = factor[:, 0] + rng.normal(size=(3, 60))
+        params = [LassoParams(alpha=1e-3)] * 3
+        fits = fit_penalized_targets(X, Y, params)
+        for fit, y in zip(fits, Y):
+            intercept, coef = reference_coordinate_descent(X, y, 1e-3, 0.0)
+            atol = 1e-12 * np.abs(coef).max()
+            np.testing.assert_allclose(fit.coef, coef, rtol=0, atol=atol)
+            assert abs(fit.intercept - intercept) <= atol
+            reference = LinearModel(algo="lasso", n_features=20, intercept=intercept, coef=coef)
+            # no worse up to the rounding that separates the two fits
+            assert lasso_kkt_gap(fit, X, y, 1e-3) <= lasso_kkt_gap(reference, X, y, 1e-3) + 1e-12
+        monkeypatch.setattr(linear, "CD_MAX_SWEEPS", 1000)
+        assert all(isinstance(f, ConvergenceError) for f in fit_penalized_targets(X, Y, params))
+
     def test_one_target_under_many_penalties(self):
         # the tuning trials of one stock-quarter: the same y, a penalty each
         rng = np.random.default_rng(9)

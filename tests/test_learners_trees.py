@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,7 +202,9 @@ def reference_best_split(X, y, features, min_samples_leaf):
         if score[k] > best_score:
             best_score = float(score[k])
             i = cut[k]
-            best = (int(f), float((xs_sorted[i - 1] + xs_sorted[i]) / 2.0))
+            a, b = xs_sorted[i - 1], xs_sorted[i]
+            mid = (a + b) / 2.0
+            best = (int(f), float(mid if mid < b else a))
     return best
 
 
@@ -354,9 +357,9 @@ tree_shapes = dict(
 )
 
 
-# Two adjacent floats whose midpoint rounds onto the upper one: a split there
-# sends every fitted row left and leaves an empty leaf valued 0/0 = NaN, in
-# the reference as in the program, so the oracle tests compare under errstate.
+# Two adjacent floats whose midpoint rounds onto the upper one: the split
+# between them takes the lower value as its threshold, in the reference as in
+# the program, so each side keeps its rows.
 ADJACENT = (
     np.array([[np.nextafter(1000.0, 0.0)], [1000.0]] * 4), np.array([0.0, 1.0] * 4)
 )
@@ -372,9 +375,8 @@ class TestGrowthOracle:
     @example(panel=ADJACENT, params=ForestParams(n_estimators=2, min_samples_leaf=1), seed=0)
     def test_forest_equals_copying_reference(self, panel, params, seed):
         X, y = panel
-        with np.errstate(invalid="ignore"):
-            want = model_to_json(reference_random_forest(X, y, params, seed))
-            assert model_to_json(fit_random_forest(X, y, params, seed)) == want
+        want = model_to_json(reference_random_forest(X, y, params, seed))
+        assert model_to_json(fit_random_forest(X, y, params, seed)) == want
 
     @settings(deadline=None)
     @given(
@@ -390,9 +392,8 @@ class TestGrowthOracle:
     @example(panel=ADJACENT, params=BoostParams(n_estimators=2, min_samples_leaf=1), seed=0)
     def test_boosting_equals_per_stage_walk_reference(self, panel, params, seed):
         X, y = panel
-        with np.errstate(invalid="ignore"):
-            want = model_to_json(reference_gradient_boosting(X, y, params, seed))
-            assert model_to_json(fit_gradient_boosting(X, y, params, seed)) == want
+        want = model_to_json(reference_gradient_boosting(X, y, params, seed))
+        assert model_to_json(fit_gradient_boosting(X, y, params, seed)) == want
 
     @settings(deadline=None)
     @given(
@@ -414,9 +415,22 @@ class TestGrowthOracle:
             idx = rng.choice(n, size=n_fit, replace=False)
             rows = np.concatenate([idx, np.setdiff1d(np.arange(n), idx)])
         params = BoostParams(max_depth=4, min_samples_leaf=min_samples_leaf, max_features=0.5)
-        with np.errstate(invalid="ignore"):
-            table, fitted = tree._grow_tree(X, y, rows, n_fit, rng, params)
+        table, fitted = tree._grow_tree(X, y, rows, n_fit, rng, params)
         walked = base.leaf_values([table], X)[:, 0]
         seen = np.isin(np.arange(n), rows)
         assert fitted[seen].tobytes() == walked[seen].tobytes()
         assert np.isnan(fitted[~seen]).all()
+
+    def test_adjacent_floats_split_without_an_empty_leaf(self):
+        X, y = ADJACENT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = BoostParams(n_estimators=2, min_samples_leaf=1)
+            model = fit_gradient_boosting(X, y, params, seed=0)
+            yhat = predict(model, np.array([[2000.0], [X[0, 0]], [X[1, 0]], [0.0]]))
+        for t in model.trees:
+            leaves = t.table[t.table["feature"] < 0]
+            assert (leaves["n"] >= 1).all()
+            assert np.isfinite(leaves["value"]).all()
+        assert np.isfinite(yhat).all()
+        assert model.trees[0].table["threshold"][0] == X[0, 0]
