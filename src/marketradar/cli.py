@@ -112,8 +112,10 @@ def _as_quarters(value: str) -> tuple:
 
 # Plain config keys: key -> (target, field, parser).  The target is "run"
 # for a RunConfig field, "radar" for RadarConfig and "synth" for
-# ScenarioSpec.  The prefix families data.*, hp.*, space.* and
+# ScenarioSpec, every field of which but the seed is a synth.* key, parsed
+# as its annotation names.  The prefix families data.*, hp.*, space.* and
 # synth.regime_breaks are parsed in config_from_mapping.
+_SPEC_PARSERS = {"int": int, "float": float, "str": str, "tuple[float, float]": _as_pair}
 _KEYS = {
     "seed": ("run", "seed", int),
     "out": ("run", "out", Path),
@@ -135,25 +137,9 @@ _KEYS = {
     "tune.budget": ("run", "tune_budget", int),
     "tune.quarters": ("run", "tune_quarters", _as_quarters),
     **{
-        f"synth.{name}": ("synth", name, parser)
-        for name, parser in (
-            ("n_assets", int),
-            ("n_markets", int),
-            ("days_per_quarter", int),
-            ("n_quarters", int),
-            ("start_year", int),
-            ("exposed_fraction", float),
-            ("lags", int),
-            ("decay", str),
-            ("decay_rho", float),
-            ("markets_per_asset", int),
-            ("loading_scale", _as_pair),
-            ("noise_sd", float),
-            ("market_sd", float),
-            ("mkt_beta", _as_pair),
-            ("interaction", float),
-            ("cap_sd", float),
-        )
+        f"synth.{f.name}": ("synth", f.name, _SPEC_PARSERS[f.type])
+        for f in fields(ScenarioSpec)
+        if f.name not in ("seed", "regime_breaks")
     },
 }
 

@@ -417,6 +417,22 @@ def sparsity_fraction(coef: np.ndarray) -> float:
     return float(np.count_nonzero(coef)) / coef.size
 
 
+def compound_runs(keys: Sequence[Hashable], returns: Sequence[float]) -> tuple[list[int], np.ndarray]:
+    """Compound ``returns`` within each run of equal consecutive ``keys``:
+    the position of each run's last element, and the run's compounded
+    return."""
+    ends: list[int] = []
+    growth: list[float] = []
+    for i, (key, r) in enumerate(zip(keys, returns)):
+        if i and key == keys[i - 1]:
+            ends[-1] = i
+            growth[-1] *= 1.0 + r
+        else:
+            ends.append(i)
+            growth.append(1.0 + r)
+    return ends, np.array(growth) - 1.0
+
+
 def to_monthly(
     dates: Sequence[dt.date], returns: np.ndarray
 ) -> tuple[list[dt.date], np.ndarray]:
@@ -424,25 +440,8 @@ def to_monthly(
     observed trading day of each month."""
     if len(dates) != len(returns):
         raise RegressionError("dates/returns length mismatch")
-    out_dates: list[dt.date] = []
-    out_rets: list[float] = []
-    cur_key: tuple[int, int] | None = None
-    acc = 1.0
-    last: dt.date | None = None
-    for d, r in zip(dates, returns):
-        key = (d.year, d.month)
-        if key != cur_key:
-            if cur_key is not None:
-                out_dates.append(last)  # type: ignore[arg-type]
-                out_rets.append(acc - 1.0)
-            cur_key = key
-            acc = 1.0
-        acc *= 1.0 + r
-        last = d
-    if cur_key is not None:
-        out_dates.append(last)  # type: ignore[arg-type]
-        out_rets.append(acc - 1.0)
-    return out_dates, np.array(out_rets)
+    ends, monthly = compound_runs([(d.year, d.month) for d in dates], returns)
+    return [dates[i] for i in ends], monthly
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .econometrics import rf_vector
+from .econometrics import compound_runs, rf_vector
 from .errors import MarketRadarError
 from .panel import ReturnPanel, negligible_sd, write_csv_rows
-from .trading_calendar import Quarter, quarter_of
+from .trading_calendar import quarter_of
 
 
 class PortfolioError(MarketRadarError, ValueError):
@@ -171,25 +171,28 @@ def turnover(
     return float(_turnover(column(w_prev), column(r_today), column(w_today)))
 
 
-def _align(series_list: Sequence[PortfolioSeries]) -> list[dt.date]:
-    """Dates common to every series (none when every series is empty)."""
-    common = set(series_list[0].dates)
-    for s in series_list[1:]:
-        common &= set(s.dates)
-    if not common and any(s.dates for s in series_list):
+def _on_common_dates(members: Sequence[Mapping[dt.date, float]]) -> tuple[list[dt.date], np.ndarray]:
+    """The dates every member has, sorted, and the (dates x members) table of
+    the members' values on them.  A row of the table is contiguous, so its
+    mean carries the bits of ``np.mean`` over that date's values."""
+    dates = sorted(set(members[0]).intersection(*members[1:]))
+    return dates, np.column_stack([rf_vector(m, dates) for m in members])
+
+
+def _align(series_list: Sequence[PortfolioSeries], column: str = "returns") -> tuple[list[dt.date], np.ndarray]:
+    """``_on_common_dates`` of the series' ``column`` (no dates when every
+    series is empty)."""
+    dates, table = _on_common_dates([dict(zip(s.dates, getattr(s, column))) for s in series_list])
+    if not dates and any(s.dates for s in series_list):
         raise PortfolioError("series have no dates in common")
-    return sorted(common)
+    return dates, table
 
 
 def long_short(top: PortfolioSeries, bottom: PortfolioSeries, name: str = "") -> PortfolioSeries:
     """Per-date top-minus-bottom return on the common dates."""
-    dates = _align([top, bottom])
-    t = {d: r for d, r in zip(top.dates, top.returns)}
-    b = {d: r for d, r in zip(bottom.dates, bottom.returns)}
+    dates, table = _align([top, bottom])
     return PortfolioSeries(
-        dates=dates,
-        returns=np.array([t[d] - b[d] for d in dates]),
-        name=name or f"{top.name}-{bottom.name}",
+        dates=dates, returns=table[:, 0] - table[:, 1], name=name or f"{top.name}-{bottom.name}"
     )
 
 
@@ -202,14 +205,11 @@ def combine(series_list: Sequence[PortfolioSeries], name: str = "comb") -> Portf
     if not series_list:
         raise PortfolioError("nothing to combine")
     series_list = [s for s in series_list if len(s)] or series_list[:1]
-    dates = _align(series_list)
-    maps = [{d: r for d, r in zip(s.dates, s.returns)} for s in series_list]
-    rets = np.array([np.mean([m[d] for m in maps]) for d in dates])
+    dates, rets = _align(series_list)
     tos = None
     if all(s.turnover is not None for s in series_list):
-        tmaps = [{d: t for d, t in zip(s.dates, s.turnover)} for s in series_list]
-        tos = np.array([np.mean([m[d] for m in tmaps]) for d in dates])
-    return PortfolioSeries(dates=dates, returns=rets, turnover=tos, name=name)
+        tos = _align(series_list, "turnover")[1].mean(axis=1)
+    return PortfolioSeries(dates=dates, returns=rets.mean(axis=1), turnover=tos, name=name)
 
 
 def apply_costs(
@@ -250,17 +250,13 @@ def performance_stats(
         raise PortfolioError("zero volatility")
     sharpe = float(excess.mean()) / sd * math.sqrt(TRADING_DAYS_PER_YEAR)
 
-    by_quarter: dict[Quarter, float] = {}
-    for d, r in zip(series.dates, series.returns):
-        q = quarter_of(d)
-        by_quarter[q] = by_quarter.get(q, 1.0) * (1.0 + r)
-    worst = min(v - 1.0 for v in by_quarter.values())
+    _, quarterly = compound_runs([quarter_of(d) for d in series.dates], series.returns)
     mean_to = (
         float(np.mean(series.turnover)) if series.turnover is not None else None
     )
     return PerformanceStats(
         sharpe=sharpe,
-        max_quarter_loss=worst,
+        max_quarter_loss=quarterly.min(),
         mean_turnover=mean_to,
     )
 
@@ -298,28 +294,16 @@ def market_timing(
         raise PortfolioError("upside_leverage must be 2 or 3")
     if not index_forecasts:
         raise PortfolioError("no index forecasts")
-    common: set[dt.date] | None = None
-    for series in index_forecasts.values():
-        keys = set(series)
-        common = keys if common is None else common & keys
-    common &= set(index_returns)
-    if not common:
+    dates, table = _on_common_dates([*index_forecasts.values(), index_returns])
+    if not dates:
         raise PortfolioError("no dates shared by forecasts and index returns")
-    dates = sorted(common)
-    rets: list[float] = []
-    tos: list[float] = []
-    prev_exposure: float | None = None
-    for d in dates:
-        exposure = timing_exposure(
-            [series[d] for series in index_forecasts.values()], upside_leverage
-        )
-        rets.append(exposure * index_returns[d])
-        tos.append(0.0 if prev_exposure is None or exposure == prev_exposure else 1.0)
-        prev_exposure = exposure
+    exposure = np.array([timing_exposure(row[:-1], upside_leverage) for row in table])
+    tos = np.zeros(len(dates))
+    tos[1:] = exposure[1:] != exposure[:-1]
     return PortfolioSeries(
         dates=dates,
-        returns=np.array(rets),
-        turnover=np.array(tos),
+        returns=exposure * table[:, -1],
+        turnover=tos,
         name=f"timing{upside_leverage}x",
     )
 

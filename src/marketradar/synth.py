@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import MarketRadarError
 from .panel import EntitySeries, ReturnPanel, SignalId, lagged_signals, read_csv_rows, signal_columns
 from .panel import finite_float, write_csv_rows, write_panel_csv
-from .trading_calendar import Quarter, TradingCalendar, quarter_of, shift_quarter
+from .trading_calendar import Quarter, TradingCalendar, first_day, quarter_of, shift_quarter
 
 
 class ScenarioError(MarketRadarError, ValueError):
@@ -35,9 +35,8 @@ class ScenarioSpec:
     start_year: int = 2016
     exposed_fraction: float = 0.5
     lags: int = 4
-    decay: str = "geometric"  # "geometric" | "linear" | "custom"
+    decay: str = "geometric"  # "geometric" | "linear"
     decay_rho: float = 0.5
-    custom_profile: tuple[float, ...] | None = None
     markets_per_asset: int = 2
     loading_scale: tuple[float, float] = (0.5, 1.0)
     noise_sd: float = 0.0
@@ -59,6 +58,23 @@ class ScenarioSpec:
             raise ScenarioError("need at least one quarter of at least one day")
         if not 1 <= self.markets_per_asset <= self.n_markets:
             raise ScenarioError("markets_per_asset out of range")
+        try:
+            _market_start(first_day((self.start_year, 1)), self.lags)
+            first_day(shift_quarter((self.start_year, 1), self.n_quarters))
+        except (ValueError, OverflowError):
+            raise ScenarioError("the scenario's dates must fall in years 1 to 9999") from None
+        if self.decay_rho < 0 or self.cap_sd < 0:
+            raise ScenarioError("decay_rho and cap_sd must be >= 0")
+        decay_profile(self.decay, self.lags, self.decay_rho)  # a known decay kind
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "tuple[float, float]":
+                # a finite width implies finite ends, and numpy's uniform draw needs it
+                value = value[1] - value[0]
+            if f.type in ("float", "tuple[float, float]") and not math.isfinite(value):
+                raise ScenarioError(f"{f.name} must be finite")
+        if not all(math.isfinite(m) for m in self.regime_breaks.values()):
+            raise ScenarioError("regime_breaks multipliers must be finite")
 
 
 @dataclass
@@ -85,12 +101,7 @@ class Scenario:
         return self.assets.calendar()
 
 
-def decay_profile(
-    kind: str,
-    lags: int,
-    rho: float = 0.5,
-    custom: Sequence[float] | None = None,
-) -> np.ndarray:
+def decay_profile(kind: str, lags: int, rho: float = 0.5) -> np.ndarray:
     """Per-lag loading multipliers; nonnegative, decreasing for rho <= 1."""
     if lags < 1:
         raise ScenarioError("lags must be >= 1")
@@ -101,13 +112,6 @@ def decay_profile(
     if kind == "linear":
         weights = np.arange(lags, 0, -1, dtype=np.float64)
         return weights / weights.sum()
-    if kind == "custom":
-        if custom is None or len(custom) != lags:
-            raise ScenarioError("custom profile must supply one weight per lag")
-        profile = np.asarray(custom, dtype=np.float64)
-        if np.any(profile < 0):
-            raise ScenarioError("profile weights must be >= 0")
-        return profile
     raise ScenarioError(f"unknown decay kind {kind!r}")
 
 
@@ -123,24 +127,23 @@ def _weekdays(start: dt.date, end: dt.date) -> list[dt.date]:
 
 def _asset_dates(spec: ScenarioSpec) -> list[dt.date]:
     dates: list[dt.date] = []
-    q: Quarter = (spec.start_year, 1)
-    for _ in range(spec.n_quarters):
-        year, num = q
-        q_start = dt.date(year, 3 * (num - 1) + 1, 1)
-        q_end = shift_quarter(q, 1)
-        next_start = dt.date(q_end[0], 3 * (q_end[1] - 1) + 1, 1)
-        weekdays = _weekdays(q_start, next_start - dt.timedelta(days=1))
+    for k in range(spec.n_quarters):
+        q = shift_quarter((spec.start_year, 1), k)
+        weekdays = _weekdays(first_day(q), first_day(shift_quarter(q, 1)) - dt.timedelta(days=1))
         dates.extend(weekdays[: spec.days_per_quarter])
-        q = q_end
     return dates
+
+
+def _market_start(first_asset_date: dt.date, lags: int) -> dt.date:
+    """The first market date: far enough back for every lag's window."""
+    return first_asset_date - dt.timedelta(days=7 * lags + 14)
 
 
 def generate(spec: ScenarioSpec) -> Scenario:
     """Deterministic scenario: markets, assets, factor series, caps, truth."""
     rng = np.random.default_rng(spec.seed)
     asset_dates = _asset_dates(spec)
-    lead = 7 * spec.lags + 14
-    market_dates = _weekdays(asset_dates[0] - dt.timedelta(days=lead), asset_dates[-1])
+    market_dates = _weekdays(_market_start(asset_dates[0], spec.lags), asset_dates[-1])
 
     market_ids = [f"M{i:02d}" for i in range(spec.n_markets)]
     asset_ids = [f"A{i:03d}" for i in range(spec.n_assets)]
@@ -166,7 +169,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
     )
     exposed = {a: a in set(exposed_ids) for a in asset_ids}
 
-    profile = decay_profile(spec.decay, spec.lags, spec.decay_rho, spec.custom_profile)
+    profile = decay_profile(spec.decay, spec.lags, spec.decay_rho)
     columns = signal_columns(markets, spec.lags)
     col_index = {sig: j for j, sig in enumerate(columns)}
     signal_matrix, _ = lagged_signals(markets, asset_dates, spec.lags)

@@ -20,7 +20,7 @@ def quarter_of(d: dt.date) -> Quarter:
     return (d.year, (d.month - 1) // 3 + 1)
 
 
-def _first_day(q: Quarter) -> dt.date:
+def first_day(q: Quarter) -> dt.date:
     return dt.date(q[0], 3 * q[1] - 2, 1)
 
 
@@ -74,7 +74,7 @@ class TradingCalendar:
         return out
 
     def days_in_quarter(self, q: Quarter) -> list[dt.date]:
-        bounds = [_first_day(q).toordinal(), _first_day(shift_quarter(q, 1)).toordinal()]
+        bounds = [first_day(q).toordinal(), first_day(shift_quarter(q, 1)).toordinal()]
         lo, hi = np.searchsorted(self.ordinals, bounds)
         return list(self.dates[lo:hi])
 

@@ -2,11 +2,13 @@ import datetime as dt
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from marketradar.cli import ConfigError, config_from_mapping, main, parse_config_text
+from marketradar.cli import _KEYS, ConfigError, _as_pair, config_from_mapping, main, parse_config_text
+from marketradar.synth import ScenarioSpec
 
 SYNTH_CFG = """
 # tiny deterministic scenario
@@ -96,6 +98,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^unknown config key 'hp.gb'$"):
             config_from_mapping({"hp.gb": "3"})
 
+    def test_every_spec_field_but_the_seed_is_a_synth_key(self):
+        parser_of = {"int": int, "float": float, "str": str, "tuple[float, float]": _as_pair}
+        spec_fields = [f for f in fields(ScenarioSpec) if f.name not in ("seed", "regime_breaks")]
+        synth_keys = {k: v for k, v in _KEYS.items() if k.startswith("synth.")}
+        assert synth_keys == {
+            f"synth.{f.name}": ("synth", f.name, parser_of[f.type]) for f in spec_fields
+        }
+        # each key parses its field's default, written as a config value, back to it
+        default = ScenarioSpec()
+        text = lambda v: " ".join(map(repr, v)) if isinstance(v, tuple) else str(v)
+        mapping = {f"synth.{f.name}": text(getattr(default, f.name)) for f in spec_fields}
+        assert config_from_mapping(mapping).synth_spec == default
+        with pytest.raises(ConfigError, match="^unknown config key 'synth.seed'$"):
+            config_from_mapping({"synth.seed": "3"})
+
     def test_space_entries(self):
         cfg = config_from_mapping({"space.alpha": "loguniform 1e-6 1e-1"})
         assert cfg.space["alpha"].kind == "loguniform"
@@ -124,10 +141,26 @@ class TestSynthCommand:
         assert main(["synth", "--config", bare, "--out", str(by_flag), "--seed", "5"]) == 0
         assert (by_key / "returns.csv").read_bytes() == (by_flag / "returns.csv").read_bytes()
 
-    def test_invalid_spec_exits_one(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "synth.exposed_fraction = 2.0\n")
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "synth.exposed_fraction = 2.0",
+            "synth.cap_sd = -1",
+            "synth.loading_scale = 1 nan",
+            "synth.start_year = 0",
+            "synth.decay = geometirc",
+        ],
+        ids=["exposed_fraction", "cap_sd", "loading_scale", "start_year", "decay"],
+    )
+    def test_invalid_spec_exits_one(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, line + "\n")
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+        # rejected as a config value, before any subcommand runs
+        with pytest.raises(ConfigError):
+            config_from_mapping(parse_config_text(line))
 
 
 @pytest.fixture(scope="module")

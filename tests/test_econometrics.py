@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from marketradar.econometrics import (
     R2Record,
     RegressionError,
     _t_pvalue,
+    compound_runs,
     dissemination_window,
     factor_alpha,
     fe_regression,
@@ -541,7 +542,35 @@ class TestDisseminationWindow:
             dissemination_window(1e300, -1e-10, "linear")
 
 
+def loop_compound(keys, returns):
+    """The running-product loop ``compound_runs`` replaced, as its reference."""
+    ends: list[int] = []
+    out: list[float] = []
+    acc = 1.0
+    for i, (key, r) in enumerate(zip(keys, returns)):
+        if i and key != keys[i - 1]:
+            ends.append(i - 1)
+            out.append(acc - 1.0)
+            acc = 1.0
+        acc *= 1.0 + r
+    if len(keys):
+        ends.append(len(keys) - 1)
+        out.append(acc - 1.0)
+    return ends, np.array(out)
+
+
 class TestSparsityAndMonthly:
+    @given(st.lists(st.tuples(st.integers(0, 2), st.floats(-0.99, 1.0)), max_size=40))
+    @example([])
+    @example([(0, 0.01)])
+    def test_compound_runs_is_the_plain_loop_bit_for_bit(self, pairs):
+        keys = [k for k, _ in pairs]
+        returns = np.array([r for _, r in pairs])
+        ends, got = compound_runs(keys, returns)
+        want_ends, want = loop_compound(keys, returns)
+        assert ends == want_ends
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_sparsity_examples(self):
         assert sparsity_fraction(np.array([0.0, 0.0])) == 0.0
         assert sparsity_fraction(np.array([0.0, 0.5, 0.0, -0.1])) == 0.5

@@ -309,6 +309,27 @@ class TestLongShortCombine:
         c = combine([series([v]) for v in values])
         assert c.returns[0] == pytest.approx(0.003)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_combine_is_the_per_date_numpy_mean_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        members = []
+        for i in range(k):
+            offsets = np.sort(rng.choice(60, size=45, replace=False))
+            members.append(PortfolioSeries(
+                dates=[D(2020, 1, 1) + dt.timedelta(days=int(o)) for o in offsets],
+                returns=rng.normal(0.0, 0.01, 45) * 10.0 ** rng.integers(-4, 2, 45),
+                turnover=rng.random(45),
+                name=f"m{i}",
+            ))
+        c = combine(members)
+        rets = [dict(zip(s.dates, s.returns)) for s in members]
+        tos = [dict(zip(s.dates, s.turnover)) for s in members]
+        common = sorted(set.intersection(*(set(m) for m in rets)))
+        assert common and c.dates == common
+        mean = lambda maps: np.array([np.mean([m[d] for m in maps]) for d in common])
+        assert c.returns.tobytes() == mean(rets).tobytes()
+        assert c.turnover.tobytes() == mean(tos).tobytes()
+
     def test_combine_averages_turnover(self):
         a = series([0.01, 0.01], turnover_values=[0.0, 0.2])
         b = series([0.02, 0.00], turnover_values=[0.0, 0.4])

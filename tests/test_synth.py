@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -29,17 +30,35 @@ class TestDecayProfile:
     def test_linear(self):
         np.testing.assert_allclose(decay_profile("linear", 4), np.array([4, 3, 2, 1]) / 10)
 
-    def test_custom_validated(self):
-        np.testing.assert_allclose(
-            decay_profile("custom", 2, custom=(0.9, 0.3)), [0.9, 0.3]
-        )
-        with pytest.raises(ScenarioError):
-            decay_profile("custom", 3, custom=(1.0,))
-
     def test_weakly_decreasing_when_rho_below_one(self):
         profile = decay_profile("geometric", 6, rho=0.8)
         assert np.all(np.diff(profile) <= 0)
         assert np.all(profile >= 0)
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"decay": "custom"},
+            {"decay_rho": -0.1},
+            {"cap_sd": -1.0},
+            {"noise_sd": math.inf},
+            {"loading_scale": (0.5, math.nan)},
+            {"mkt_beta": (-1e308, 1e308)},
+            {"regime_breaks": {(2016, 2): math.nan}},
+            {"start_year": 0},
+            {"start_year": 9999, "n_quarters": 4},
+            {"lags": 10**6},
+        ],
+        ids=repr,
+    )
+    def test_rejected(self, kwargs):
+        with pytest.raises(ScenarioError):
+            ScenarioSpec(**kwargs)
+
+    def test_last_quarter_of_year_9999_accepted(self):
+        assert ScenarioSpec(start_year=9999, n_quarters=3).n_quarters == 3
 
 
 class TestGenerate:
