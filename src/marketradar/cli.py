@@ -12,7 +12,6 @@ completed), 2 missing input.
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -78,10 +77,10 @@ class RunConfig:
     out: Path = Path("out")
     data: dict[str, Path] = field(default_factory=dict)
     radar: RadarConfig = field(default_factory=RadarConfig)
-    fraction: float = 0.05
+    fraction: float = pf.DEFAULT_TOP_FRACTION
     deciles: bool = True
     weighting: str = "equal"
-    cost_bps: float = 6.24
+    cost_bps: float = pf.DEFAULT_COST_BPS
     leverage: int = 2
     index_factor: str = "MKT"
     synth_spec: ScenarioSpec = field(default_factory=ScenarioSpec)
@@ -320,11 +319,8 @@ def cmd_report(cfg: RunConfig) -> int:
     run_report_path = _optional(cfg, "run_report", "run_report.txt")
 
     factors = read_factors_csv(factors_path) if factors_path else None
-    rf: Mapping[dt.date, float] | float = 0.0
-    factor_set = None
-    if factors:
-        rf = factors.get("RF", 0.0)
-        factor_set = {k: v for k, v in factors.items() if k != "RF"}
+    rf: em.DateSeries = (factors or {}).get("RF", 0.0)
+    factor_set = {k: v for k, v in factors.items() if k != "RF"} if factors else None
     caps = read_panel_csv(caps_path, check_returns=False) if caps_path else None
 
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -361,16 +357,11 @@ def cmd_report(cfg: RunConfig) -> int:
                 rp.importance_table(importances, em.positive_r2_keys(records))
             )
 
-    if caps is not None and factors:
-        index_name = cfg.index_factor
-        if index_name in factors:
-            rf_map = factors.get("RF", {})
-            index_returns = {
-                d: v + rf_map.get(d, 0.0) for d, v in factors[index_name].items()
-            }
-            sections.append(
-                rp.timing_table(forecasts, caps, index_returns, rf, cfg.leverage)
-            )
+    if caps is not None and factors and cfg.index_factor in factors:
+        index = factors[cfg.index_factor]
+        dates = list(index)
+        total = em.on_dates(index, dates, cfg.index_factor) + em.on_dates(rf, dates, "rf")
+        sections.append(rp.timing_table(forecasts, caps, dict(zip(dates, total)), rf, cfg.leverage))
 
     if run_report_path:
         sparsity = read_run_report_sparsity(run_report_path)

@@ -31,6 +31,10 @@ class RegressionError(MarketRadarError, ValueError):
     pass
 
 
+# a value for every date, or values keyed by date
+DateSeries = Mapping[dt.date, float] | float
+
+
 @dataclass(frozen=True)
 class RegressionResult:
     names: tuple[str, ...]
@@ -287,34 +291,36 @@ def _r2(ssr: float, sst: float, n: int, dof: int) -> tuple[float, float]:
     return r2, 1.0 - (1.0 - r2) * (n - 1) / dof
 
 
-def rf_vector(rf: Mapping[dt.date, float] | float, dates: Sequence[dt.date]) -> np.ndarray:
-    """The risk-free rate on each date: a scalar repeated, or looked up."""
-    if isinstance(rf, (int, float)):
-        return np.full(len(dates), float(rf))
-    return np.array([rf[d] for d in dates])
+def on_dates(series: DateSeries, dates: Sequence[dt.date], name: str = "series") -> np.ndarray:
+    """``series`` on ``dates``, a scalar repeated or a mapping looked up; a date
+    it lacks is a RegressionError naming up to five missing ``name@date``."""
+    if isinstance(series, (int, float)):
+        return np.full(len(dates), float(series))
+    try:
+        return np.array([series[d] for d in dates])
+    except KeyError:
+        missing = sorted(d for d in dates if d not in series)[:5]
+        cells = ", ".join(f"{name}@{d.isoformat()}" for d in missing)
+        raise RegressionError(f"misaligned dates: missing {cells}") from None
+
+
+def excess_returns(dates: Sequence[dt.date], returns: np.ndarray, rf: DateSeries) -> np.ndarray:
+    """``returns`` less the risk-free rate on each of their ``dates``."""
+    return np.asarray(returns, dtype=np.float64) - on_dates(rf, dates, "rf")
 
 
 def factor_alpha(
     portfolio_dates: Sequence[dt.date],
     portfolio_returns: np.ndarray,
-    rf: Mapping[dt.date, float] | float,
+    rf: DateSeries,
     factors: Mapping[str, Mapping[dt.date, float]],
 ) -> RegressionResult:
     """Excess-return regression on any factor set, with HC1 errors;
     intercept is the alpha."""
     dates = list(portfolio_dates)
-    missing = []
-    for name, series in factors.items():
-        missing.extend(f"{name}@{d.isoformat()}" for d in dates if d not in series)
-    if not isinstance(rf, (int, float)):
-        missing.extend(f"rf@{d.isoformat()}" for d in dates if d not in rf)
-    if missing:
-        raise RegressionError(f"misaligned dates: missing {', '.join(sorted(missing)[:5])}")
-    rf_vec = rf_vector(rf, dates)
     names = list(factors)
-    X = np.column_stack([[factors[name][d] for d in dates] for name in names]) if names else np.empty((len(dates), 0))
-    y = np.asarray(portfolio_returns, dtype=np.float64) - rf_vec
-    result = ols(y, X, names=names, se="hc1")
+    X = np.column_stack([on_dates(factors[n], dates, n) for n in names]) if names else np.empty((len(dates), 0))
+    result = ols(excess_returns(dates, portfolio_returns, rf), X, names=names, se="hc1")
     return replace(result, names=("alpha",) + result.names[1:])
 
 

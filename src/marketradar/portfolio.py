@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .econometrics import compound_runs, rf_vector
+from .econometrics import DateSeries, compound_runs, excess_returns, on_dates
 from .errors import MarketRadarError
 from .panel import ReturnPanel, negligible_sd, write_csv_rows
 from .trading_calendar import quarter_of
@@ -176,7 +176,7 @@ def _on_common_dates(members: Sequence[Mapping[dt.date, float]]) -> tuple[list[d
     the members' values on them.  A row of the table is contiguous, so its
     mean carries the bits of ``np.mean`` over that date's values."""
     dates = sorted(set(members[0]).intersection(*members[1:]))
-    return dates, np.column_stack([rf_vector(m, dates) for m in members])
+    return dates, np.column_stack([on_dates(m, dates) for m in members])
 
 
 def _align(series_list: Sequence[PortfolioSeries], column: str = "returns") -> tuple[list[dt.date], np.ndarray]:
@@ -222,8 +222,6 @@ def apply_costs(
     if series.turnover is None:
         raise PortfolioError(f"{series.name}: no turnover series")
     to = np.asarray(series.turnover, dtype=np.float64)
-    if len(to) != len(series):
-        raise PortfolioError("turnover length mismatch")
     net = np.asarray(series.returns) - cost_bps * 1e-4 * to
     return PortfolioSeries(
         dates=list(series.dates), returns=net, turnover=to.copy(), name=f"{series.name}(net)"
@@ -239,12 +237,12 @@ class PerformanceStats:
 
 def performance_stats(
     series: PortfolioSeries,
-    rf: Mapping[dt.date, float] | float = 0.0,
+    rf: DateSeries = 0.0,
 ) -> PerformanceStats:
     """Annualized Sharpe, worst compounded quarterly return, mean turnover."""
     if len(series) < 2:
         raise PortfolioError("need at least 2 observations")
-    excess = np.asarray(series.returns) - rf_vector(rf, series.dates)
+    excess = excess_returns(series.dates, series.returns, rf)
     sd = float(excess.std(ddof=1))
     if negligible_sd(sd, excess):
         raise PortfolioError("zero volatility")

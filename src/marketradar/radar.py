@@ -529,12 +529,33 @@ def write_importance_csv(path: Path | str, records: Sequence[ImportanceRecord]) 
 
 
 def read_importance_csv(path: Path | str) -> list[ImportanceRecord]:
-    # each distinct quarter and (source, lag) cell is parsed once per file
+    # each distinct quarter and (source, lag) cell is parsed once per file.
+    # Each distinct signal is one bit of its (asset, quarter, algo) group's
+    # mask, and a repeated row finds its bit set.  A written file holds each
+    # group's rows together, so the current run's mask stays in hand; a set
+    # of every row's key would add megabytes to report's peak memory.
     quarter = functools.cache(parse_quarter)
-    signal = functools.cache(lambda source, lag: SignalId(source, int(lag)))
-    parse = lambda rec: ImportanceRecord(
-        rec[0], quarter(rec[1]), rec[2], signal(rec[3], rec[4]), float(rec[5])
+    bits: dict[SignalId, int] = {}
+    signal = functools.cache(
+        lambda source, lag: (sid := SignalId(source, int(lag)), bits.setdefault(sid, 1 << len(bits)))
     )
+    masks: dict[tuple | None, int] = {}
+    asset = quarter_cell = algo = group = None
+    mask = 0
+
+    def parse(rec: list[str]) -> ImportanceRecord:
+        nonlocal asset, quarter_cell, algo, group, mask
+        q, (s, bit) = quarter(rec[1]), signal(rec[3], rec[4])
+        if rec[0] != asset or rec[1] != quarter_cell or rec[2] != algo:
+            masks[group] = mask
+            asset, quarter_cell, algo = rec[:3]
+            group = (asset, q, algo)
+            mask = masks.get(group, 0)
+        if mask & bit:
+            raise ValueError(f"duplicate importance row {','.join(rec[:5])}")
+        mask |= bit
+        return ImportanceRecord(asset, q, algo, s, float(rec[5]))
+
     header = lambda head: head == ["asset", "quarter", "algo", "source", "lag_week", "importance"]
     return read_csv_rows(path, parse, RadarError, header, "importance header")[1]
 

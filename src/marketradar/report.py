@@ -99,10 +99,15 @@ def _alpha_cell(series: pf.PortfolioSeries, rf, factors) -> str:
     return cell(reg.coef[0] * 1e4, reg.t[0], reg.pvalues[0], digits=2)
 
 
+def _mean_cell(series: pf.PortfolioSeries, rf) -> str:
+    """Mean excess return in bps, then ``(t)`` when the t-statistic is finite."""
+    mean, t = _mean_tstat(em.excess_returns(series.dates, series.returns, rf))
+    return f"{mean * 1e4:.2f} ({t:.2f})" if math.isfinite(t) else f"{mean * 1e4:.2f}"
+
+
 def _leg_row(series: pf.PortfolioSeries, rf, factors, cost_bps: float) -> str:
     stats = pf.performance_stats(series, rf)
-    mean, t = _mean_tstat(np.asarray(series.returns) - em.rf_vector(rf, series.dates))
-    mean_txt = f"{mean * 1e4:.2f} ({t:.2f})"
+    mean_txt = _mean_cell(series, rf)
     alpha_txt = _alpha_cell(series, rf, factors) if factors else "-"
     to_txt = net_txt = "-"
     if series.turnover is not None:
@@ -117,7 +122,7 @@ def _leg_row(series: pf.PortfolioSeries, rf, factors, cost_bps: float) -> str:
 
 def portfolio_table(
     books: Mapping[str, AlgoPortfolios],
-    rf: Mapping[dt.date, float] | float,
+    rf: em.DateSeries,
     factors: Mapping[str, Mapping[dt.date, float]] | None,
     cost_bps: float,
 ) -> str:
@@ -137,7 +142,7 @@ def portfolio_table(
 def decile_table(
     forecasts: ForecastTable,
     returns: ReturnPanel,
-    rf: Mapping[dt.date, float] | float,
+    rf: em.DateSeries,
     factors: Mapping[str, Mapping[dt.date, float]] | None,
     weighting: str = "equal",
     caps: ReturnPanel | None = None,
@@ -165,10 +170,7 @@ def decile_table(
 def _decile_cell(series, rf, factors) -> str:
     if len(series) < 3:
         return "n/a"
-    if factors:
-        return _alpha_cell(series, rf, factors)
-    mean, t = _mean_tstat(np.asarray(series.returns) - em.rf_vector(rf, series.dates))
-    return f"{mean * 1e4:.2f} ({t:.2f})" if math.isfinite(t) else f"{mean * 1e4:.2f}"
+    return _alpha_cell(series, rf, factors) if factors else _mean_cell(series, rf)
 
 
 def _forecast_cells(
@@ -253,7 +255,7 @@ def timing_table(
     forecasts: ForecastTable,
     caps: ReturnPanel,
     index_returns: Mapping[dt.date, float],
-    rf: Mapping[dt.date, float] | float,
+    rf: em.DateSeries,
     leverage: int,
 ) -> str:
     body = _na(_timing_lines, forecasts, caps, index_returns, rf, leverage)
@@ -272,21 +274,21 @@ def _timing_lines(forecasts, caps, index_returns, rf, leverage) -> str:
                 series[date] = pf.bottom_up_index_forecast(by_asset, cap_now)
         bottom_up[algo] = series
     strategy = pf.market_timing(bottom_up, index_returns, upside_leverage=leverage)
-    stats = pf.performance_stats(strategy, rf)
-    mean, t = _mean_tstat(np.asarray(strategy.returns))
+    strategy_line = _timing_line(f"{leverage}x strategy:", strategy, rf)
     # market_timing keeps only dates the index has
-    idx = pf.PortfolioSeries(
-        dates=strategy.dates, returns=np.array([index_returns[d] for d in strategy.dates])
+    index = pf.PortfolioSeries(strategy.dates, em.on_dates(index_returns, strategy.dates, "index"))
+    return f"{strategy_line}\n{_timing_line('index:       ', index, rf)}"
+
+
+def _timing_line(label: str, series: pf.PortfolioSeries, rf) -> str:
+    """Mean return (not excess) and its t, Sharpe, worst quarter, and any turnover."""
+    stats = pf.performance_stats(series, rf)
+    mean, t = _mean_tstat(np.asarray(series.returns))
+    line = (
+        f"{label} mean {mean * 1e4:.2f} bps (t {t:.2f}), "
+        f"sharpe {stats.sharpe:.2f}, max1Qloss {stats.max_quarter_loss:.3f}"
     )
-    idx_stats = pf.performance_stats(idx, rf)
-    imean, it = _mean_tstat(np.asarray(idx.returns))
-    return (
-        f"{leverage}x strategy: mean {mean * 1e4:.2f} bps (t {t:.2f}), "
-        f"sharpe {stats.sharpe:.2f}, max1Qloss {stats.max_quarter_loss:.3f}, "
-        f"turnover {stats.mean_turnover:.3f}\n"
-        f"index:        mean {imean * 1e4:.2f} bps (t {it:.2f}), "
-        f"sharpe {idx_stats.sharpe:.2f}, max1Qloss {idx_stats.max_quarter_loss:.3f}"
-    )
+    return line if stats.mean_turnover is None else f"{line}, turnover {stats.mean_turnover:.3f}"
 
 
 def sparsity_table(sparsity: Mapping[str, float]) -> str:

@@ -275,12 +275,25 @@ def write_scenario(scenario: Scenario, out_dir: Path | str) -> dict[str, Path]:
 
 
 def read_factors_csv(path: Path | str) -> dict[str, dict[dt.date, float]]:
-    parse = lambda row: (dt.date.fromisoformat(row[0]), [finite_float(cell) for cell in row[1:]])
+    """``{factor: {date: value}}`` of a wide table; a repeated date or
+    column name is an error."""
+    seen: set[dt.date] = set()
+
+    def parse(row: list[str]) -> tuple[dt.date, list[float]]:
+        d = dt.date.fromisoformat(row[0])
+        if d in seen:
+            raise ValueError(f"duplicate date {d}")
+        seen.add(d)
+        return d, [finite_float(cell) for cell in row[1:]]
+
     header = lambda head: head[0] == "date"
     head, rows = read_csv_rows(
         path, parse, ScenarioError, header, "wide factor table with a date column"
     )
     names = head[1:]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ScenarioError(f"{path}:1: duplicate column {repeated[0]}")
     out: dict[str, dict[dt.date, float]] = {n: {} for n in names}
     for d, values in rows:
         for name, value in zip(names, values):

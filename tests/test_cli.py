@@ -441,6 +441,25 @@ class TestReportCommand:
         assert capsys.readouterr().err == f"error: input {factors} not found\n"
         assert not (out / "tables.txt").exists()
 
+    def test_factors_missing_a_forecast_date_print_na_rows(self, tmp_path, capsys):
+        # factors.csv lacks 2020-01-08, a date every book holds: the rows
+        # that read the rate or a factor on it are n/a, and report exits 0
+        days = [dt.date(2020, 1, 6) + dt.timedelta(days=k) for k in range(5)]
+        factors = tmp_path / "factors.csv"
+        factors.write_text("date,MKT,RF\n" + "".join(
+            f"{day},{0.001 * (k % 3)},{0.0001 * k}\n" for k, day in enumerate(days) if k != 2
+        ))
+        text = write_report_inputs(tmp_path) + f"data.factors = {factors}\n"
+        out = tmp_path / "run"
+        assert main(["report", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "tables.txt").read_text().splitlines()
+        assert rows[2:5] == [
+            "gb       top     n/a (misaligned dates: missing rf@2020-01-08)",
+            "gb       bottom  n/a (misaligned dates: missing rf@2020-01-08)",
+            "gb       t-b     n/a (misaligned dates: missing MKT@2020-01-08)",
+        ]
+
     def test_missing_forecasts_exits_two(self, tmp_path, synth_dir):
         cfg = write_cfg(tmp_path, RADAR_CFG, data_dir=synth_dir)
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "empty")]) == 2
@@ -524,6 +543,37 @@ class TestMalformedInput:
         err = self.run(capsys, "report", write_cfg(tmp_path, text), tmp_path / "run")
         assert err == f"error: {importance}:4: bad quarter '2020Q5'\n"
 
+
+    def test_repeated_importance_row(self, tmp_path, capsys):
+        # lag "01" is lag 1: the fourth row repeats the first one's key,
+        # after a row of another asset
+        importance = tmp_path / "importance.csv"
+        importance.write_text(
+            "asset,quarter,algo,source,lag_week,importance\n"
+            "A00,2020Q1,gb,M00,1,0.5\n"
+            "A00,2020Q1,gb,M00,2,0.25\n"
+            "A01,2020Q1,gb,M00,1,0.5\n"
+            "A00,2020Q1,gb,M00,01,0.5\n"
+        )
+        text = write_report_inputs(tmp_path) + f"data.importance = {importance}\n"
+        err = self.run(capsys, "report", write_cfg(tmp_path, text), tmp_path / "run")
+        assert err == f"error: {importance}:5: duplicate importance row A00,2020Q1,gb,M00,01\n"
+
+    @pytest.mark.parametrize(
+        "table, reason",
+        [
+            ("date,MKT,RF\n2020-01-06,0.001,0\n2020-01-07,0.002,0\n2020-01-06,0.5,0\n",
+             "4: duplicate date 2020-01-06"),
+            ("date,MKT,RF,MKT\n2020-01-06,0.001,0,0.5\n", "1: duplicate column MKT"),
+        ],
+        ids=["date", "column"],
+    )
+    def test_repeated_factor_date_or_column(self, tmp_path, capsys, table, reason):
+        factors = tmp_path / "factors.csv"
+        factors.write_text(table)
+        text = write_report_inputs(tmp_path) + f"data.factors = {factors}\n"
+        err = self.run(capsys, "report", write_cfg(tmp_path, text), tmp_path / "run")
+        assert err == f"error: {factors}:{reason}\n"
 
     def test_short_factors_row(self, tmp_path, capsys):
         factors = tmp_path / "factors.csv"

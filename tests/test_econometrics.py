@@ -16,10 +16,12 @@ from marketradar.econometrics import (
     _t_pvalue,
     compound_runs,
     dissemination_window,
+    excess_returns,
     factor_alpha,
     fe_regression,
     importance_lag_regression,
     ols,
+    on_dates,
     positive_r2_keys,
     r2_oos,
     sparsity_fraction,
@@ -241,6 +243,32 @@ class TestStudentTPValue:
             np.testing.assert_allclose(res.pvalues, ref, rtol=1e-12, atol=0.0)
 
 
+class TestOnDates:
+    DATES = [D(2020, 1, 1) + dt.timedelta(days=i) for i in range(8)]
+
+    def test_scalar_repeated_and_mapping_looked_up(self):
+        np.testing.assert_array_equal(on_dates(0.5, self.DATES[:3]), [0.5, 0.5, 0.5])
+        series = {d: float(i) for i, d in enumerate(self.DATES)}
+        np.testing.assert_array_equal(on_dates(series, self.DATES[::-2]), [7.0, 5.0, 3.0, 1.0])
+        assert on_dates(series, []).shape == (0,)
+
+    def test_missing_dates_named_up_to_five_sorted(self):
+        # asked in reverse order, the message still lists the earliest five
+        with pytest.raises(RegressionError) as err:
+            on_dates({self.DATES[0]: 1.0}, self.DATES[::-1], "MKT")
+        assert str(err.value) == "misaligned dates: missing " + ", ".join(
+            f"MKT@2020-01-0{day}" for day in range(2, 7)
+        )
+
+    def test_excess_returns_subtract_the_rate_on_each_date(self):
+        returns = np.array([0.01, -0.02, 0.03])
+        rf = {d: 1e-4 * (i + 1) for i, d in enumerate(self.DATES)}
+        np.testing.assert_array_equal(
+            excess_returns(self.DATES[1:4], returns, rf), returns - [2e-4, 3e-4, 4e-4]
+        )
+        np.testing.assert_array_equal(excess_returns(self.DATES[:3], returns, 1e-4), returns - 1e-4)
+
+
 class TestFactorAlpha:
     def _dates(self, n):
         return [D(2020, 1, 1) + dt.timedelta(days=i) for i in range(n)]
@@ -286,6 +314,12 @@ class TestFactorAlpha:
         mkt = {d: 0.0 for d in dates[:5]}
         with pytest.raises(RegressionError, match="missing"):
             factor_alpha(dates, np.zeros(10), 0.0, {"MKT": mkt})
+        # a rate that lacks a date is named as a factor is
+        mkt = {d: 0.001 * i for i, d in enumerate(dates)}
+        rf = {d: 1e-4 for d in dates if d.day != 4}
+        with pytest.raises(RegressionError) as err:
+            factor_alpha(dates, np.arange(10) * 0.002, rf, {"MKT": mkt})
+        assert str(err.value) == "misaligned dates: missing rf@2020-01-04"
 
     def test_alpha_linear_in_portfolio_returns(self):
         # the alpha of an equal-weighted combination equals the mean alpha

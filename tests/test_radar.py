@@ -959,6 +959,8 @@ class TestCsvRoundTripProperties:
                 ),
             ),
             max_size=12,
+            # a repeated (asset, quarter, algo, signal) key is a read error
+            unique_by=lambda r: (r.asset, r.quarter, r.algo, r.signal),
         )
     )
     def test_importance(self, records):

@@ -157,3 +157,95 @@ class TestImportanceTable:
         table = rp.importance_table(records, {(r.asset, r.quarter, r.algo) for r in records})
         row = table.splitlines()[1]
         assert row.count("window n/a") == 2 and "n/aw" not in row
+
+
+def _weekdays(start: dt.date, n: int) -> list[dt.date]:
+    days, day = [], start
+    while len(days) < n:
+        if day.weekday() < 5:
+            days.append(day)
+        day += dt.timedelta(days=1)
+    return days
+
+
+class TestRatePath:
+    """Every table on a risk-free rate that varies by date, with two
+    factors: 20 assets over 60 weekdays across a quarter end.  The pinned
+    text was computed when each table built its own excess returns, and
+    one excess-return body must keep it byte for byte."""
+
+    DAYS = _weekdays(D(2020, 2, 3), 60)
+    ASSETS = [f"C{i:02d}" for i in range(20)]
+    RF = {d: 1e-4 * (1.0 + 0.5 * np.sin(0.2 * k)) for k, d in enumerate(DAYS)}
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        days, assets, rf = self.DAYS, self.ASSETS, self.RF
+        cells = [(k, d, i, a) for k, d in enumerate(days) for i, a in enumerate(assets)]
+        returns = ReturnPanel.from_records([
+            (d, a, 0.002 * np.sin(1.3 * k + 0.7 * i) + 0.0005 * np.sin(0.37 * k * i) + 1e-4 * i)
+            for k, d, i, a in cells
+        ])
+        # caps from the Friday before the first day, so every day has a prior cap
+        caps = ReturnPanel.from_records(
+            [
+                (d, a, 1.0 + 0.1 * i + 0.01 * k)
+                for k, d in enumerate([days[0] - dt.timedelta(days=3)] + days)
+                for i, a in enumerate(assets)
+            ],
+            check_returns=False,
+        )
+        table = ForecastTable([
+            ForecastRow(d, a, "lasso", float(np.sin(0.9 * k + 1.1 * i) + 0.05 * np.cos(0.3 * k)))
+            for k, d, i, a in cells
+        ])
+        mean = returns.rows(days, assets).mean(axis=1)
+        factors = {
+            "MKT": {
+                d: float(m) - rf[d] + 1e-4 * np.sin(2.1 * k) for k, (d, m) in enumerate(zip(days, mean))
+            },
+            "SMB": {d: 1e-3 * np.cos(0.5 * k) for k, d in enumerate(days)},
+        }
+        books = {"lasso": rp.build_algo_portfolios(table, returns, "lasso", 0.1)}
+        index = {d: v + rf[d] for d, v in factors["MKT"].items()}
+        return (
+            rp.portfolio_table(books, rf, factors, 6.24),
+            rp.decile_table(table, returns, rf, factors),
+            rp.decile_table(table, returns, rf, None),
+            rp.timing_table(table, caps, index, rf, 2),
+        )
+
+    def test_portfolio_table(self, tables):
+        assert tables[0] == (
+            "== portfolio performance (daily, bps) ==\n"
+            "algo     leg                   mean                alpha  sharpe  max1Qloss  turnover  net_mean\n"
+            "lasso    top            9.63 (7.76)          5.11 (0.89)   15.91      0.022     0.983      4.50\n"
+            "lasso    bottom         7.81 (5.56)        -3.52 (-0.59)   11.40      0.015     0.983      2.69\n"
+            "lasso    t-b            1.81 (0.78)          8.63 (0.91)    1.60      0.004         -         -\n"
+        )
+
+    @pytest.mark.parametrize("with_factors", [True, False])
+    def test_decile_table(self, tables, with_factors):
+        cells = {
+            True: [
+                "5.11 (0.89)", "-4.65 (-0.56)", "-1.29 (-0.20)", "9.27 (1.47)",
+                "-13.47* (-2.00)", "6.26 (1.00)", "8.31 (1.41)", "-7.28 (-1.24)",
+                "18.17*** (2.74)", "-3.52 (-0.59)", "8.63 (0.91)",
+            ],
+            False: [
+                "9.63 (7.76)", "7.14 (4.61)", "7.58 (5.88)", "9.89 (7.27)", "9.07 (6.26)",
+                "7.47 (4.72)", "7.90 (5.13)", "9.81 (6.52)", "9.76 (6.61)", "7.81 (5.56)",
+                "1.81 (0.78)",
+            ],
+        }[with_factors]
+        labels = ["High (10)", *(str(i) for i in range(9, 1, -1)), "Low (1)", "High - Low"]
+        expected = "== decile portfolios (alpha, bps) ==\n" + f"{'decile':10} {'lasso':>18}\n"
+        expected += "".join(f"{label:10} {c:>18}\n" for label, c in zip(labels, cells))
+        assert tables[1 if with_factors else 2] == expected
+
+    def test_timing_table(self, tables):
+        assert tables[3] == (
+            "== market timing ==\n"
+            "2x strategy: mean 4.20 bps (t 2.21), sharpe 3.45, max1Qloss 0.008, turnover 0.283\n"
+            "index:        mean 9.61 bps (t 47.63), sharpe 84.69, max1Qloss 0.017\n"
+        )
