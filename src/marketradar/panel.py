@@ -92,7 +92,8 @@ class ReturnPanel:
             if not np.all(np.isfinite(s.values)):
                 raise PanelError(f"non-finite value for entity {name}")
             if check_returns and np.any(s.values <= -1.0):
-                raise PanelError(f"return <= -100% for entity {name}")
+                day = dt.date.fromordinal(int(s.ordinals[np.argmax(s.values <= -1.0)]))
+                raise PanelError(f"return <= -100% for {name} on {day}")
         self.columns = {name: j for j, name in enumerate(series)}
         self.ordinals = np.unique(
             np.concatenate([np.empty(0, np.int64), *(s.ordinals for s in series.values())])
@@ -115,8 +116,10 @@ class ReturnPanel:
             rows.sort()
             ords = np.array([r[0] for r in rows], dtype=np.int64)
             vals = np.array([r[1] for r in rows], dtype=np.float64)
-            if len(np.unique(ords)) != len(ords):
-                raise PanelError(f"duplicate (date, entity) observation for {entity}")
+            repeats = np.flatnonzero(np.diff(ords) == 0)
+            if len(repeats):
+                day = dt.date.fromordinal(int(ords[repeats[0]]))
+                raise PanelError(f"duplicate (date, entity) observation for {entity} on {day}")
             series[entity] = EntitySeries(ords, vals)
         return cls(series, check_returns=check_returns)
 
@@ -375,9 +378,7 @@ def assemble_training_window(
     block = build_signal_block(sources, assets, days, lags, asset)
     if block.n_rows < min_rows:
         window = [format_quarter(q) for q in quarter_range(last_quarter, window_quarters)]
-        raise WindowTooSmall(
-            f"{asset} {window[0]}..{window[-1]}: {block.n_rows} rows < minimum {min_rows}"
-        )
+        raise WindowTooSmall(f"{window[0]}..{window[-1]}: {block.n_rows} rows < minimum {min_rows}")
     return block
 
 
@@ -435,7 +436,10 @@ def read_panel_csv(path: Path | str, check_returns: bool = True) -> ReturnPanel:
     _, records = read_csv_rows(path, parse, PanelError, header, "header date,entity,value")
     if not records:
         raise PanelError(f"{path}: empty panel")
-    return ReturnPanel.from_records(records, check_returns=check_returns)
+    try:
+        return ReturnPanel.from_records(records, check_returns=check_returns)
+    except PanelError as exc:
+        raise PanelError(f"{path}: {exc}") from None
 
 
 def write_panel_csv(path: Path | str, panel: ReturnPanel, header: Sequence[str]) -> None:

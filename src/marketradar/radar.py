@@ -5,7 +5,7 @@ deterministic key order regardless of parallelism.
 Tasks run in units of work, one ``_run_unit`` call each: a list of
 ``(asset, config)`` tasks that share a training quarter and an algorithm.
 A run's unit is every asset of one training quarter for lasso and elastic
-net (``GROUPED_ALGOS``) and one task otherwise; a tuning unit is every trial
+net (``SPARSE_ALGOS``) and one task otherwise; a tuning unit is every trial
 of one sampled stock-quarter.  Signals depend only on the date, so tasks
 with the same trading days have the same design matrix.  A unit groups its
 tasks by the days their asset trades in the window and in the forecast
@@ -27,8 +27,9 @@ Stock-quarters whose window is too small are recorded as skips, and tasks
 whose blocks, fit, prediction or attribution raise a library error as failures,
 never silently dropped: downstream summary denominators need them, and one
 degenerate task, such as one target of a joint solve at the sweep cap, does
-not end the run or its unit.  Tasks are labeled by the quarter they
-forecast, which keys forecasts, fit records, and importances consistently.
+not end the run or its unit.  A row-date set whose blocks raise records that
+one error for every member.  Tasks are labeled by the quarter they forecast,
+which keys forecasts, fit records, and importances consistently.
 """
 from __future__ import annotations
 
@@ -54,6 +55,7 @@ from .panel import (
     WindowTooSmall,
     assemble_training_window,
     build_signal_block,
+    finite_float,
     read_csv_rows,
     standardize,
     window_days,
@@ -70,12 +72,12 @@ from .trading_calendar import (
     TradingCalendar,
     format_quarter,
     parse_quarter,
-    quarter_range,
     shift_quarter,
 )
 
-# Algorithms whose tasks of one unit of work are fitted jointly.
-GROUPED_ALGOS = ("lasso", "enet")
+# The sparse linear fits: their tasks of one unit of work are fitted jointly,
+# and they alone record |coefficient| importance and a nonzero fraction.
+SPARSE_ALGOS = ("lasso", "enet")
 
 
 class RadarError(MarketRadarError, ValueError):
@@ -131,9 +133,9 @@ class ForecastTable:
         for r in self.rows:
             key = (r.date, r.asset, r.algo)
             if key in seen:
-                raise RadarError(f"duplicate forecast for {key}")
+                raise RadarError(f"duplicate forecast {r.date.isoformat()},{r.asset},{r.algo}")
             if not math.isfinite(r.yhat):
-                raise RadarError(f"non-finite forecast for {key}")
+                raise RadarError(f"non-finite forecast {r.date.isoformat()},{r.asset},{r.algo}")
             seen.add(key)
         self.rows.sort(key=lambda r: (r.date, r.asset, r.algo))
 
@@ -154,9 +156,15 @@ class ForecastTable:
 
     @classmethod
     def from_csv(cls, path: Path | str) -> "ForecastTable":
-        parse = lambda rec: ForecastRow(dt.date.fromisoformat(rec[0]), rec[1], rec[2], float(rec[3]))
+        parse = lambda rec: ForecastRow(
+            dt.date.fromisoformat(rec[0]), rec[1], rec[2], finite_float(rec[3])
+        )
         header = lambda head: head == ["date", "asset", "algo", "yhat"]
-        return cls(read_csv_rows(path, parse, RadarError, header, "forecasts header")[1])
+        rows = read_csv_rows(path, parse, RadarError, header, "forecasts header")[1]
+        try:
+            return cls(rows)
+        except RadarError as exc:  # a repeated key, found once every row is read
+            raise RadarError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -248,9 +256,9 @@ def _fit_model(algo: str, block: SignalBlock, params, seed: int):
     raise RadarError(f"{algo} is fitted jointly by its row-date set, not per task")
 
 
-# A task's training window, its fit (None when the task fits its own model,
-# or the error of its fit) and its forecast block.
-Prefit = tuple[SignalBlock, learners.LinearModel | MarketRadarError | None, SignalBlock]
+# A task's training window, its fit (None when the task fits its own model)
+# and its forecast block, or the library error that stands for them.
+Prefit = tuple[SignalBlock, learners.LinearModel | None, SignalBlock] | MarketRadarError
 
 
 def _set_prefits(
@@ -264,9 +272,10 @@ def _set_prefits(
     """The ``Prefit`` of each ``(asset, config)`` task of one row-date set,
     whose configs share ``lags``, ``window_quarters`` and ``min_train_rows``:
     one window and one forecast block, the first task's, that each task
-    reads with its own asset and returns, and in ``GROUPED_ALGOS`` one joint
+    reads with its own asset and returns, and in ``SPARSE_ALGOS`` one joint
     fit of the standardized window under each task's ``params_for(algo)``.
-    A library error of the blocks raises; one of the fit is every task's."""
+    A library error of the blocks or the standardization raises; a target
+    that does not converge has its ConvergenceError as its prefit."""
     asset, cfg = tasks[0]
     window = assemble_training_window(
         assets, sources, calendar, asset, train_quarter, cfg.lags, cfg.window_quarters,
@@ -279,15 +288,13 @@ def _set_prefits(
     rows = assets.rows(window.dates + forecast.dates, [a for a, _ in tasks]).T
     targets, realized = np.ascontiguousarray(rows[:, :window.n_rows]), rows[:, window.n_rows:]
     fits = [None] * len(tasks)
-    if algo in GROUPED_ALGOS:
-        try:
-            scaled, stats = standardize(window)
-            params = [c.params_for(algo) for _, c in tasks]
-            fits = learners.fit_penalized_targets(scaled.values, targets, params, stats=stats)
-        except MarketRadarError as exc:
-            fits = [exc] * len(tasks)
+    if algo in SPARSE_ALGOS:
+        scaled, stats = standardize(window)
+        params = [c.params_for(algo) for _, c in tasks]
+        fits = learners.fit_penalized_targets(scaled.values, targets, params, stats=stats)
     return [
-        (replace(window, asset=a, target=target), fit, replace(forecast, asset=a, target=real))
+        fit if isinstance(fit, MarketRadarError)
+        else (replace(window, asset=a, target=target), fit, replace(forecast, asset=a, target=real))
         for (a, _), fit, target, real in zip(tasks, fits, targets, realized)
     ]
 
@@ -310,9 +317,10 @@ def train_predict_stock_quarter(
     from the blocks, the fit, the prediction or the attribution comes back
     as a failure that carries only its reason.  ``prefit`` is the task's
     ``Prefit`` from its unit's row-date set; without one the task is a set
-    of one.  A fit of None (ols, rf, gb and nn) is fitted here; given a fit,
-    the task only predicts and attributes, and a ``GROUPED_ALGOS`` prefit
-    always carries its fit.  A forecast that is not finite fails the task.
+    of one, and a prefit that is an error is the task's skip or failure.  A
+    fit of None (ols, rf, gb and nn) is fitted here; given a fit, the task
+    only predicts and attributes, and a ``SPARSE_ALGOS`` prefit always
+    carries its fit.  A forecast that is not finite fails the task.
     """
     forecast_quarter = shift_quarter(train_quarter, 1)
     result = TaskResult(asset, train_quarter, forecast_quarter, algo)
@@ -323,9 +331,9 @@ def train_predict_stock_quarter(
             (prefit,) = _set_prefits(
                 assets, sources, calendar, train_quarter, algo, [(asset, config)]
             )
+        if isinstance(prefit, MarketRadarError):
+            raise prefit
         block, fit, pred_block = prefit
-        if isinstance(fit, MarketRadarError):
-            raise fit
         model = fit if fit is not None else _fit_model(algo, block, params, seed)
         result.model = model
         result.window_dates = (block.dates[0], block.dates[-1])
@@ -336,13 +344,14 @@ def train_predict_stock_quarter(
             raise learners.ModelError("non-finite forecast")
         result.forecasts = [(d, float(v)) for d, v in zip(pred_block.dates, yhat)]
 
-        if isinstance(model, learners.LinearModel):
+        if algo in SPARSE_ALGOS:
             result.nonzero_fraction = sparsity_fraction(model.coef)
-
+            if config.importance:
+                result.importances = lasso_importance(
+                    model, block.columns, asset, forecast_quarter
+                )
         # ols records no importance: |coefficient| importance is defined for
         # sparse fits, and ols is not one
-        if config.importance and algo in ("lasso", "enet"):
-            result.importances = lasso_importance(model, block.columns, asset, forecast_quarter)
         elif config.importance and algo != "ols":
             result.importances = mean_abs_importance(
                 model, block, asset, forecast_quarter, config.nn_importance_permutations, seed
@@ -381,8 +390,8 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
     (``window_days``) and in the forecast quarter; each such row-date set
     gets its blocks and fits from one ``_set_prefits`` call, as a lone task
     does for its set of one.  A set whose blocks raise a library error, such
-    as a window below ``min_train_rows``, runs each member alone, which
-    records its skip or failure.  A unit's tasks must therefore share
+    as a window below ``min_train_rows``, gives that one error to every
+    member as its skip or failure.  A unit's tasks must therefore share
     ``lags``, ``window_quarters`` and ``min_train_rows``: a radar run's
     tasks share one config, and a tuning trial's config differs from the
     base only in ``algorithms``, ``hyperparameters`` and ``importance``.
@@ -404,9 +413,8 @@ def _run_unit(unit: WorkUnit, inputs: TaskInputs | None = None) -> list[TaskResu
             prefits = _set_prefits(
                 assets, sources, calendar, train_quarter, algo, [tasks[i] for i in members]
             )
-        except MarketRadarError:
-            # each member runs alone and records its own skip or failure
-            prefits = [None] * len(members)
+        except MarketRadarError as exc:
+            prefits = [exc] * len(members)
         for i, prefit in zip(members, prefits):
             asset, cfg = tasks[i]
             results[i] = train_predict_stock_quarter(
@@ -421,20 +429,17 @@ def enumerate_tasks(
     calendar: TradingCalendar,
     config: RadarConfig,
 ) -> list[tuple[str, Quarter, str]]:
-    """(asset, training quarter, algo) triples with a full window and a
-    forecast quarter inside the calendar."""
+    """(asset, training quarter, algo) triples whose forecast quarter and
+    first window quarter are calendar quarters."""
     quarters = calendar.quarters()
-    if len(quarters) <= config.window_quarters:
-        return []
-    usable = quarters[config.window_quarters - 1 : -1]
-    tasks = []
-    for asset in assets.entity_ids:
-        for q in usable:
-            if quarter_range(q, config.window_quarters)[0] not in quarters:
-                continue
-            for algo in config.algorithms:
-                tasks.append((asset, q, algo))
-    return tasks
+    held = set(quarters)
+    return [
+        (asset, q, algo)
+        for asset in assets.entity_ids
+        for q in quarters
+        if shift_quarter(q, 1) in held and shift_quarter(q, 1 - config.window_quarters) in held
+        for algo in config.algorithms
+    ]
 
 
 def _run_units(
@@ -476,10 +481,10 @@ def run_radar(
 
     start = time.perf_counter()
     # units in the order of their first task: every asset of a training
-    # quarter for a grouped algorithm, one task otherwise
+    # quarter for a sparse algorithm, one task otherwise
     units: dict[tuple, WorkUnit] = {}
     for asset, quarter, algo in tasks:
-        key = (quarter, algo) if algo in GROUPED_ALGOS else (asset, quarter, algo)
+        key = (quarter, algo) if algo in SPARSE_ALGOS else (asset, quarter, algo)
         units.setdefault(key, (quarter, algo, []))[2].append((asset, config))
     done = _run_units(list(units.values()), (assets, sources, cal), config.threads)
     results = sorted(
@@ -500,6 +505,7 @@ def run_radar(
             continue
         report.n_completed += 1
         frows.extend(ForecastRow(d, r.asset, r.algo, v) for d, v in r.forecasts)
+        # in key order: the tasks are, and a task's records follow signal_columns
         importances.extend(r.importances)
         if r.nonzero_fraction is not None:
             nnz_by_algo.setdefault(r.algo, []).append(r.nonzero_fraction)
@@ -513,10 +519,6 @@ def run_radar(
         raise RadarError("no runnable tasks: every stock-quarter was skipped")
     report.sparsity = {a: float(np.mean(v)) for a, v in nnz_by_algo.items()}
     report.seconds = time.perf_counter() - start
-
-    importances.sort(
-        key=lambda r: (r.asset, r.quarter, r.algo, r.signal.source, r.signal.lag_week)
-    )
     return ForecastTable(frows), importances, report
 
 

@@ -598,6 +598,40 @@ class TestMalformedInput:
         err, data = self.radar_with_line_5(tmp_path, synth_dir, capsys, edit)
         assert err == f"error: {data}/returns.csv:5: too many fields\n"
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_forecast(self, tmp_path, capsys, bad):
+        cfg = write_cfg(tmp_path, write_report_inputs(tmp_path))
+        forecasts = tmp_path / "forecasts.csv"
+        lines = forecasts.read_text().splitlines(keepends=True)
+        lines[6] = lines[6].rsplit(",", 1)[0] + f",{bad}\n"
+        forecasts.write_text("".join(lines))
+        err = self.run(capsys, "report", cfg, tmp_path / "run")
+        assert err == f"error: {forecasts}:7: non-finite value {bad!r}\n"
+
+    def test_repeated_forecast(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, write_report_inputs(tmp_path))
+        forecasts = tmp_path / "forecasts.csv"
+        lines = forecasts.read_text().splitlines(keepends=True)
+        lines[3] = lines[2]
+        forecasts.write_text("".join(lines))
+        err = self.run(capsys, "report", cfg, tmp_path / "run")
+        assert err == f"error: {forecasts}: duplicate forecast 2020-01-06,A01,gb\n"
+
+    def test_repeated_return(self, tmp_path, synth_dir, capsys):
+        # line 5 repeats line 4: the same asset on the same date
+        line_4 = (synth_dir / "returns.csv").read_text().splitlines()[3]
+        err, data = self.radar_with_line_5(tmp_path, synth_dir, capsys, lambda line: line_4)
+        day, asset, _ = line_4.split(",")
+        assert err == (
+            f"error: {data}/returns.csv: duplicate (date, entity) observation for {asset} on {day}\n"
+        )
+
+    def test_return_of_minus_100_percent(self, tmp_path, synth_dir, capsys):
+        edit = lambda line: line.rsplit(",", 1)[0] + ",-1.0"
+        err, data = self.radar_with_line_5(tmp_path, synth_dir, capsys, edit)
+        day, asset, _ = (synth_dir / "returns.csv").read_text().splitlines()[4].split(",")
+        assert err == f"error: {data}/returns.csv: return <= -100% for {asset} on {day}\n"
+
     def test_bad_sparsity_line(self, tmp_path, capsys):
         run_report = tmp_path / "run_report.txt"
         run_report.write_text("run report\ntasks.total = 1\nsparsity.lasso = n/a\n")

@@ -45,7 +45,12 @@ from marketradar.radar import (
 )
 from marketradar.shapley import ImportanceRecord
 from marketradar.synth import ScenarioSpec, generate
-from marketradar.trading_calendar import format_quarter, quarter_of, shift_quarter
+from marketradar.trading_calendar import (
+    TradingCalendar,
+    format_quarter,
+    quarter_of,
+    shift_quarter,
+)
 
 D = dt.date
 
@@ -383,10 +388,10 @@ class TestRunRadar:
         cfg = RadarConfig(algorithms=(algo,), min_train_rows=1, hyperparameters={algo: params})
         _, _, report = run_radar(late, sc.markets, cfg)
         assert report.skips == [
-            ("A001", "2017Q1", algo, "A001 2016Q1..2016Q4: 0 rows < minimum 1"),
-            ("A001", "2017Q2", algo, "A001 2016Q2..2017Q1: 0 rows < minimum 1"),
+            ("A001", "2017Q1", algo, "2016Q1..2016Q4: 0 rows < minimum 1"),
+            ("A001", "2017Q2", algo, "2016Q2..2017Q1: 0 rows < minimum 1"),
         ]
-        assert f"skip A001 2017Q1 {algo}: A001 2016Q1..2016Q4: 0 rows" in report.to_text()
+        assert f"skip A001 2017Q1 {algo}: 2016Q1..2016Q4: 0 rows" in report.to_text()
         assert report.n_completed == 6
 
     def test_one_quarter_window_skip_names_its_quarter(self):
@@ -397,7 +402,70 @@ class TestRunRadar:
             hyperparameters={"gb": BoostParams(n_estimators=3)},
         )
         _, _, report = run_radar(late, sc.markets, cfg)
-        assert ("A001", "2017Q1", "gb", "A001 2016Q4..2016Q4: 0 rows < minimum 1") in report.skips
+        assert ("A001", "2017Q1", "gb", "2016Q4..2016Q4: 0 rows < minimum 1") in report.skips
+
+    # each example is a radar run
+    @settings(deadline=None, max_examples=15)
+    @given(
+        st.one_of(
+            st.integers(0, 5).map(lambda k: ("drop", k)),
+            # past 2017Q3, the quarter after the panel's last one
+            st.dates(D(2017, 10, 1), D(2100, 12, 31)).map(lambda d: ("add", d)),
+        )
+    )
+    def test_tasks_forecast_calendar_quarters(self, small_scenario, change):
+        # a calendar with one quarter dropped or a far date added: every
+        # task forecasts a quarter that holds a calendar day, and each
+        # importance row belongs to a task that forecast
+        sc = small_scenario
+        dates = sc.calendar().dates
+        kind, arg = change
+        if kind == "drop":
+            dates = [d for d in dates if quarter_of(d) != sc.calendar().quarters()[arg]]
+        else:
+            dates = [*dates, arg]
+        cal = TradingCalendar.from_dates(dates)
+        cfg = small_config()
+        tasks = enumerate_tasks(sc.assets, cal, cfg)
+        assert all(cal.days_in_quarter(shift_quarter(q, 1)) for _, q, _ in tasks)
+        if not tasks:
+            with pytest.raises(RadarError, match="no runnable tasks"):
+                run_radar(sc.assets, sc.markets, cfg, calendar=cal)
+            return
+        table, imps, report = run_radar(sc.assets, sc.markets, cfg, calendar=cal)
+        forecast = {(r.asset, quarter_of(r.date), r.algo) for r in table.rows}
+        assert imps and {(r.asset, r.quarter, r.algo) for r in imps} <= forecast
+        assert report.n_completed == len(tasks)
+
+    def test_ols_keeps_no_sparsity(self, small_scenario):
+        # an ols fit is linear, but not sparse: it has no nonzero fraction
+        sc = small_scenario
+        _, _, report = run_radar(sc.assets, sc.markets, small_config(algorithms=("ols", "lasso")))
+        assert report.n_completed == 16
+        assert list(report.sparsity) == ["lasso"]
+        assert "sparsity.ols" not in report.to_text()
+
+    def test_importances_come_in_key_order(self, small_scenario):
+        # with skips and four algorithms, the merged records need no sort
+        sc = small_scenario
+        late = without_records(sc.assets, lambda d, e: e == "A002" and d < D(2016, 10, 1))
+        cfg = small_config(
+            algorithms=("lasso", "gb", "nn", "enet"),
+            hyperparameters={
+                "lasso": LassoParams(alpha=1e-5),
+                "gb": BoostParams(n_estimators=3, max_depth=2),
+                "nn": NetParams(epochs=2, n_neurons=4),
+                "enet": ElasticNetParams(1e-4, 0.5),
+            },
+            nn_importance_permutations=2,
+        )
+        _, imps, report = run_radar(late, sc.markets, cfg)
+        assert [s[:3] for s in report.skips] == [
+            ("A002", "2017Q1", algo) for algo in ("enet", "gb", "lasso", "nn")
+        ]
+        assert {r.algo for r in imps} == {"lasso", "gb", "nn", "enet"}
+        key = lambda r: (r.asset, r.quarter, r.algo, r.signal.source, r.signal.lag_week)
+        assert [key(r) for r in imps] == sorted(key(r) for r in imps)
 
 
 def report_text_without_timing(report) -> str:
@@ -788,10 +856,46 @@ class TestQuarterGroups:
             if alone.skipped:
                 expected.append((asset, format_quarter(shift_quarter(q, 1)), algo, alone.skip_reason))
         assert report.skips == expected
-        assert [(asset, reason.split()[0]) for asset, _, _, reason in expected] == [
-            ("A001", "A001"), ("A001", "A001"), ("A002", "A002"), ("A002", "A002"),
+        assert [(asset, reason.split(":")[0]) for asset, _, _, reason in expected] == [
+            ("A001", "2016Q1..2016Q4"), ("A001", "2016Q2..2017Q1"),
+            ("A002", "2016Q1..2016Q4"), ("A002", "2016Q2..2017Q1"),
         ]
         assert report.n_completed == 4
+
+    def test_failed_set_builds_one_window(self, monkeypatch):
+        # A000..A004 list in 2017Q1: in the 2016Q4 window they form one
+        # row-date set with no rows, and in the 2017Q1 window one of 20
+        sc = generate(
+            ScenarioSpec(n_assets=12, n_markets=3, n_quarters=6, days_per_quarter=20, seed=3)
+        )
+        late = ("A000", "A001", "A002", "A003", "A004")
+        assets = without_records(sc.assets, lambda d, e: e in late and d < D(2017, 1, 1))
+        cfg = RadarConfig(algorithms=("lasso",), min_train_rows=20, importance=False)
+        real = radar.assemble_training_window
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append((args[3], args[4]))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(radar, "assemble_training_window", counting)
+        _, _, report = run_radar(assets, sc.markets, cfg)
+        # one window per row-date set: two sets in each training quarter
+        assert calls == [(a, q) for q in ((2016, 4), (2017, 1)) for a in ("A000", "A005")]
+        assert report.skips == [
+            (asset, "2017Q1", "lasso", "2016Q1..2016Q4: 0 rows < minimum 20") for asset in late
+        ]
+        assert report.n_completed == 19
+        # each member's reason is the one its lone task records
+        cal = assets.calendar()
+        alone = [
+            train_predict_stock_quarter(assets, sc.markets, cal, asset, q, algo, cfg)
+            for asset, q, algo in enumerate_tasks(assets, cal, cfg)
+        ]
+        assert report.skips == [
+            (r.asset, format_quarter(r.forecast_quarter), r.algo, r.skip_reason)
+            for r in alone if r.skipped
+        ]
 
     def test_target_at_the_sweep_cap_fails_alone(self, tmp_path, monkeypatch, small_scenario):
         sc = small_scenario
