@@ -14,15 +14,23 @@ row alignment across many sources with different holiday calendars.
 
 A signal block is one asset's, as a model is: one row per date on which the
 asset has a return, valued by the ``lagged_signals`` of those dates.
+
+CSV files move a column at a time, in chunks of ``CSV_CHUNK_ROWS`` rows.
+``write_csv_columns`` writes a header row, then comma-separated cells with
+``\\r\\n`` line ends: floats as their shortest round-trip ``repr``, and text
+quoted only where ``csv.writer`` would quote it.  ``read_csv_columns``
+reads ``csv.reader``'s dialect (quoted cells, blank lines skipped) into
+typed columns, parsing a date, quarter or signal once per distinct cell,
+and names the earliest bad row of a file as ``path:line: reason``.
 """
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
+import itertools
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +43,8 @@ class PanelError(MarketRadarError, ValueError):
 
 
 class WindowTooSmall(PanelError):
-    """A training window has fewer rows than the configured minimum."""
+    """A task's blocks are too small to run it: its training window has
+    fewer rows than the configured minimum, or its forecast quarter none."""
 
 
 @dataclass(frozen=True, order=True)
@@ -89,18 +98,66 @@ class ReturnPanel:
                 raise PanelError(f"length mismatch for entity {name}")
             if np.any(np.diff(s.ordinals) <= 0):
                 raise PanelError(f"duplicate or unsorted dates for entity {name}")
-            if not np.all(np.isfinite(s.values)):
-                raise PanelError(f"non-finite value for entity {name}")
-            if check_returns and np.any(s.values <= -1.0):
-                day = dt.date.fromordinal(int(s.ordinals[np.argmax(s.values <= -1.0)]))
-                raise PanelError(f"return <= -100% for {name} on {day}")
-        self.columns = {name: j for j, name in enumerate(series)}
-        self.ordinals = np.unique(
-            np.concatenate([np.empty(0, np.int64), *(s.ordinals for s in series.values())])
+        lengths = [len(s) for s in series.values()]
+        self._fill(
+            np.concatenate([np.empty(0, np.int64), *(s.ordinals for s in series.values())]),
+            list(series),
+            np.repeat(np.arange(len(series)), lengths),
+            np.concatenate([np.empty(0), *(s.values for s in series.values())]),
+            check_returns,
         )
-        self.values = np.full((len(self.ordinals), len(series)), np.nan)
-        for j, s in enumerate(series.values()):
-            self.values[np.searchsorted(self.ordinals, s.ordinals), j] = s.values
+
+    @classmethod
+    def from_columns(
+        cls,
+        ordinals: np.ndarray,
+        names: Sequence[str],
+        codes: np.ndarray,
+        values: np.ndarray,
+        check_returns: bool = True,
+    ) -> "ReturnPanel":
+        """The panel whose row ``i`` is entity ``names[codes[i]]``'s value
+        ``values[i]`` on date ordinal ``ordinals[i]``, rows in any order;
+        ``names`` are distinct, each a column even without a row.  A repeated
+        (date, entity) raises PanelError for the repeated entity that comes
+        first in ``names``, on its earliest repeated date; then a value that
+        is not finite, or with ``check_returns`` a return <= -100%, for the
+        first such entity in sorted order."""
+        panel = cls.__new__(cls)
+        panel._fill(np.asarray(ordinals, np.int64), list(names), np.asarray(codes),
+                    np.asarray(values, np.float64), check_returns)
+        return panel
+
+    def _fill(self, ordinals, names, codes, values, check_returns) -> None:
+        self.ordinals, row = np.unique(ordinals, return_inverse=True)
+        # ordered by name position, then date: the smallest repeated key
+        # names the first repeated entity's earliest repeated date
+        keys = np.sort(codes * len(self.ordinals) + row)
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        if len(repeated):
+            code, day = divmod(int(repeated[0]), len(self.ordinals))
+            raise PanelError(
+                f"duplicate (date, entity) observation for {names[code]} "
+                f"on {dt.date.fromordinal(int(self.ordinals[day]))}"
+            )
+        order = sorted(range(len(names)), key=names.__getitem__)
+        column = np.empty(len(names), np.intp)
+        column[order] = np.arange(len(names))
+        column = column[codes]
+        self.columns = {names[i]: j for j, i in enumerate(order)}
+        # the first entity, in sorted order, with a bad value: non-finite,
+        # or with ``check_returns`` a return <= -100%
+        finite = np.isfinite(values)
+        bad = ~finite | (check_returns & (values <= -1.0))
+        if bad.any():
+            j = int(column[bad].min())
+            name, mine = names[order[j]], column == j
+            if not finite[mine].all():
+                raise PanelError(f"non-finite value for entity {name}")
+            day = dt.date.fromordinal(int(ordinals[mine & (values <= -1.0)].min()))
+            raise PanelError(f"return <= -100% for {name} on {day}")
+        self.values = np.full((len(self.ordinals), len(names)), np.nan)
+        self.values[row, column] = values
 
     @classmethod
     def from_records(
@@ -108,20 +165,18 @@ class ReturnPanel:
         records: Iterable[tuple[dt.date, str, float]],
         check_returns: bool = True,
     ) -> "ReturnPanel":
-        buckets: dict[str, list[tuple[int, float]]] = {}
-        for date, entity, value in records:
-            buckets.setdefault(entity, []).append((date.toordinal(), float(value)))
-        series = {}
-        for entity, rows in buckets.items():
-            rows.sort()
-            ords = np.array([r[0] for r in rows], dtype=np.int64)
-            vals = np.array([r[1] for r in rows], dtype=np.float64)
-            repeats = np.flatnonzero(np.diff(ords) == 0)
-            if len(repeats):
-                day = dt.date.fromordinal(int(ords[repeats[0]]))
-                raise PanelError(f"duplicate (date, entity) observation for {entity} on {day}")
-            series[entity] = EntitySeries(ords, vals)
-        return cls(series, check_returns=check_returns)
+        """``from_columns`` of (date, entity, value) records, entities named
+        in order of first appearance."""
+        rows = list(records)
+        code: dict[str, int] = {}
+        codes = np.fromiter((code.setdefault(e, len(code)) for _, e, _ in rows), np.intp, len(rows))
+        return cls.from_columns(
+            np.fromiter((d.toordinal() for d, _, _ in rows), np.int64, len(rows)),
+            list(code),
+            codes,
+            np.fromiter((float(v) for _, _, v in rows), np.float64, len(rows)),
+            check_returns,
+        )
 
     @property
     def entity_ids(self) -> list[str]:
@@ -385,75 +440,236 @@ def assemble_training_window(
 # ---------------------------------------------------------------------------
 # CSV interfaces: returns.csv / markets.csv (date,entity,ret),
 # calendar.csv (one ISO date per line), caps.csv (date,asset,cap).
+# Files move a column at a time, in chunks of CSV_CHUNK_ROWS rows.
 # ---------------------------------------------------------------------------
 
-def read_csv_rows(
-    path: Path | str, parse: Callable[[list[str]], object], error: type[MarketRadarError],
-    header: Callable[[list[str]], bool] | None = None, expected: str = "",
-) -> tuple[list[str] | None, list]:
-    """The header row, which must satisfy ``header`` if given (else ``error``:
-    ``path: expected <expected>``), and ``parse`` of every non-blank later
-    row.  A row with fewer or more fields than the header, or one ``parse``
-    rejects with ValueError (a bad number, date or quarter), raises
-    ``error``: ``path:line: reason``."""
+# Rows per chunk.  A read chunk's rows, lists of strings, take about 0.3 MB;
+# larger chunks read no faster (garbage collection then walks more live rows).
+CSV_CHUNK_ROWS = 1024
+
+
+class BadRow(ValueError):
+    """A chunk's row ``index`` is rejected for the reason in the message."""
+
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(reason)
+        self.index = index
+
+
+class Distinct:
+    """A column whose cells are parsed once per distinct cell: ``labels``
+    holds each distinct parsed value in order of first appearance, and a
+    call reads a chunk's cells as codes into ``labels``.  A cell is a string,
+    or a tuple of a row's strings for a value read from several columns;
+    ``parse`` raises ValueError for a bad cell (default: the cell itself)."""
+
+    def __init__(self, parse: Callable[[object], Hashable] | None = None) -> None:
+        self.parse = parse
+        self.labels: list = []
+        self._label_code: dict = {}
+        self._cell_code: dict = {}
+
+    def __call__(self, cells: Sequence) -> np.ndarray:
+        # new cells in order of first appearance: the first bad one is the earliest
+        for cell in dict.fromkeys(cells):
+            if cell in self._cell_code:
+                continue
+            try:
+                value = cell if self.parse is None else self.parse(cell)
+            except ValueError as exc:
+                raise BadRow(cells.index(cell), str(exc)) from None
+            code = self._label_code.setdefault(value, len(self.labels))
+            if code == len(self.labels):
+                self.labels.append(value)
+            self._cell_code[cell] = code
+        return np.fromiter(map(self._cell_code.__getitem__, cells), np.int64, len(cells))
+
+    def values(self, codes: np.ndarray) -> list:
+        """Each code's label."""
+        return list(map(self.labels.__getitem__, codes.tolist()))
+
+
+def float_cells(cells: Sequence[str]) -> np.ndarray:
+    """Each cell's ``float``; BadRow at the first cell it rejects."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        for i, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise BadRow(i, str(exc)) from None
+        raise
+
+
+def finite_cells(cells: Sequence[str]) -> np.ndarray:
+    """``float_cells``, and BadRow at the first cell whose number is not finite."""
+    values = float_cells(cells)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(bad.argmax())
+        raise BadRow(i, f"non-finite value {cells[i]!r}")
+    return values
+
+
+class SeenKeys:
+    """The int64 keys of the rows read so far, kept sorted: 8 bytes a row."""
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, np.int64)
+
+    def first_repeat(self, keys: np.ndarray) -> int | None:
+        """Index of the first of ``keys`` that an earlier one, or a row read
+        before, holds; None when every key is new."""
+        order = np.argsort(keys, kind="stable")
+        again = np.zeros(len(keys), bool)
+        again[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        if len(self.keys):
+            again |= self.keys.take(np.searchsorted(self.keys, keys), mode="clip") == keys
+        return int(again.argmax()) if again.any() else None
+
+    def add(self, keys: np.ndarray) -> None:
+        # a stable sort of two sorted runs merges them in linear time
+        self.keys = np.sort(np.concatenate([self.keys, np.sort(keys)]), kind="stable")
+
+
+def _filled(row: list[str]) -> bool:
+    """Whether a row holds a cell: blank lines and lone blank cells are skipped."""
+    return len(row) > 1 or bool("".join(row).strip())
+
+
+def _line(path: Path | str, header: bool, index: int) -> int:
+    """The line on which data row ``index`` (blank rows not counted) ends."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if header:
+            next(reader)
+        lines = (reader.line_num for row in reader if _filled(row))
+        return next(itertools.islice(lines, index, None))
+
+
+def _parse_earliest(parse: Callable[[list[Sequence]], tuple], cells: list[Sequence]) -> tuple:
+    """``parse(cells)``, or the BadRow of the earliest rejected row: a row
+    rejected by a later check may follow one that an earlier check passed
+    and a later one rejects, so the rows before it are parsed again."""
+    try:
+        return parse(cells)
+    except BadRow as bad:
+        _parse_earliest(parse, [column[: bad.index] for column in cells])
+        raise
+
+
+def read_csv_columns(
+    path: Path | str,
+    parse: Callable[[list[Sequence]], tuple],
+    error: type[MarketRadarError],
+    header: Callable[[list[str]], bool] | None = None,
+    expected: str = "",
+) -> tuple[list[str] | None, list[np.ndarray]]:
+    """The header row, which must satisfy ``header`` if given (else
+    ``error``: ``path: expected <expected>``), and the typed columns of the
+    later rows: ``parse`` turns each chunk's columns of cells (tuples of
+    strings; without a header, one column of each row's cells joined by
+    commas) into a tuple of arrays, concatenated over the chunks.  Blank
+    rows are skipped.
+
+    A row with fewer or more fields than the header, or one ``parse``
+    rejects with BadRow (a bad number, date or quarter, a repeated key),
+    raises ``error``: ``path:line: reason`` for the earliest rejected row,
+    its first rejected cell in ``parse``'s order.  ``parse`` sees every
+    chunk, at least one, in file order, and is called again on a rejected
+    chunk's rows before the rejected one."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         head = next(reader, None) if header else None
         if header and not (head and header(head)):
             raise error(f"{path}: expected {expected}")
-        rows = []
-        for row in reader:
-            if len(row) > 1 or "".join(row).strip():
-                if head and len(row) != len(head):
-                    reason = f"too {'few' if len(row) < len(head) else 'many'} fields"
-                    raise error(f"{path}:{reader.line_num}: {reason}")
-                try:
-                    rows.append(parse(row))
-                except ValueError as exc:
-                    raise error(f"{path}:{reader.line_num}: {exc}") from None
-    return head, rows
+        width = len(head) if head else 1
+        chunks, done = [], 0
+        while (rows := list(itertools.islice(reader, CSV_CHUNK_ROWS))) or not chunks:
+            miscount = None  # the first row whose field count is not the header's
+            if not head:
+                rows = [",".join(row) for row in rows if _filled(row)]
+            elif set(map(len, rows)) - {width}:
+                rows = [row for row in rows if _filled(row)]
+                miscount = next((i for i, row in enumerate(rows) if len(row) != width), None)
+                if miscount is not None:
+                    few = len(rows[miscount]) < width
+                    rows = rows[:miscount]
+            cells = [tuple(rows)] if not head else list(zip(*rows)) or [()] * width
+            try:
+                chunks.append(_parse_earliest(parse, cells))
+            except BadRow as bad:
+                raise error(f"{path}:{_line(path, bool(head), done + bad.index)}: {bad}") from None
+            if miscount is not None:
+                reason = f"too {'few' if few else 'many'} fields"
+                raise error(f"{path}:{_line(path, True, done + miscount)}: {reason}")
+            done += len(rows)
+    return head, [np.concatenate(column) for column in zip(*chunks)]
 
 
-def write_csv_rows(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The ``header`` row, then ``rows``, as ``read_csv_rows`` reads them."""
+class _Echo:
+    """A file whose ``write`` returns the text it is given."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def write_csv_columns(path: Path | str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """The ``header`` row, then row ``i`` of every column, written as
+    ``csv.writer`` writes the rows: a float array as each value's ``repr``,
+    and any other column (strings, dates, integers) as each distinct value
+    is encoded once, as ``csv.writer`` writes that cell in a row of
+    ``len(header)`` fields.  Lines end in ``\\r\\n``."""
+    # csv.writer's writerow returns what the file's write returns: here the row's text
+    encode = csv.writer(_Echo()).writerow
+    pad = ("",) * (len(header) - 1)
+    cell_texts: list[dict] = [{} for _ in columns]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def finite_float(cell: str) -> float:
-    """The float of a CSV cell; ValueError if it is not a finite number."""
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {cell!r}")
-    return value
+        fh.write(encode(header))
+        for start in range(0, len(columns[0]) if columns else 0, CSV_CHUNK_ROWS):
+            texts = []
+            for column, known in zip(columns, cell_texts):
+                part = column[start : start + CSV_CHUNK_ROWS]
+                if isinstance(part, np.ndarray) and part.dtype.kind == "f":
+                    texts.append(map(repr, part.tolist()))
+                    continue
+                for value in set(part) - known.keys():
+                    known[value] = encode((value, *pad))[: -len(pad) - 2]
+                texts.append(map(known.__getitem__, part))
+            fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
 
 def read_panel_csv(path: Path | str, check_returns: bool = True) -> ReturnPanel:
-    parse = lambda row: (dt.date.fromisoformat(row[0]), row[1], finite_float(row[2]))
+    dates, entities = Distinct(dt.date.fromisoformat), Distinct()
+    parse = lambda cells: (dates(cells[0]), entities(cells[1]), finite_cells(cells[2]))
     header = lambda head: len(head) == 3
-    _, records = read_csv_rows(path, parse, PanelError, header, "header date,entity,value")
-    if not records:
+    _, (day, entity, value) = read_csv_columns(
+        path, parse, PanelError, header, "header date,entity,value"
+    )
+    if not len(value):
         raise PanelError(f"{path}: empty panel")
+    ordinals = np.array([d.toordinal() for d in dates.labels], np.int64)[day]
     try:
-        return ReturnPanel.from_records(records, check_returns=check_returns)
+        return ReturnPanel.from_columns(ordinals, entities.labels, entity, value, check_returns)
     except PanelError as exc:
         raise PanelError(f"{path}: {exc}") from None
 
 
 def write_panel_csv(path: Path | str, panel: ReturnPanel, header: Sequence[str]) -> None:
-    observed = (panel.series(entity) for entity in panel.entity_ids)
-    write_csv_rows(path, header, (
-        [dt.date.fromordinal(int(o)).isoformat(), entity, repr(float(v))]
-        for entity, s in zip(panel.entity_ids, observed)
-        for o, v in zip(s.ordinals, s.values)
-    ))
+    """Every observation, entity by entity in column order, each in date order."""
+    entity, day = np.nonzero(~np.isnan(panel.values.T))
+    dates, names = panel.dates(), panel.entity_ids
+    write_csv_columns(path, header, [
+        list(map(dates.__getitem__, day.tolist())),
+        list(map(names.__getitem__, entity.tolist())),
+        panel.values[day, entity],
+    ])
 
 
 def read_calendar_csv(path: Path | str) -> TradingCalendar:
-    parse = lambda row: dt.date.fromisoformat(",".join(row).strip())
-    _, dates = read_csv_rows(path, parse, PanelError)
-    if not dates:
+    dates = Distinct(lambda line: dt.date.fromisoformat(line.strip()))
+    read_csv_columns(path, lambda cells: (dates(cells[0]),), PanelError)
+    if not dates.labels:
         raise PanelError(f"{path}: empty calendar")
-    return TradingCalendar.from_dates(dates)
+    return TradingCalendar.from_dates(dates.labels)

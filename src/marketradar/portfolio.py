@@ -20,7 +20,7 @@ import numpy as np
 
 from .econometrics import DateSeries, compound_runs, excess_returns, on_dates
 from .errors import MarketRadarError
-from .panel import ReturnPanel, negligible_sd, write_csv_rows
+from .panel import ReturnPanel, negligible_sd, write_csv_columns
 from .trading_calendar import quarter_of
 
 
@@ -316,10 +316,15 @@ def timing_exposure(forecast_values: Sequence[float], upside_leverage: int = 2) 
 
 
 def write_portfolio_csv(path: Path | str, series_list: Sequence[PortfolioSeries]) -> None:
-    """`date,name,ret,turnover` rows for every series, sorted by name/date."""
-    write_csv_rows(path, ["date", "name", "ret", "turnover"], (
-        [d.isoformat(), s.name, repr(float(s.returns[i])),
-         "" if s.turnover is None else repr(float(s.turnover[i]))]
-        for s in sorted(series_list, key=lambda s: s.name)
-        for i, d in enumerate(s.dates)
-    ))
+    """`date,name,ret,turnover` rows for every series, sorted by name/date;
+    a series without turnover leaves its turnover cells empty."""
+    ordered = sorted(series_list, key=lambda s: s.name)
+    write_csv_columns(path, ["date", "name", "ret", "turnover"], [
+        [d for s in ordered for d in s.dates],
+        [s.name for s in ordered for _ in s.dates],
+        np.concatenate([np.empty(0), *(s.returns for s in ordered)]),
+        [text for s in ordered for text in (
+            [""] * len(s.dates) if s.turnover is None
+            else map(repr, np.asarray(s.turnover, np.float64).tolist())
+        )],
+    ])

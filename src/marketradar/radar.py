@@ -23,9 +23,10 @@ reproduce identical output.  Radar runs and tuning dispatch their units the
 same way: in this process, or with more than one worker, one unit per pool
 item on forked worker processes (POSIX only), which inherit the panels
 instead of receiving them pickled; a unit is never split across workers.
-Stock-quarters whose window is too small are recorded as skips, and tasks
-whose blocks, fit, prediction or attribution raise a library error as failures,
-never silently dropped: downstream summary denominators need them, and one
+Stock-quarters whose window is too small, or whose asset has no return in
+the forecast quarter, are recorded as skips, and tasks whose blocks, fit,
+prediction or attribution raise a library error as failures, never silently
+dropped: downstream summary denominators need them, and one
 degenerate task, such as one target of a joint solve at the sweep cap, does
 not end the run or its unit.  A row-date set whose blocks raise records that
 one error for every member.  Tasks are labeled by the quarter they forecast,
@@ -34,11 +35,11 @@ which keys forecasts, fit records, and importances consistently.
 from __future__ import annotations
 
 import datetime as dt
-import functools
 import hashlib
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -49,17 +50,21 @@ from .econometrics import sparsity_fraction
 from .errors import MarketRadarError
 from .learners import params as hp
 from .panel import (
+    BadRow,
+    Distinct,
     ReturnPanel,
+    SeenKeys,
     SignalBlock,
     SignalId,
     WindowTooSmall,
     assemble_training_window,
     build_signal_block,
-    finite_float,
-    read_csv_rows,
+    finite_cells,
+    float_cells,
+    read_csv_columns,
     standardize,
     window_days,
-    write_csv_rows,
+    write_csv_columns,
 )
 from .shapley import (
     SAMPLED_PERMUTATIONS,
@@ -150,17 +155,23 @@ class ForecastTable:
         return out
 
     def to_csv(self, path: Path | str) -> None:
-        write_csv_rows(path, ["date", "asset", "algo", "yhat"], (
-            [r.date.isoformat(), r.asset, r.algo, repr(r.yhat)] for r in self.rows
-        ))
+        columns = [list(map(attrgetter(name), self.rows)) for name in ("date", "asset", "algo")]
+        yhat = np.fromiter(map(attrgetter("yhat"), self.rows), np.float64, len(self.rows))
+        write_csv_columns(path, ["date", "asset", "algo", "yhat"], [*columns, yhat])
 
     @classmethod
     def from_csv(cls, path: Path | str) -> "ForecastTable":
-        parse = lambda rec: ForecastRow(
-            dt.date.fromisoformat(rec[0]), rec[1], rec[2], finite_float(rec[3])
+        dates, assets, algos = Distinct(dt.date.fromisoformat), Distinct(), Distinct()
+        parse = lambda cells: (
+            dates(cells[0]), assets(cells[1]), algos(cells[2]), finite_cells(cells[3])
         )
         header = lambda head: head == ["date", "asset", "algo", "yhat"]
-        rows = read_csv_rows(path, parse, RadarError, header, "forecasts header")[1]
+        _, (date, asset, algo, yhat) = read_csv_columns(
+            path, parse, RadarError, header, "forecasts header"
+        )
+        rows = list(map(
+            ForecastRow, dates.values(date), assets.values(asset), algos.values(algo), yhat.tolist()
+        ))
         try:
             return cls(rows)
         except RadarError as exc:  # a repeated key, found once every row is read
@@ -274,15 +285,20 @@ def _set_prefits(
     one window and one forecast block, the first task's, that each task
     reads with its own asset and returns, and in ``SPARSE_ALGOS`` one joint
     fit of the standardized window under each task's ``params_for(algo)``.
-    A library error of the blocks or the standardization raises; a target
+    A library error of the blocks or the standardization raises, as does an
+    empty forecast block (WindowTooSmall, before any fit); a target
     that does not converge has its ConvergenceError as its prefit."""
     asset, cfg = tasks[0]
     window = assemble_training_window(
         assets, sources, calendar, asset, train_quarter, cfg.lags, cfg.window_quarters,
         cfg.min_train_rows,
     )
-    forecast_days = calendar.days_in_quarter(shift_quarter(train_quarter, 1))
-    forecast = build_signal_block(sources, assets, forecast_days, cfg.lags, asset)
+    forecast_quarter = shift_quarter(train_quarter, 1)
+    forecast = build_signal_block(
+        sources, assets, calendar.days_in_quarter(forecast_quarter), cfg.lags, asset
+    )
+    if not forecast.n_rows:
+        raise WindowTooSmall(f"{format_quarter(forecast_quarter)}: no return to forecast")
     # each task's returns on the set's row dates: its targets, then the
     # realized returns it forecasts
     rows = assets.rows(window.dates + forecast.dates, [a for a, _ in tasks]).T
@@ -313,7 +329,8 @@ def train_predict_stock_quarter(
     """Fit on the trailing window ending at ``train_quarter`` and forecast
     every trading day of the asset in the next quarter.
 
-    A window below ``min_train_rows`` comes back as a skip.  A library error
+    A window below ``min_train_rows``, or an asset with no return in the
+    forecast quarter, comes back as a skip.  A library error
     from the blocks, the fit, the prediction or the attribution comes back
     as a failure that carries only its reason.  ``prefit`` is the task's
     ``Prefit`` from its unit's row-date set; without one the task is a set
@@ -523,43 +540,51 @@ def run_radar(
 
 
 def write_importance_csv(path: Path | str, records: Sequence[ImportanceRecord]) -> None:
-    write_csv_rows(path, ["asset", "quarter", "algo", "source", "lag_week", "importance"], (
-        [r.asset, format_quarter(r.quarter), r.algo, r.signal.source, r.signal.lag_week,
-         repr(r.value)]
-        for r in records
-    ))
+    quarters = list(map(attrgetter("quarter"), records))
+    text = {q: format_quarter(q) for q in set(quarters)}
+    write_csv_columns(path, ["asset", "quarter", "algo", "source", "lag_week", "importance"], [
+        list(map(attrgetter("asset"), records)),
+        list(map(text.__getitem__, quarters)),
+        *(list(map(attrgetter(name), records))
+          for name in ("algo", "signal.source", "signal.lag_week")),
+        np.fromiter(map(attrgetter("value"), records), np.float64, len(records)),
+    ])
 
 
 def read_importance_csv(path: Path | str) -> list[ImportanceRecord]:
-    # each distinct quarter and (source, lag) cell is parsed once per file.
-    # Each distinct signal is one bit of its (asset, quarter, algo) group's
-    # mask, and a repeated row finds its bit set.  A written file holds each
-    # group's rows together, so the current run's mask stays in hand; a set
-    # of every row's key would add megabytes to report's peak memory.
-    quarter = functools.cache(parse_quarter)
-    bits: dict[SignalId, int] = {}
-    signal = functools.cache(
-        lambda source, lag: (sid := SignalId(source, int(lag)), bits.setdefault(sid, 1 << len(bits)))
-    )
-    masks: dict[tuple | None, int] = {}
-    asset = quarter_cell = algo = group = None
-    mask = 0
+    # Each distinct (asset, quarter, algo) group and (source, lag) signal is
+    # parsed once per file, and a chunk's records are made as it is read.  A
+    # row's key is its group code and signal code in one int64, and a
+    # repeated row finds its key among the sorted keys of the rows before:
+    # 8 bytes per row, where a set of key tuples would add megabytes to
+    # report's peak memory.
+    groups = Distinct(lambda cell: (cell[0], parse_quarter(cell[1]), cell[2]))
+    signals = Distinct(lambda cell: SignalId(cell[0], int(cell[1])))
+    seen = SeenKeys()
 
-    def parse(rec: list[str]) -> ImportanceRecord:
-        nonlocal asset, quarter_cell, algo, group, mask
-        q, (s, bit) = quarter(rec[1]), signal(rec[3], rec[4])
-        if rec[0] != asset or rec[1] != quarter_cell or rec[2] != algo:
-            masks[group] = mask
-            asset, quarter_cell, algo = rec[:3]
-            group = (asset, q, algo)
-            mask = masks.get(group, 0)
-        if mask & bit:
-            raise ValueError(f"duplicate importance row {','.join(rec[:5])}")
-        mask |= bit
-        return ImportanceRecord(asset, q, algo, s, float(rec[5]))
+    def parse(cells):
+        group = groups(list(zip(*cells[:3])))
+        signal = signals(list(zip(*cells[3:5])))
+        keys = group << 32 | signal
+        repeat = seen.first_repeat(keys)
+        if repeat is not None:
+            row = ",".join(column[repeat] for column in cells[:5])
+            raise BadRow(repeat, f"duplicate importance row {row}")
+        value = float_cells(cells[5])
+        # ImportanceRecord's own rule, checked on the column
+        bad = ~(np.isfinite(value) & (value >= 0.0))
+        if bad.any():
+            raise BadRow(int(bad.argmax()), "importance must be finite and >= 0")
+        seen.add(keys)
+        records = (
+            ImportanceRecord(*groups.labels[g], signals.labels[s], v)
+            for g, s, v in zip(group.tolist(), signal.tolist(), value.tolist())
+        )
+        return (np.fromiter(records, object, len(value)),)
 
     header = lambda head: head == ["asset", "quarter", "algo", "source", "lag_week", "importance"]
-    return read_csv_rows(path, parse, RadarError, header, "importance header")[1]
+    _, (records,) = read_csv_columns(path, parse, RadarError, header, "importance header")
+    return records.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +711,7 @@ def tune_hyperparameters(
         best_err = math.inf
         best_cfg: dict[str, float] | None = None
         for cfg, result in zip(unit_draws, results):
-            if result.skipped or not result.forecasts:
+            if result.skipped or result.failed:
                 continue
             realized = assets.rows([d for d, _ in result.forecasts], [result.asset])[:, 0]
             predicted = np.array([v for _, v in result.forecasts])

@@ -17,8 +17,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import MarketRadarError
-from .panel import EntitySeries, ReturnPanel, SignalId, lagged_signals, read_csv_rows, signal_columns
-from .panel import finite_float, write_csv_rows, write_panel_csv
+from .panel import BadRow, Distinct, EntitySeries, ReturnPanel, SeenKeys, SignalId, finite_cells
+from .panel import lagged_signals, read_csv_columns, signal_columns, write_csv_columns
+from .panel import write_panel_csv
 from .trading_calendar import Quarter, TradingCalendar, first_day, quarter_of, shift_quarter
 
 
@@ -262,40 +263,46 @@ def write_scenario(scenario: Scenario, out_dir: Path | str) -> dict[str, Path]:
     write_panel_csv(paths["caps"], scenario.caps, ["date", "asset", "cap"])
 
     names = sorted(scenario.factors)
-    write_csv_rows(paths["factors"], ["date"] + names, (
-        [d.isoformat()] + [repr(scenario.factors[n][d]) for n in names]
-        for d in sorted(scenario.factors[names[0]])
-    ))
-    write_csv_rows(paths["truth"], ["asset", "source", "lag_week", "loading"], (
-        [a, sig.source, sig.lag_week, repr(float(loading))]
+    days = sorted(scenario.factors[names[0]])
+    write_csv_columns(paths["factors"], ["date"] + names, [
+        days, *(np.array([scenario.factors[n][d] for d in days]) for n in names)
+    ])
+    truth = [
+        (a, sig, loading)
         for a in sorted(scenario.truth.loadings)
         for sig, loading in sorted(scenario.truth.loadings[a].items())
-    ))
+    ]
+    write_csv_columns(paths["truth"], ["asset", "source", "lag_week", "loading"], [
+        [a for a, _, _ in truth],
+        [sig.source for _, sig, _ in truth],
+        [sig.lag_week for _, sig, _ in truth],
+        np.array([loading for _, _, loading in truth], np.float64),
+    ])
     return paths
 
 
 def read_factors_csv(path: Path | str) -> dict[str, dict[dt.date, float]]:
     """``{factor: {date: value}}`` of a wide table; a repeated date or
     column name is an error."""
-    seen: set[dt.date] = set()
+    dates = Distinct(dt.date.fromisoformat)
+    seen = SeenKeys()
 
-    def parse(row: list[str]) -> tuple[dt.date, list[float]]:
-        d = dt.date.fromisoformat(row[0])
-        if d in seen:
-            raise ValueError(f"duplicate date {d}")
-        seen.add(d)
-        return d, [finite_float(cell) for cell in row[1:]]
+    def parse(cells):
+        day = dates(cells[0])
+        repeat = seen.first_repeat(day)
+        if repeat is not None:
+            raise BadRow(repeat, f"duplicate date {dates.labels[day[repeat]]}")
+        values = [finite_cells(column) for column in cells[1:]]
+        seen.add(day)
+        return day, *values
 
     header = lambda head: head[0] == "date"
-    head, rows = read_csv_rows(
+    head, (day, *values) = read_csv_columns(
         path, parse, ScenarioError, header, "wide factor table with a date column"
     )
     names = head[1:]
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise ScenarioError(f"{path}:1: duplicate column {repeated[0]}")
-    out: dict[str, dict[dt.date, float]] = {n: {} for n in names}
-    for d, values in rows:
-        for name, value in zip(names, values):
-            out[name][d] = value
-    return out
+    days = dates.values(day)
+    return {name: dict(zip(days, column.tolist())) for name, column in zip(names, values)}

@@ -544,6 +544,19 @@ class TestMalformedInput:
         assert err == f"error: {importance}:4: bad quarter '2020Q5'\n"
 
 
+    @pytest.mark.parametrize("bad", ["nan", "-0.5"])
+    def test_importance_outside_its_range(self, tmp_path, capsys, bad):
+        importance = tmp_path / "importance.csv"
+        importance.write_text(
+            "asset,quarter,algo,source,lag_week,importance\n"
+            "A00,2020Q1,gb,M00,1,0.5\n"
+            f"A00,2020Q1,gb,M00,2,{bad}\n"
+            "A00,2020Q1,gb,M00,3,abc\n"
+        )
+        text = write_report_inputs(tmp_path) + f"data.importance = {importance}\n"
+        err = self.run(capsys, "report", write_cfg(tmp_path, text), tmp_path / "run")
+        assert err == f"error: {importance}:3: importance must be finite and >= 0\n"
+
     def test_repeated_importance_row(self, tmp_path, capsys):
         # lag "01" is lag 1: the fourth row repeats the first one's key,
         # after a row of another asset
@@ -569,6 +582,24 @@ class TestMalformedInput:
         ids=["date", "column"],
     )
     def test_repeated_factor_date_or_column(self, tmp_path, capsys, table, reason):
+        factors = tmp_path / "factors.csv"
+        factors.write_text(table)
+        text = write_report_inputs(tmp_path) + f"data.factors = {factors}\n"
+        err = self.run(capsys, "report", write_cfg(tmp_path, text), tmp_path / "run")
+        assert err == f"error: {factors}:{reason}\n"
+
+    @pytest.mark.parametrize(
+        "table, reason",
+        [
+            ("date,MKT,RF\n2020-01-06,0.001,0\n2020-01-07,abc,0\n2020-01-06,0.002,0\n",
+             "3: could not convert string to float: 'abc'"),
+            ("date,MKT,RF\n2020-01-06,0.001,0\n2020-01-07,0.002,0\n2020-01-06,abc,0\n",
+             "4: duplicate date 2020-01-06"),
+        ],
+        ids=["bad-cell-first", "same-row"],
+    )
+    def test_bad_factor_cell_and_repeated_date(self, tmp_path, capsys, table, reason):
+        # the earliest bad row is named; within a row the date is read first
         factors = tmp_path / "factors.csv"
         factors.write_text(table)
         text = write_report_inputs(tmp_path) + f"data.factors = {factors}\n"

@@ -1,4 +1,6 @@
+import csv
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from marketradar.panel import (
     lagged_weekly_signal,
     read_panel_csv,
     standardize,
+    write_csv_columns,
     write_panel_csv,
 )
 from marketradar.trading_calendar import TradingCalendar, quarter_of, shift_quarter
@@ -398,6 +401,49 @@ class TestPanelValidation:
     def test_return_below_minus_one_rejected(self):
         with pytest.raises(PanelError):
             panel_from([(D(2020, 1, 1), "AAA", -1.5)])
+
+    def test_read_memory_is_bounded_by_a_chunk(self, tmp_path):
+        # 100 entities x 504 dates: the reader keeps columns, not one
+        # tuple per row (a row at a time peaked near 15 MiB on such a file)
+        days = [D(2016, 1, 1) + dt.timedelta(days=k) for k in range(504)]
+        rng = np.random.default_rng(0)
+        panel = panel_from(
+            (d, f"A{a:03d}", float(r))
+            for a in range(100)
+            for d, r in zip(days, rng.normal(0.0, 0.01, len(days)))
+        )
+        path = tmp_path / "returns.csv"
+        write_panel_csv(path, panel, ["date", "entity", "ret"])
+        tracemalloc.start()
+        try:
+            back = read_panel_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.values, panel.values)
+        assert peak < 8 * 2**20
+
+    def test_earliest_bad_row_is_named(self, tmp_path):
+        # a blank line, then a non-finite return on line 4 before a bad
+        # date on line 6: the reader names line 4, as a row-at-a-time
+        # reader would
+        path = tmp_path / "returns.csv"
+        path.write_text(
+            "date,entity,ret\n2020-01-06,A,0.1\n\n2020-01-07,A,nan\n"
+            "2020-01-08,A,0.2\n2020-13-01,A,0.3\n"
+        )
+        with pytest.raises(PanelError) as info:
+            read_panel_csv(path)
+        assert str(info.value) == f"{path}:4: non-finite value 'nan'"
+
+    @pytest.mark.parametrize("cell", ["", "a", "a,b", 'say "a"', "a\r\nb", " "])
+    def test_one_column_cells_match_csv_writer(self, tmp_path, cell):
+        # an empty cell alone on its row is written "", not as a blank line
+        path, reference = tmp_path / "out.csv", tmp_path / "reference.csv"
+        write_csv_columns(path, ["id"], [[cell, "b", cell]])
+        with open(reference, "w", newline="") as fh:
+            csv.writer(fh).writerows([["id"], [cell], ["b"], [cell]])
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_csv_round_trip(self, tmp_path):
         panel = panel_from(

@@ -1,4 +1,5 @@
 import concurrent.futures.process
+import csv
 import datetime as dt
 import hashlib
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marketradar import radar
@@ -26,7 +27,8 @@ from marketradar.learners import (
     fit_penalized_targets,
     linear,
 )
-from marketradar.panel import PanelError, ReturnPanel, SignalId, standardize
+from marketradar.panel import PanelError, ReturnPanel, SignalId, standardize, write_panel_csv
+from marketradar.portfolio import PortfolioSeries, write_portfolio_csv
 from marketradar.radar import (
     ForecastRow,
     ForecastTable,
@@ -137,15 +139,16 @@ class TestTrainPredict:
             checked += 1
         assert checked > 0
 
-    def test_no_next_quarter_data_returns_model_only(self, small_scenario):
+    def test_no_next_quarter_data_is_a_skip(self, small_scenario):
+        # a task with nothing to forecast is skipped before any fit
         sc = small_scenario
         cal = sc.calendar()
         last_q = cal.quarters()[-1]
         result = train_predict_stock_quarter(
             sc.assets, sc.markets, cal, "A000", last_q, "lasso", small_config()
         )
-        assert result.model is not None
-        assert result.forecasts == []
+        assert result.skip_reason == "2017Q3: no return to forecast"
+        assert result.model is None and result.forecasts == [] and result.importances == []
 
     def test_small_window_is_recorded_skip(self, small_scenario):
         sc = small_scenario
@@ -436,6 +439,17 @@ class TestRunRadar:
         forecast = {(r.asset, quarter_of(r.date), r.algo) for r in table.rows}
         assert imps and {(r.asset, r.quarter, r.algo) for r in imps} <= forecast
         assert report.n_completed == len(tasks)
+
+    def test_asset_without_forecast_returns_is_a_skip(self, small_scenario):
+        # A000 has no return in 2017Q2: its task forecasting that quarter is
+        # a skip that writes no importance row, the others still complete
+        sc = small_scenario
+        assets = without_records(sc.assets, lambda d, e: e == "A000" and quarter_of(d) == (2017, 2))
+        table, imps, report = run_radar(assets, sc.markets, small_config())
+        assert report.skips == [("A000", "2017Q2", "lasso", "2017Q2: no return to forecast")]
+        assert report.n_completed == report.n_tasks - 1 == 7
+        assert not [r for r in imps if r.asset == "A000" and r.quarter == (2017, 2)]
+        assert not [r for r in table.rows if r.asset == "A000" and quarter_of(r.date) == (2017, 2)]
 
     def test_ols_keeps_no_sparsity(self, small_scenario):
         # an ols fit is linear, but not sparse: it has no nonzero fraction
@@ -1020,8 +1034,123 @@ def csv_round_trip(write, read):
         return read(path)
 
 
+def write_rows(path, header, rows) -> None:
+    """The row-at-a-time writer that the column writer replaced: the
+    reference for the bytes of every CSV the program writes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def same_bytes(write, header, rows) -> bool:
+    """Whether ``write(path)`` writes the bytes ``write_rows`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "out.csv", Path(tmp) / "reference.csv"
+        write(path)
+        write_rows(reference, header, rows)
+        return path.read_bytes() == reference.read_bytes()
+
+
+# ids on which csv quoting turns: the empty id and each character it quotes
+edge_ids = st.sampled_from(["", "\r", "\n", '"', ",", 'a,"b"\r\nc'])
+written_ids = st.one_of(edge_ids, hostile_ids)
+written_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e16])
+)
+
+
 class TestCsvRoundTripProperties:
-    """The output CSVs read back every field and every bit of each value."""
+    """The output CSVs read back every field and every bit of each value,
+    and hold the bytes the row-at-a-time writer wrote."""
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.dates(), written_ids, written_ids, written_floats),
+            max_size=12,
+            unique_by=lambda row: row[:3],
+        )
+    )
+    @example([(D(2020, 1, 2), "", "", 0.5), (D(2020, 1, 2), "\r\n", '"', -0.0)])
+    def test_forecast_bytes(self, rows):
+        table = ForecastTable([ForecastRow(*row) for row in rows])
+        assert same_bytes(table.to_csv, ["date", "asset", "algo", "yhat"], [
+            [r.date.isoformat(), r.asset, r.algo, repr(r.yhat)] for r in table.rows
+        ])
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                ImportanceRecord,
+                written_ids,
+                st.tuples(st.integers(1, 9999), st.integers(1, 4)),
+                written_ids,
+                st.builds(SignalId, written_ids.filter(bool), st.integers(1, 10**6)),
+                st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.just(5e-324)),
+            ),
+            max_size=12,
+        )
+    )
+    @example([ImportanceRecord("", (2020, 1), "", SignalId(",", 1), 0.0)])
+    def test_importance_bytes(self, records):
+        header = ["asset", "quarter", "algo", "source", "lag_week", "importance"]
+        assert same_bytes(lambda path: write_importance_csv(path, records), header, [
+            [r.asset, format_quarter(r.quarter), r.algo, r.signal.source, r.signal.lag_week,
+             repr(r.value)]
+            for r in records
+        ])
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.dates(), written_ids, st.floats(-0.99, 1e6)),
+            max_size=12,
+            unique_by=lambda row: row[:2],
+        ),
+        st.sampled_from([["date", "entity", "ret"], ["date", "asset", "cap"]]),
+    )
+    @example([(D(2020, 1, 2), "", 0.5), (D(2020, 1, 3), "", -0.0)], ["date", "entity", "ret"])
+    def test_panel_bytes(self, rows, header):
+        panel = ReturnPanel.from_records(rows)
+        observed = (panel.series(entity) for entity in panel.entity_ids)
+        assert same_bytes(lambda path: write_panel_csv(path, panel, header), header, [
+            [dt.date.fromordinal(int(o)).isoformat(), entity, repr(float(v))]
+            for entity, s in zip(panel.entity_ids, observed)
+            for o, v in zip(s.ordinals, s.values)
+        ])
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                written_ids,
+                st.lists(st.floats(-0.99, 10.0), min_size=0, max_size=4),
+                st.booleans(),
+            ),
+            max_size=4,
+            unique_by=lambda series: series[0],
+        )
+    )
+    @example([("", [0.5], False), ("a,b", [0.1, -0.0], True)])
+    def test_portfolio_bytes(self, books):
+        series_list = [
+            PortfolioSeries(
+                [D(2020, 1, 1) + dt.timedelta(days=k) for k in range(len(rets))],
+                np.array(rets, dtype=np.float64),
+                np.abs(np.array(rets, dtype=np.float64)) if with_turnover else None,
+                name,
+            )
+            for name, rets, with_turnover in books
+        ]
+        header = ["date", "name", "ret", "turnover"]
+        assert same_bytes(lambda path: write_portfolio_csv(path, series_list), header, [
+            [d.isoformat(), s.name, repr(float(s.returns[i])),
+             "" if s.turnover is None else repr(float(s.turnover[i]))]
+            for s in sorted(series_list, key=lambda s: s.name)
+            for i, d in enumerate(s.dates)
+        ])
 
     # each example writes and reads a file
     @settings(deadline=None)
